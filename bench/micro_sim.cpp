@@ -1,10 +1,8 @@
 // Microbenchmarks: the discrete-event kernel itself.
 //
-// The scheduler benchmarks (BM_SwitchRoundTrip / BM_SpawnJoin /
-// BM_PingStorm) run on BOTH execution backends so the fiber-vs-thread
-// speedup is measured, not assumed.  The custom main captures their
-// items/sec into the shared bench report; headline entry includes the
-// fiber/thread context-switch throughput ratio.
+// The custom main captures every benchmark's items/sec into the shared
+// bench report, records the raw-vs-sigsetjmp switch ratios, and gates the
+// event-queue hot paths against the committed baseline.
 #include <benchmark/benchmark.h>
 
 #include <csetjmp>
@@ -23,55 +21,20 @@ namespace {
 
 using namespace ethergrid;
 
-sim::KernelOptions with_backend(sim::Backend backend) {
-  sim::KernelOptions options;
-  options.backend = backend;
-  return options;
-}
-
-// Under TSan the kernel silently forces the thread backend; skip the fiber
-// rows there instead of mislabeling thread numbers as fiber numbers.
-bool backend_unavailable(benchmark::State& state, const sim::Kernel& kernel,
-                         sim::Backend wanted) {
-  if (kernel.backend() == wanted) return false;
-  state.SkipWithError("requested backend unavailable in this build");
-  return true;
-}
-
 // ---------------------------------------------- scheduler head-to-heads
 
 // Context-switch round-trip throughput: one process sleeping K times.
 // Every event is one scheduler->process->scheduler round trip, so
-// items/sec IS switch-pair throughput.
-void BM_SwitchRoundTrip(benchmark::State& state, sim::Backend backend) {
-  const int k = 20000;
-  for (auto _ : state) {
-    sim::Kernel kernel(1, with_backend(backend));
-    if (backend_unavailable(state, kernel, backend)) return;
-    kernel.spawn("switcher", [&](sim::Context& ctx) {
-      for (int i = 0; i < k; ++i) ctx.sleep(msec(1));
-    });
-    kernel.run();
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK_CAPTURE(BM_SwitchRoundTrip, fiber, sim::Backend::kFiber);
-BENCHMARK_CAPTURE(BM_SwitchRoundTrip, thread, sim::Backend::kThread);
-
-// The two fiber context-switch implementations head to head on the same
-// round-trip workload: the raw fcontext-style assembly switch vs the
-// portable sigsetjmp fallback (also the differential-testing oracle).
-// raw duplicates BM_SwitchRoundTrip/fiber where raw is the ambient
-// default, but naming the impl explicitly keeps the ratio below from
-// comparing across ETHERGRID_SIM_SWITCH settings.
+// items/sec IS switch-pair throughput.  The two fiber context-switch
+// implementations run head to head: the raw fcontext-style assembly switch
+// (the default) vs the portable sigsetjmp fallback (also the
+// differential-testing oracle).
 void BM_SwitchImplRoundTrip(benchmark::State& state, sim::SwitchImpl impl) {
   const int k = 20000;
   for (auto _ : state) {
     sim::KernelOptions options;
-    options.backend = sim::Backend::kFiber;
     options.switch_impl = impl;
     sim::Kernel kernel(1, options);
-    if (backend_unavailable(state, kernel, sim::Backend::kFiber)) return;
     if (kernel.switch_impl() != impl) {
       state.SkipWithError("switch impl unavailable on this target");
       return;
@@ -134,36 +97,13 @@ void BM_BareSwitchSigsetjmp(benchmark::State& state) {
 }
 BENCHMARK(BM_BareSwitchSigsetjmp);
 
-// Spawn/join latency: create N trivial processes, run them to completion,
-// tear the kernel down.  Captures stack/thread creation plus the first and
-// last switch of every process.
-void BM_SpawnJoin(benchmark::State& state, sim::Backend backend) {
-  const int n = int(state.range(0));
-  for (auto _ : state) {
-    sim::Kernel kernel(1, with_backend(backend));
-    if (backend_unavailable(state, kernel, backend)) return;
-    for (int i = 0; i < n; ++i) {
-      kernel.spawn("p", [](sim::Context&) {});
-    }
-    kernel.run();
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * n);
-}
-BENCHMARK_CAPTURE(BM_SpawnJoin, fiber, sim::Backend::kFiber)
-    ->Arg(16)->Arg(256);
-BENCHMARK_CAPTURE(BM_SpawnJoin, thread, sim::Backend::kThread)
-    ->Arg(16)->Arg(256);
-
 // Ping storm: N processes all sleeping on short staggered timers -- a
-// large live population churning through the wakeup queue.  10k fibers are
-// cheap; 10k threads would trip container pid limits (and take minutes),
-// so the thread row runs 2000 and items/sec stays comparable.
-void BM_PingStorm(benchmark::State& state, sim::Backend backend) {
+// large live population churning through the wakeup queue.
+void BM_PingStorm(benchmark::State& state) {
   const int n = int(state.range(0));
   const int rounds = 10;
   for (auto _ : state) {
-    sim::Kernel kernel(1, with_backend(backend));
-    if (backend_unavailable(state, kernel, backend)) return;
+    sim::Kernel kernel;
     for (int i = 0; i < n; ++i) {
       kernel.spawn("p", [&, i](sim::Context& ctx) {
         for (int r = 0; r < rounds; ++r) ctx.sleep(msec(1 + i % 7));
@@ -173,14 +113,13 @@ void BM_PingStorm(benchmark::State& state, sim::Backend backend) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * n * rounds);
 }
-BENCHMARK_CAPTURE(BM_PingStorm, fiber, sim::Backend::kFiber)
-    ->Arg(10000)->Iterations(1);
-BENCHMARK_CAPTURE(BM_PingStorm, thread, sim::Backend::kThread)
-    ->Arg(2000)->Iterations(1);
+BENCHMARK(BM_PingStorm)->Arg(10000)->Iterations(1);
 
-// ------------------------------------------------- default-backend suite
+// ------------------------------------------------------ kernel primitives
 
-// Cost of spawning and draining N trivial processes.
+// Spawn/drain latency: create N trivial processes, run them to completion,
+// tear the kernel down.  Captures stack materialization plus the first and
+// last switch of every process.
 void BM_SpawnDrain(benchmark::State& state) {
   const int n = int(state.range(0));
   for (auto _ : state) {
@@ -192,7 +131,7 @@ void BM_SpawnDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * n);
 }
-BENCHMARK(BM_SpawnDrain)->Arg(1)->Arg(16)->Arg(128);
+BENCHMARK(BM_SpawnDrain)->Arg(1)->Arg(16)->Arg(128)->Arg(256);
 
 // Context-switch cost: one process sleeping K times (schedule + 2 handoffs
 // per event).
@@ -278,7 +217,7 @@ void BM_StoreThroughput(benchmark::State& state) {
 BENCHMARK(BM_StoreThroughput)->Arg(1000);
 
 // Console reporter that also captures each run's items/sec so main can
-// feed the headline numbers (and the fiber/thread ratio) to the report.
+// feed the headline numbers (and the switch ratios) to the report.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -307,16 +246,6 @@ int main(int argc, char** argv) {
   ethergrid::bench::Report report("micro_sim");
   for (const auto& [name, rate] : reporter.items_per_sec) {
     report.metric(name, rate);
-  }
-  const auto fiber = reporter.items_per_sec.find("BM_SwitchRoundTrip/fiber");
-  const auto thread = reporter.items_per_sec.find("BM_SwitchRoundTrip/thread");
-  if (fiber != reporter.items_per_sec.end() &&
-      thread != reporter.items_per_sec.end() && thread->second > 0) {
-    const double ratio = fiber->second / thread->second;
-    report.metric("fiber_vs_thread_switch_ratio", ratio);
-    report.shape(ratio >= 5.0);  // acceptance: fibers >= 5x thread switches
-    std::printf("fiber/thread switch throughput ratio: %.1fx -> %s\n", ratio,
-                ratio >= 5.0 ? "OK" : "MISMATCH");
   }
   // Raw-vs-sigsetjmp: recorded (not shape-gated -- raw is unavailable on
   // some targets and shared runners are noisy); the PR 10 acceptance was

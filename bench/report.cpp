@@ -12,8 +12,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "sim/kernel.hpp"
-
 namespace ethergrid::bench {
 
 namespace {
@@ -169,11 +167,7 @@ void Report::write() {
         << (wall > 0 && events_ > 0 ? json_number(double(events_) / wall)
                                     : "null")
         << ", \"shape_ok\": "
-        << (shape_checks_ == 0 ? "null" : (shape_ok_ ? "true" : "false"))
-        << ", \"backend\": \""
-        << sim::backend_name(sim::default_backend()) << "\""
-        << ", \"queue\": \""
-        << sim::queue_impl_name(sim::default_queue_impl()) << "\"";
+        << (shape_checks_ == 0 ? "null" : (shape_ok_ ? "true" : "false"));
   if (!discipline_.empty()) {
     entry << ", \"discipline\": \"" << json_escape(discipline_) << "\"";
   }
@@ -205,12 +199,12 @@ void Report::write() {
   // file stays valid JSON between every run.  A fresh or garbled file just
   // starts a new array.
   //
-  // The dedupe key is (name, backend, queue, shards, discipline): matrix
-  // runs across queues / shard counts / disciplines each own a row instead
-  // of clobbering each other's.  Per-facet migration rule: a line written
-  // before a key field existed (no such key in the line) is superseded by
-  // any run of the matching older key, and a facet this run leaves unset
-  // only matches lines that also lack it.
+  // The dedupe key is (name, shards, discipline): runs across shard counts
+  // and disciplines each own a row instead of clobbering each other's.
+  // Per-facet migration rule: a line written before a key field existed
+  // (no such key in the line) is superseded by any run of the matching
+  // older key, and a facet this run leaves unset only matches lines that
+  // also lack it.
   std::string existing;
   {
     std::ifstream in(file);
@@ -221,12 +215,6 @@ void Report::write() {
     }
   }
   const std::string name_tag = "\"name\": \"" + json_escape(name_) + "\"";
-  const std::string backend_tag = std::string("\"backend\": \"") +
-                                  sim::backend_name(sim::default_backend()) +
-                                  "\"";
-  const std::string queue_tag =
-      std::string("\"queue\": \"") +
-      sim::queue_impl_name(sim::default_queue_impl()) + "\"";
   const std::string shards_tag =
       shards_ > 0 ? "\"shards\": " + std::to_string(shards_) : "";
   const std::string discipline_tag =
@@ -255,8 +243,6 @@ void Report::write() {
       line.pop_back();
     }
     if (line.find(name_tag) != std::string::npos &&
-        line.find(backend_tag) != std::string::npos &&
-        facet_matches(line, "queue", queue_tag) &&
         facet_matches(line, "shards", shards_tag) &&
         facet_matches(line, "discipline", discipline_tag)) {
       continue;  // superseded by this run

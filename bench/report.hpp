@@ -7,8 +7,8 @@
 //
 //   {"name": "fig1_submit_scale", "wall_seconds": 1.84,
 //    "events": 5183021, "events_per_sec": 2816859.2,
-//    "shape_ok": true, "backend": "fiber", "queue": "wheel",
-//    "metrics": {"jobs_high_ethernet": 5321}, "detail": ""}
+//    "shape_ok": true, "metrics": {"jobs_high_ethernet": 5321},
+//    "detail": ""}
 //
 // Report path: $ETHERGRID_BENCH_REPORT, default ./BENCH_results.json;
 // set it to "off" to disable reporting entirely.  Appending re-writes the

@@ -3,7 +3,6 @@
 #
 # Usage: bench/run_all.sh [build-dir]           (default: build)
 #   ETHERGRID_BENCH_REPORT   override the report path (default ./BENCH_results.json)
-#   ETHERGRID_SIM_BACKEND    fiber|thread -- backend for the figure benches
 #   ETHERGRID_BENCH_QUICK=1  skip the slow micro suites (fig benches only)
 set -euo pipefail
 

@@ -110,7 +110,7 @@ class Scenario {
   virtual std::string name() const = 0;
   // Per-scenario kernel option overrides (e.g. the wake-token self-test
   // turns its debug knob on).  `base` carries the explorer-level settings
-  // (backend, queue) and must be preserved.
+  // (queue, switch) and must be preserved.
   virtual sim::KernelOptions kernel_options(sim::KernelOptions base) const {
     return base;
   }
@@ -138,7 +138,7 @@ class Scenario {
 };
 
 struct ExplorerOptions {
-  sim::KernelOptions kernel;  // backend/queue for every execution
+  sim::KernelOptions kernel;  // queue/switch for every execution
   std::uint64_t seed = 1;
   // Budgets.  A run that would exceed max_depth choice points or
   // max_transitions delivered wakeups is truncated (end invariants are

@@ -166,8 +166,9 @@ std::size_t TraceRecorder::event_count() const {
 }
 
 // Renders one record exactly as the eager pre-rendered path used to: the
-// byte-identical-across-backends contract covers the serialized form, so
-// the deferred path must not reorder or reformat anything.
+// byte-identical-across-kernel-configurations contract covers the
+// serialized form, so the deferred path must not reorder or reformat
+// anything.
 void TraceRecorder::render(const Rec& rec, std::string* out) const {
   std::string name;
   std::string_view extra;

@@ -4,8 +4,8 @@
 // the calling process's sim::Context.  The binding is ambient: the kernel
 // knows which simulated process is executing at any instant (exactly one
 // is), so the executor asks it for the current Context.  A thread_local
-// cannot express this on the fiber backend, where every process shares the
-// scheduler's OS thread.  `forall` branches become child simulated
+// cannot express this, because every process shares the scheduler's OS
+// thread.  `forall` branches become child simulated
 // processes, giving real parallelism in virtual time with kill-on-failure.
 //
 // A small in-memory file namespace backs file redirections and `.exists.`.

@@ -1,24 +1,9 @@
 #include "sim/event_queue.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace ethergrid::sim {
 
 const char* queue_impl_name(QueueImpl impl) {
   return impl == QueueImpl::kWheel ? "wheel" : "heap";
-}
-
-QueueImpl default_queue_impl() {
-  if (const char* env = std::getenv("ETHERGRID_SIM_QUEUE")) {
-    if (std::strcmp(env, "heap") == 0) return QueueImpl::kHeap;
-    if (std::strcmp(env, "wheel") == 0) return QueueImpl::kWheel;
-  }
-#ifdef ETHERGRID_HEAP_QUEUE_DEFAULT
-  return QueueImpl::kHeap;
-#else
-  return QueueImpl::kWheel;
-#endif
 }
 
 }  // namespace ethergrid::sim

@@ -4,7 +4,7 @@
 // Both deliver pending wakeups in strict (time, seq) order -- seq is the
 // kernel's global schedule counter, so equal-time entries pop FIFO and the
 // whole simulation stays deterministic and byte-identical across queue
-// implementations and execution backends.
+// and context-switch implementations.
 //
 // Timer wheel geometry (ticks are integer microseconds, the resolution of
 // ethergrid::Duration):
@@ -58,16 +58,12 @@ namespace ethergrid::sim {
 
 class Process;
 
-// Which event-queue implementation a Kernel uses.  kHeap is kept as a
-// differential-testing oracle (tests/sim/queue_oracle_test.cpp) exactly
-// like the thread backend is for the fiber backend.
+// Which event-queue implementation a Kernel uses.  kWheel is the default;
+// kHeap is kept as the differential-testing oracle that tests and the
+// model checker select explicitly (tests/sim/queue_oracle_test.cpp).
 enum class QueueImpl { kWheel, kHeap };
 
 const char* queue_impl_name(QueueImpl impl);
-
-// kWheel unless the ETHERGRID_SIM_QUEUE environment variable says
-// otherwise ("wheel" / "heap").
-QueueImpl default_queue_impl();
 
 namespace internal {
 

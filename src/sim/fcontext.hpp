@@ -1,4 +1,4 @@
-// Raw context-switch primitives for the fiber backend's fast path.
+// Raw context-switch primitives for the simulation kernel's fibers.
 //
 // A hand-rolled fcontext-style switch (the boost.context / libaco shape):
 // one continuation pointer per suspended context, an assembly routine that
@@ -6,10 +6,10 @@
 // and swaps stacks, and nothing else.  Compared with the portable
 // sigsetjmp/siglongjmp pair (see kernel.cpp) it skips the signal-mask
 // bookkeeping, the jmp_buf pointer mangling, and glibc's unwind checks --
-// a switch is ~a dozen moves plus an indirect jump -- which is what the
-// ISSUE's >= 2x BM_SwitchRoundTrip target needs.  The sigsetjmp path stays
-// as the portable fallback and the CI-matrixed differential oracle; which
-// one a kernel uses is KernelOptions::switch_impl / ETHERGRID_SIM_SWITCH.
+// a switch is ~a dozen moves plus an indirect jump.  It is the default
+// wherever it is available; the sigsetjmp path stays as the portable
+// fallback and the differential oracle that tests select explicitly
+// through KernelOptions::switch_impl.
 //
 // Semantics (mirrors boost's fcontext):
 //  * make_fcontext(top, size, fn) carves a context record at the top of the
@@ -57,7 +57,7 @@ struct transfer_t {
 extern "C" {
 // Defined in fcontext.cpp as top-level assembly when kRawSwitchAvailable;
 // calling them elsewhere is a link error, which the availability gate in
-// resolve_switch_impl (kernel.cpp) makes unreachable.
+// the Kernel constructor (kernel.cpp) makes unreachable.
 transfer_t ethergrid_jump_fcontext(fcontext_t to, void* data);
 fcontext_t ethergrid_make_fcontext(void* stack_top, std::size_t size,
                                    void (*fn)(transfer_t));

@@ -8,13 +8,12 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <unordered_map>
 
-// Sanitizer feature detection.  ASan needs the fiber-switch annotations so
-// its shadow stack follows swapcontext; TSan cannot follow fibers at all,
-// so TSan builds force the thread backend (see default_backend()).
+// Sanitizer feature detection.  Both sanitizers need the fiber-switch
+// annotations: ASan so its shadow stack follows each switch, TSan so its
+// per-fiber shadow stack and happens-before clock do.
 #if defined(__SANITIZE_ADDRESS__)
 #define ETHERGRID_ASAN 1
 #elif defined(__has_feature)
@@ -35,6 +34,9 @@
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+#ifdef ETHERGRID_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace ethergrid::sim {
 
@@ -45,8 +47,7 @@ namespace {
 // on every handoff into a process body and cleared on every handoff out,
 // so Kernel::current_context() can skip the kernel mutex when the caller
 // is the running process itself -- by far the hottest query.  Only the
-// owning thread ever touches its slot, so plain loads/stores are race-free
-// under both backends.
+// owning thread ever touches its slot, so plain loads/stores are race-free.
 thread_local Context* tls_running_context = nullptr;
 
 // RAII marker for the drain entry points (run / run_until / shutdown).
@@ -55,8 +56,8 @@ thread_local Context* tls_running_context = nullptr;
 // internal:: (kernel.hpp) so lock_self can inline the read.
 class MuHoldScope {
  public:
-  MuHoldScope(Kernel* kernel, bool active) : prev_(internal::tls_mu_holder) {
-    if (active) internal::tls_mu_holder = kernel;
+  explicit MuHoldScope(Kernel* kernel) : prev_(internal::tls_mu_holder) {
+    internal::tls_mu_holder = kernel;
   }
   ~MuHoldScope() { internal::tls_mu_holder = prev_; }
   MuHoldScope(const MuHoldScope&) = delete;
@@ -94,6 +95,44 @@ inline void asan_unpoison_stack(const internal::FiberStack& stack) {
   __asan_unpoison_memory_region(stack.usable_lo, stack.usable_size);
 #else
   (void)stack;
+#endif
+}
+
+// TSan shims, beside the ASan ones: every fiber gets its own TSan context
+// (created at materialization, destroyed when its stack is recycled), and
+// every switch -- jump_fcontext, siglongjmp, or the bootstrap swapcontext
+// -- names its target context immediately before it happens.  The
+// switches synchronize, so a process's writes happen-before whatever runs
+// after it on the same kernel, as they do in fact.
+inline void* tsan_current_fiber() {
+#ifdef ETHERGRID_TSAN
+  return __tsan_get_current_fiber();
+#else
+  return nullptr;
+#endif
+}
+
+inline void* tsan_create_fiber() {
+#ifdef ETHERGRID_TSAN
+  return __tsan_create_fiber(0);
+#else
+  return nullptr;
+#endif
+}
+
+inline void tsan_switch_to_fiber(void* fiber) {
+#ifdef ETHERGRID_TSAN
+  __tsan_switch_to_fiber(fiber, 0);
+#else
+  (void)fiber;
+#endif
+}
+
+inline void tsan_destroy_fiber(void* fiber) {
+#ifdef ETHERGRID_TSAN
+  if (fiber != nullptr) __tsan_destroy_fiber(fiber);
+#else
+  (void)fiber;
 #endif
 }
 
@@ -175,11 +214,6 @@ StackCache& stack_cache() {
 std::size_t resolve_stack_bytes(std::size_t requested) {
   std::size_t bytes = requested;
   if (bytes == 0) {
-    if (const char* env = std::getenv("ETHERGRID_SIM_STACK_KB")) {
-      bytes = std::size_t(std::strtoull(env, nullptr, 10)) * 1024;
-    }
-  }
-  if (bytes == 0) {
 #ifdef ETHERGRID_ASAN
     bytes = std::size_t(1) << 20;  // ASan redzones inflate every frame
 #else
@@ -196,39 +230,8 @@ namespace internal {
 __thread const Kernel* tls_mu_holder = nullptr;
 }  // namespace internal
 
-const char* backend_name(Backend backend) {
-  return backend == Backend::kFiber ? "fiber" : "thread";
-}
-
-Backend default_backend() {
-#ifdef ETHERGRID_TSAN
-  return Backend::kThread;
-#else
-  if (const char* env = std::getenv("ETHERGRID_SIM_BACKEND")) {
-    if (std::strcmp(env, "thread") == 0) return Backend::kThread;
-    if (std::strcmp(env, "fiber") == 0) return Backend::kFiber;
-  }
-#ifdef ETHERGRID_THREAD_BACKEND_DEFAULT
-  return Backend::kThread;
-#else
-  return Backend::kFiber;
-#endif
-#endif
-}
-
 const char* switch_impl_name(SwitchImpl impl) {
   return impl == SwitchImpl::kRaw ? "raw" : "sigsetjmp";
-}
-
-SwitchImpl default_switch_impl() {
-  if (const char* env = std::getenv("ETHERGRID_SIM_SWITCH")) {
-    if (std::strcmp(env, "sigsetjmp") == 0) return SwitchImpl::kSigsetjmp;
-    if (std::strcmp(env, "raw") == 0 && internal::kRawSwitchAvailable) {
-      return SwitchImpl::kRaw;
-    }
-  }
-  return internal::kRawSwitchAvailable ? SwitchImpl::kRaw
-                                       : SwitchImpl::kSigsetjmp;
 }
 
 namespace {
@@ -250,16 +253,10 @@ Process::Process(Kernel* kernel, std::uint64_t id, std::string name,
     : kernel_(kernel), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 Process::~Process() {
-  // Thread backend: pooling joins the thread at recycle; a process that was
-  // never pooled (user-held handle, or kernel teardown) joins here.  The
-  // thread has already run to completion by the time a finished process's
-  // last handle drops.
-  if (thread_state_ && thread_state_->thread.joinable()) {
-    thread_state_->thread.join();
-  }
-  // Fiber backend: a finished process's stack was recycled into the
+  // A finished process's stack (and TSan context) was recycled into the
   // kernel's free list; this path only fires if the kernel died with the
   // process unfinished (which shutdown() asserts against).
+  tsan_destroy_fiber(tsan_fiber_);
   if (stack_.map_base) {
     asan_unpoison_stack(stack_);
     stack_cache().put(stack_);
@@ -270,11 +267,6 @@ void Process::recycle_locked() {
   assert(state_ == State::kFinished);
   assert(queue_entries_ == 0 && live_wakeups_ == 0);
   assert(!stack_.usable_lo && "finished fiber's stack was not recycled");
-  if (thread_state_) {
-    // Keep the ThreadState allocation (and its condvar); the next
-    // incarnation's lazy dispatch starts a fresh thread into it.
-    if (thread_state_->thread.joinable()) thread_state_->thread.join();
-  }
   state_ = State::kNew;
   killed_ = false;
   kill_reason_.clear();
@@ -304,7 +296,7 @@ Status Process::result() const {
   return result_;
 }
 
-void Process::run_body_locked(std::unique_lock<std::mutex>& lock) {
+void Process::run_body_locked() {
   state_ = State::kRunning;
   Status result;
   std::exception_ptr error;
@@ -314,12 +306,8 @@ void Process::run_body_locked(std::unique_lock<std::mutex>& lock) {
     Context ctx(kernel_, this);
     context_ = &ctx;
     tls_running_context = &ctx;
-    // Thread backend: the body runs with the mutex dropped (the scheduler
-    // is parked in its condvar wait).  Fiber full-hold: `lock` is a
-    // non-owning dummy and the body runs under the drain's continuous
-    // hold -- primitives it calls skip locking via lock_self().
-    const bool relock = lock.owns_lock();
-    if (relock) lock.unlock();
+    // The body runs under the drain's continuous hold (full-hold locking):
+    // primitives it calls skip locking via lock_self().
     try {
       body_(ctx);
       result = Status::success();
@@ -336,7 +324,6 @@ void Process::run_body_locked(std::unique_lock<std::mutex>& lock) {
       result = Status::failure("non-std exception escaped process body");
       error = std::current_exception();
     }
-    if (relock) lock.lock();
     context_ = nullptr;
     tls_running_context = nullptr;
   }
@@ -359,14 +346,6 @@ void Process::run_body_locked(std::unique_lock<std::mutex>& lock) {
   kernel_->audit_accounting_locked();
 }
 
-void Process::thread_main() {
-  std::unique_lock<std::mutex> lock(kernel_->mu_);
-  thread_state_->cv.wait(lock, [&] { return kernel_->current_ == this; });
-  run_body_locked(lock);
-  kernel_->current_ = nullptr;
-  kernel_->kernel_cv_.notify_one();
-}
-
 void Process::fiber_trampoline(unsigned int hi, unsigned int lo) {
   auto* p = reinterpret_cast<Process*>((std::uintptr_t(hi) << 32) |
                                        std::uintptr_t(lo));
@@ -383,23 +362,22 @@ void Process::fiber_main() {
   if (sigsetjmp(*fiber_jb_, 0) == 0) {
     asan_start_switch(&asan_fake_stack_, kernel_->sched_stack_bottom_,
                       kernel_->sched_stack_size_);
+    tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
     siglongjmp(kernel_->sched_jb_, 1);
   }
   asan_finish_switch(asan_fake_stack_, &kernel_->sched_stack_bottom_,
                      &kernel_->sched_stack_size_);
-  {
-    // Full-hold locking: the drain that resumed us holds the mutex across
-    // the switch and keeps holding it until run()/run_until() return, so
-    // this side never locks -- run_body_locked sees a non-owning guard.
-    std::unique_lock<std::mutex> lock(kernel_->mu_, std::defer_lock);
-    run_body_locked(lock);
-    kernel_->current_ = nullptr;
-    kernel_->last_finished_ = this;  // scheduler recycles the stack
-  }
+  // Full-hold locking: the drain that resumed us holds the mutex across
+  // the switch and keeps holding it until run()/run_until() return, so
+  // this side never locks.
+  run_body_locked();
+  kernel_->current_ = nullptr;
+  kernel_->last_finished_ = this;  // scheduler recycles the stack
   // Final departure: a null save handle tells ASan to destroy this fiber's
   // fake stack (the real stack goes back to the kernel's free list).
   asan_start_switch(nullptr, kernel_->sched_stack_bottom_,
                     kernel_->sched_stack_size_);
+  tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
   siglongjmp(kernel_->sched_jb_, 1);
 }
 
@@ -418,19 +396,17 @@ void Process::fcontext_entry(internal::transfer_t t) {
 
 void Process::fiber_main_raw() {
   // Unlike the sigsetjmp driver there is no park-at-creation: entry IS the
-  // first dispatch, so the body runs immediately.
-  {
-    // Full-hold locking: see fiber_main.
-    std::unique_lock<std::mutex> lock(kernel_->mu_, std::defer_lock);
-    run_body_locked(lock);
-    kernel_->current_ = nullptr;
-    kernel_->last_finished_ = this;  // scheduler recycles stack + object
-  }
+  // first dispatch, so the body runs immediately.  Full-hold locking: see
+  // fiber_main.
+  run_body_locked();
+  kernel_->current_ = nullptr;
+  kernel_->last_finished_ = this;  // scheduler recycles stack + object
   // Final departure, always into the scheduler frame.  The dead
   // continuation this jump creates is parked into our own slot by the
   // scheduler's receive code and never jumped to again.
   asan_start_switch(nullptr, kernel_->sched_stack_bottom_,
                     kernel_->sched_stack_size_);
+  tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
   internal::jump_fcontext(kernel_->sched_ctx_, &fiber_ctx_);
   std::abort();  // a consumed continuation must never come back
 }
@@ -515,7 +491,7 @@ TimePoint Context::now() const {
 }
 
 void Context::sleep(Duration d) {
-  auto lock = kernel_->lock_self();
+  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -527,7 +503,7 @@ void Context::sleep(Duration d) {
   const TimePoint target = k.now_ + d;
   const TimePoint effective = std::min(target, deadline);
   k.schedule_locked(effective, &p);
-  k.yield_from_process_locked(lock, &p);
+  k.yield_from_process_locked(&p);
   if (p.killed_) throw Interrupted{p.kill_reason_};
   if (deadline < target && k.now_ >= deadline) {
     throw outermost_expired(p.deadlines_, k.now_);
@@ -535,7 +511,7 @@ void Context::sleep(Duration d) {
 }
 
 void Context::wait(Event& e) {
-  auto lock = kernel_->lock_self();
+  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -549,7 +525,7 @@ void Context::wait(Event& e) {
   e.link_locked(&waiter);
   if (deadline != kNoDeadline) k.schedule_locked(deadline, &p);
   while (true) {
-    k.yield_from_process_locked(lock, &p);
+    k.yield_from_process_locked(&p);
     if (p.killed_) {
       if (waiter.linked) e.unlink_locked(&waiter);
       throw Interrupted{p.kill_reason_};
@@ -565,7 +541,7 @@ void Context::wait(Event& e) {
 }
 
 bool Context::wait_for(Event& e, Duration timeout) {
-  auto lock = kernel_->lock_self();
+  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -582,7 +558,7 @@ bool Context::wait_for(Event& e, Duration timeout) {
   e.link_locked(&waiter);
   k.schedule_locked(effective, &p);
   while (true) {
-    k.yield_from_process_locked(lock, &p);
+    k.yield_from_process_locked(&p);
     if (p.killed_) {
       if (waiter.linked) e.unlink_locked(&waiter);
       throw Interrupted{p.kill_reason_};
@@ -653,13 +629,7 @@ DeadlineScope::~DeadlineScope() { ctx_.pop_deadline(); }
 // ----------------------------------------------------------------- Kernel
 
 Kernel::Kernel(std::uint64_t seed, KernelOptions options)
-    :
-#ifdef ETHERGRID_TSAN
-      backend_(Backend::kThread),  // TSan cannot follow fibers
-#else
-      backend_(options.backend),
-#endif
-      queue_impl_(options.queue),
+    : queue_impl_(options.queue),
       // Requests for the raw switch on targets without the assembly are
       // coerced to the portable fallback, never an error.
       switch_impl_(internal::kRawSwitchAvailable ? options.switch_impl
@@ -668,8 +638,7 @@ Kernel::Kernel(std::uint64_t seed, KernelOptions options)
       fiber_stack_slab_(options.fiber_stack_slab),
       debug_kill_skips_invalidate_(options.debug_kill_skips_invalidate),
       rng_(seed),
-      logger_(LogLevel::kWarn) {
-}
+      logger_(LogLevel::kWarn) {}
 
 Kernel::~Kernel() {
   shutdown();
@@ -680,38 +649,28 @@ Kernel::~Kernel() {
 }
 
 void Kernel::shutdown() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    MuHoldScope hold(this, backend_ == Backend::kFiber);
-    shutting_down_ = true;
-    propagate_errors_ = false;
-    // Shutdown must drain unconditionally; a strategy (or its pending halt)
-    // would stop the drain and strand unwinding processes.
-    strategy_ = nullptr;
-    strategy_halt_ = false;
-    // Repeatedly kill everything alive and drain; unwinding bodies might
-    // spawn (spawns during shutdown start pre-killed, see spawn()).
-    for (int rounds = 0; live_processes_ > 0 && rounds < 64; ++rounds) {
-      for (auto& p : processes_) {
-        if (p->state_ != Process::State::kFinished) {
-          kill_locked(*p, "kernel shutdown");
-        }
+  const std::lock_guard<std::mutex> lock(mu_);
+  MuHoldScope hold(this);
+  shutting_down_ = true;
+  propagate_errors_ = false;
+  // Shutdown must drain unconditionally; a strategy (or its pending halt)
+  // would stop the drain and strand unwinding processes.
+  strategy_ = nullptr;
+  strategy_halt_ = false;
+  // Repeatedly kill everything alive and drain; unwinding bodies might
+  // spawn (spawns during shutdown start pre-killed, see spawn()).
+  for (int rounds = 0; live_processes_ > 0 && rounds < 64; ++rounds) {
+    for (auto& p : processes_) {
+      if (p->state_ != Process::State::kFinished) {
+        kill_locked(*p, "kernel shutdown");
       }
-      drain_locked(lock, TimePoint::max());
     }
-    assert(live_processes_ == 0 && "process survived kernel shutdown");
-    // The full drain popped every queue entry, so every finished process
-    // has retired; the pool has no future (spawns stay pre-killed).
-    free_processes_.clear();
+    drain_locked(TimePoint::max());
   }
-  // Safety net for user-held handles that kept a process in processes_
-  // past... they cannot: retirement is unconditional once entries drain.
-  // Kept for the hypothetical of a process that never got to retire.
-  for (auto& p : processes_) {
-    if (p->thread_state_ && p->thread_state_->thread.joinable()) {
-      p->thread_state_->thread.join();
-    }
-  }
+  assert(live_processes_ == 0 && "process survived kernel shutdown");
+  // The full drain popped every queue entry, so every finished process
+  // has retired; the pool has no future (spawns stay pre-killed).
+  free_processes_.clear();
 }
 
 TimePoint Kernel::now() const {
@@ -720,7 +679,7 @@ TimePoint Kernel::now() const {
 
 ProcessHandle Kernel::spawn(std::string name, ProcessBody body) {
   const auto lock = lock_self();
-  // Lazy materialization: no stack, no context, no thread here -- those
+  // Lazy materialization: no stack and no context here -- those
   // happen at first dispatch (resume/pop), so spawning 10^6 clients costs
   // one pooled-or-heap Process object and a queue entry each, and a process
   // killed before it ever runs costs no stack at all.
@@ -784,7 +743,7 @@ void Kernel::invalidate_wakeups_locked(Process* p) {
 void Kernel::finish_killed_at_birth_locked(Process* p) {
   assert(p->state_ == Process::State::kNew && p->killed_);
   // Observably identical to run_body_locked's killed-at-birth arm, without
-  // ever materializing a stack, context, or thread.
+  // ever materializing a stack or context.
   p->result_ = Status::killed(p->kill_reason_);
   p->state_ = Process::State::kFinished;
   --live_processes_;
@@ -989,6 +948,7 @@ void Kernel::compact_queue_locked() {
 
 void Kernel::make_fiber_locked(Process* p) {
   p->stack_ = obtain_stack_locked();
+  p->tsan_fiber_ = tsan_create_fiber();
   char* top = static_cast<char*>(p->stack_.usable_lo) + p->stack_.usable_size;
   if (switch_impl_ == SwitchImpl::kRaw) {
     // No bootstrap entry: the continuation enters fcontext_entry on its
@@ -1021,6 +981,7 @@ void Kernel::make_fiber_locked(Process* p) {
   if (sigsetjmp(sched_jb_, 0) == 0) {
     asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
                       p->stack_.usable_size);
+    tsan_switch_to_fiber(p->tsan_fiber_);
     ucontext_t scratch;  // the fiber returns via siglongjmp, never via this
     ::swapcontext(&scratch, &bootstrap);
   }
@@ -1087,6 +1048,8 @@ void Kernel::recycle_stack_locked(Process* p) {
   asan_poison_stack(p->stack_);
   free_stacks_.push_back(p->stack_);
   p->stack_ = internal::FiberStack{};
+  tsan_destroy_fiber(p->tsan_fiber_);
+  p->tsan_fiber_ = nullptr;
 }
 
 void Kernel::release_stacks_locked() {
@@ -1102,7 +1065,7 @@ void Kernel::release_stacks_locked() {
   free_stacks_.clear();
 }
 
-void Kernel::resume_locked(std::unique_lock<std::mutex>& lock, Process* p) {
+void Kernel::resume_locked(Process* p) {
   // The strategy path delivers killed, never-dispatched processes through
   // the drain (the race it exists to explore); finish them here without
   // materializing anything.  The non-strategy pop already short-circuits
@@ -1111,34 +1074,16 @@ void Kernel::resume_locked(std::unique_lock<std::mutex>& lock, Process* p) {
     finish_killed_at_birth_locked(p);
     return;
   }
-  if (backend_ == Backend::kThread) {
-    if (p->state_ == Process::State::kNew) {
-      // Lazy thread creation at first dispatch -- a pooled process keeps
-      // its ThreadState (thread joined at recycle) and gets a fresh thread
-      // here.  The notify below cannot be lost: thread_main waits on a
-      // predicate over current_, under mu_.
-      if (!p->thread_state_) {
-        p->thread_state_ = std::make_unique<Process::ThreadState>();
-      }
-      assert(!p->thread_state_->thread.joinable());
-      p->thread_state_->thread = std::thread(&Process::thread_main, p);
-    }
-    current_ = p;
-    p->thread_state_->cv.notify_one();
-    kernel_cv_.wait(lock, [&] { return current_ == nullptr; });
-    if (p->state_ == Process::State::kFinished) maybe_retire_locked(p);
-    return;
-  }
   const bool first = p->state_ == Process::State::kNew;
   if (first) make_fiber_locked(p);
   current_ = p;
   // Full-hold locking: fiber switches never leave this OS thread, so the
-  // drain's mutex hold simply persists across the jump -- `lock` stays
-  // owning, the far side never locks, and a simulated event costs zero
-  // mutex operations.
+  // drain's mutex hold simply persists across the jump -- the far side
+  // never locks, and a simulated event costs zero mutex operations.
   if (switch_impl_ == SwitchImpl::kRaw) {
     asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
                       p->stack_.usable_size);
+    tsan_switch_to_fiber(p->tsan_fiber_);
     internal::transfer_t t;
     if (first) {
       FcxBootstrap boot{&sched_ctx_, p};
@@ -1146,18 +1091,16 @@ void Kernel::resume_locked(std::unique_lock<std::mutex>& lock, Process* p) {
     } else {
       t = internal::jump_fcontext(p->fiber_ctx_, &sched_ctx_);
     }
-    asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
     // Receive: park whoever jumped here (a yielding fiber's park, or a
     // finishing fiber's dead continuation) into the slot it named.
     *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
-  } else {
-    if (sigsetjmp(sched_jb_, 0) == 0) {
-      asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
-                        p->stack_.usable_size);
-      siglongjmp(*p->fiber_jb_, 1);
-    }
-    asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
+  } else if (sigsetjmp(sched_jb_, 0) == 0) {
+    asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
+                      p->stack_.usable_size);
+    tsan_switch_to_fiber(p->tsan_fiber_);
+    siglongjmp(*p->fiber_jb_, 1);
   }
+  asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
   // With direct switching the fiber that finished is not necessarily the
   // one this frame resumed (control may have chained through several
   // processes before coming back); the fiber drivers leave a note instead.
@@ -1169,19 +1112,11 @@ void Kernel::resume_locked(std::unique_lock<std::mutex>& lock, Process* p) {
   }
 }
 
-void Kernel::yield_from_process_locked(std::unique_lock<std::mutex>& lock,
-                                       Process* p) {
-  // While control is away the thread belongs to the scheduler (fiber
-  // backend: same thread, possibly resuming a *different* process before
-  // us); drop the thread-local and restore it on the way back in.
+void Kernel::yield_from_process_locked(Process* p) {
+  // While control is away the thread belongs to the scheduler (possibly
+  // resuming a *different* process before us); drop the thread-local and
+  // restore it on the way back in.
   tls_running_context = nullptr;
-  if (backend_ == Backend::kThread) {
-    current_ = nullptr;
-    kernel_cv_.notify_one();
-    p->thread_state_->cv.wait(lock, [&] { return current_ == p; });
-    tls_running_context = p->context_;
-    return;
-  }
   current_ = nullptr;
   // Direct-switch fast path: pop the next runnable right here, on the
   // yielding process's stack, and transfer control without bouncing
@@ -1200,7 +1135,8 @@ void Kernel::yield_from_process_locked(std::unique_lock<std::mutex>& lock,
 #ifndef ETHERGRID_ASAN
   // ASan builds skip fiber-to-fiber jumps: the switch annotations thread
   // the *scheduler's* stack bounds through every hop, and a direct jump
-  // would corrupt them.  (The shims below are no-ops here.)
+  // would corrupt them.  (The ASan shims below are no-ops here; TSan
+  // follows direct hops like any other switch.)
   if (switch_impl_ == SwitchImpl::kRaw) {
     // Raw direct switch.  Unlike sigsetjmp, the raw path can materialize a
     // first-run fiber right here and enter it with the same jump, cutting
@@ -1212,6 +1148,7 @@ void Kernel::yield_from_process_locked(std::unique_lock<std::mutex>& lock,
       const bool first = next->state_ == Process::State::kNew;
       if (first) make_fiber_locked(next);
       current_ = next;
+      tsan_switch_to_fiber(next->tsan_fiber_);
       internal::transfer_t t;
       if (first) {
         FcxBootstrap boot{&p->fiber_ctx_, next};
@@ -1228,6 +1165,7 @@ void Kernel::yield_from_process_locked(std::unique_lock<std::mutex>& lock,
     if (sigsetjmp(*p->fiber_jb_, 0) == 0) {
       asan_start_switch(&p->asan_fake_stack_, next->stack_.usable_lo,
                         next->stack_.usable_size);
+      tsan_switch_to_fiber(next->tsan_fiber_);
       siglongjmp(*next->fiber_jb_, 1);
     }
     asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
@@ -1241,26 +1179,24 @@ void Kernel::yield_from_process_locked(std::unique_lock<std::mutex>& lock,
   // handles first runs above).  The popped entry was consumed, so park it
   // for the scheduler loop to resume.
   pending_next_ = next;
-  // Full-hold: the mutex is owned by the drain, not by `lock`; just jump.
+  // Full-hold: the mutex is owned by the drain; just jump.
   if (switch_impl_ == SwitchImpl::kRaw) {
     asan_start_switch(&p->asan_fake_stack_, sched_stack_bottom_,
                       sched_stack_size_);
+    tsan_switch_to_fiber(sched_tsan_fiber_);
     const internal::transfer_t t =
         internal::jump_fcontext(sched_ctx_, &p->fiber_ctx_);
-    // Re-learn the scheduler's stack bounds on every entry: run() may be
-    // driven from a different thread (hence stack) across calls.
-    asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
-                       &sched_stack_size_);
     *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
-  } else {
-    if (sigsetjmp(*p->fiber_jb_, 0) == 0) {
-      asan_start_switch(&p->asan_fake_stack_, sched_stack_bottom_,
-                        sched_stack_size_);
-      siglongjmp(sched_jb_, 1);
-    }
-    asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
-                       &sched_stack_size_);
+  } else if (sigsetjmp(*p->fiber_jb_, 0) == 0) {
+    asan_start_switch(&p->asan_fake_stack_, sched_stack_bottom_,
+                      sched_stack_size_);
+    tsan_switch_to_fiber(sched_tsan_fiber_);
+    siglongjmp(sched_jb_, 1);
   }
+  // Re-learn the scheduler's stack bounds on every entry: run() may be
+  // driven from a different thread (hence stack) across calls.
+  asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
+                     &sched_stack_size_);
   tls_running_context = p->context_;
 }
 
@@ -1395,12 +1331,10 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
     if (strategy_labels_.size() > 1) {
       const mc::ChoicePoint cp{mc::ChoicePoint::Kind::kSchedule, "sched",
                                strategy_labels_};
-      // Full-hold marker for the callback: invariant code re-entering the
-      // kernel through const queries (live_process_count, queue_depth,
-      // verify_queue_accounting) must get a non-owning lock on both
-      // backends -- the thread backend's drain holds mu_ without setting
-      // the marker, so set it for the callback's duration.
-      MuHoldScope hold(this, true);
+      // Invariant code re-entering the kernel through const queries
+      // (live_process_count, queue_depth, verify_queue_accounting) gets a
+      // non-owning lock: the drain's full-hold marker is set on this
+      // thread for the whole drain, fast path included.
       chosen = strategy_->choose(cp);
       if (chosen >= strategy_labels_.size()) chosen = 0;
     }
@@ -1456,12 +1390,7 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   ++entry.process->wake_token_;
   ++events_processed_;
   audit_accounting_locked();
-  bool keep_going = true;
-  {
-    MuHoldScope hold(this, true);
-    keep_going = strategy_->on_transition();
-  }
-  if (!keep_going) {
+  if (!strategy_->on_transition()) {
     // Sticky halt: the drain (and the yield-side fast path) stop delivering
     // until the strategy is replaced or removed.  The popped entry still
     // runs -- its process must unwind -- but nothing is scheduled after it.
@@ -1470,9 +1399,11 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   return entry.process;
 }
 
-void Kernel::drain_locked(std::unique_lock<std::mutex>& lock,
-                          TimePoint limit) {
+void Kernel::drain_locked(TimePoint limit) {
   run_limit_ = limit;  // the yield-side fast path pops against this
+  // Like the ASan stack bounds, re-learned on every entry: the drain may be
+  // driven from a different thread (or from another kernel's process).
+  sched_tsan_fiber_ = tsan_current_fiber();
   while (true) {
     // A direct-switch bounce may have parked an already-popped process
     // here (first run: its fiber does not exist yet); it goes first --
@@ -1484,7 +1415,7 @@ void Kernel::drain_locked(std::unique_lock<std::mutex>& lock,
       p = pop_runnable_locked(limit);
       if (p == nullptr) break;
     }
-    resume_locked(lock, p);
+    resume_locked(p);
     if (pending_error_ && propagate_errors_) {
       std::exception_ptr error = pending_error_;
       pending_error_ = nullptr;
@@ -1494,15 +1425,15 @@ void Kernel::drain_locked(std::unique_lock<std::mutex>& lock,
 }
 
 void Kernel::run() {
-  std::unique_lock<std::mutex> lock(mu_);
-  MuHoldScope hold(this, backend_ == Backend::kFiber);
-  drain_locked(lock, TimePoint::max());
+  const std::lock_guard<std::mutex> lock(mu_);
+  MuHoldScope hold(this);
+  drain_locked(TimePoint::max());
 }
 
 bool Kernel::run_until(TimePoint t) {
-  std::unique_lock<std::mutex> lock(mu_);
-  MuHoldScope hold(this, backend_ == Backend::kFiber);
-  drain_locked(lock, t);
+  const std::lock_guard<std::mutex> lock(mu_);
+  MuHoldScope hold(this);
+  drain_locked(t);
   now_ = std::max(now_, t);
   now_fast_.store(now_.time_since_epoch().count(),
                   std::memory_order_release);

@@ -1,31 +1,24 @@
 // Discrete-event simulation kernel with cooperative processes.
 //
-// Two execution backends share one scheduler, one event queue, and one
-// determinism contract:
+// Each sim::Process runs ordinary blocking C++ on a stackful fiber with an
+// mmap'd, guard-paged (or slab-carved) stack.  Materialization is lazy:
+// spawn() allocates no stack and builds no context -- the fiber comes into
+// existence when the process is first dispatched, so a world of 10^6
+// mostly-idle clients holds stacks only for its live working set, and a
+// process killed before its first dispatch never touches a stack at all.
+// Switching is either a hand-rolled fcontext-style assembly switch
+// (callee-saved registers only; see fcontext.hpp) or a syscall-free
+// sigsetjmp/siglongjmp pair -- selected by KernelOptions::switch_impl --
+// and every virtual-time event is at most two such switches on the
+// scheduler's own OS thread: no futex, no kernel scheduler round trip.
+// Finished processes return their Process object and stack to per-kernel
+// free lists, so spawn/finish churn allocates nothing in steady state.
 //
-//  * Backend::kFiber (default): each sim::Process runs on a stackful fiber
-//    with an mmap'd, guard-paged (or slab-carved) stack.  Materialization is
-//    lazy: spawn() allocates no stack and builds no context -- the fiber
-//    comes into existence when the process is first dispatched, so a world
-//    of 10^6 mostly-idle clients holds stacks only for its live working
-//    set, and a process killed before its first dispatch never touches a
-//    stack at all.  Steady-state switching is either a hand-rolled
-//    fcontext-style assembly switch (callee-saved registers only; see
-//    fcontext.hpp) or a syscall-free sigsetjmp/siglongjmp pair -- selected
-//    by KernelOptions::switch_impl -- and every virtual-time event is two
-//    such switches on the scheduler's own OS thread: no futex, no kernel
-//    scheduler round trip.  Finished processes return their Process object
-//    and stack to per-kernel free lists, so spawn/finish churn allocates
-//    nothing in steady state.
-//  * Backend::kThread: each process runs its body on a dedicated std::thread
-//    and the kernel hands a baton through a mutex + condvar.  Slower by
-//    orders of magnitude, but ThreadSanitizer can follow it (TSan cannot
-//    follow fibers), so TSan builds force this backend.
-//
-// Both backends run user code written as ordinary blocking C++: exactly one
-// process (or the kernel itself) executes at any instant.  The result is a
-// fully deterministic simulation -- same seed, same event order, same
-// results, byte-for-byte identical across backends.
+// Exactly one process (or the kernel itself) executes at any instant.  The
+// result is a fully deterministic simulation -- same seed, same event
+// order, same results, byte-for-byte identical across switch and queue
+// implementations.  Every switch is annotated for AddressSanitizer and
+// ThreadSanitizer, so both sanitizers check the fiber path itself.
 //
 // Time is virtual: it advances only when the kernel pops the next event.
 // All waiting flows through Context primitives (sleep / wait / join /
@@ -39,13 +32,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mc/strategy.hpp"
@@ -93,48 +84,29 @@ struct DeadlineExceeded {
 // Infinite deadline sentinel.
 inline constexpr TimePoint kNoDeadline = TimePoint::max();
 
-// How simulated processes execute.  See the file comment; kThread exists
-// for TSan and as a differential-testing oracle for the fiber backend
-// (tests/sim/backend_equivalence_test.cpp).
-enum class Backend { kFiber, kThread };
-
-const char* backend_name(Backend backend);
-
-// The ambient default: kFiber, unless the build is under ThreadSanitizer
-// (forced kThread), the ETHERGRID_SIM_BACKEND environment variable says
-// otherwise ("fiber" / "thread"), or CMake was configured with
-// -DETHERGRID_THREAD_BACKEND_DEFAULT=ON.
-Backend default_backend();
-
-// How the fiber backend switches contexts.  kRaw is the fcontext-style
-// assembly switch (fcontext.hpp); kSigsetjmp is the portable fallback and
-// the differential-testing oracle -- the two must produce byte-identical
-// simulations (tests/sim/backend_equivalence_test.cpp).  Ignored by the
-// thread backend.
+// How fibers switch contexts.  kRaw is the fcontext-style assembly switch
+// (fcontext.hpp) and the default wherever it is available (x86-64 /
+// aarch64 ELF); kSigsetjmp is the portable fallback and the
+// differential-testing oracle -- the two must produce byte-identical
+// simulations (tests/sim/backend_equivalence_test.cpp).  Requests for
+// kRaw on targets without the assembly fall back to kSigsetjmp.
 enum class SwitchImpl { kSigsetjmp, kRaw };
 
 const char* switch_impl_name(SwitchImpl impl);
 
-// The ambient default: kRaw where the assembly is available (x86-64 /
-// aarch64 ELF), unless the ETHERGRID_SIM_SWITCH environment variable says
-// otherwise ("raw" / "sigsetjmp").  Requests for kRaw on targets without
-// the assembly fall back to kSigsetjmp.
-SwitchImpl default_switch_impl();
-
 struct KernelOptions {
-  Backend backend = default_backend();
-  // Event-queue implementation (see event_queue.hpp): kWheel unless the
-  // ETHERGRID_SIM_QUEUE environment variable says otherwise.  kHeap is the
+  // Event-queue implementation (see event_queue.hpp).  kHeap is the
   // differential-testing oracle (tests/sim/queue_oracle_test.cpp).
-  QueueImpl queue = default_queue_impl();
+  QueueImpl queue = QueueImpl::kWheel;
   // Usable fiber stack bytes (excludes the guard page).  0 means the
-  // default: ETHERGRID_SIM_STACK_KB if set, else 256 KiB (1 MiB under
-  // AddressSanitizer, whose redzones inflate frames).  Rounded up to the
-  // page size.  Ignored by the thread backend.
+  // default: 256 KiB, or 1 MiB under AddressSanitizer, whose redzones
+  // inflate frames.  Rounded up to the page size.
   std::size_t fiber_stack_bytes = 0;
   // Fiber context-switch implementation; see SwitchImpl.  Coerced to
   // kSigsetjmp when the raw assembly is unavailable on this target.
-  SwitchImpl switch_impl = default_switch_impl();
+  SwitchImpl switch_impl = internal::kRawSwitchAvailable
+                               ? SwitchImpl::kRaw
+                               : SwitchImpl::kSigsetjmp;
   // Model-checker self-test ONLY: reintroduces the pre-PR-6 stale-accounting
   // underflow by making kill skip the invalidate step (the token still
   // bumps, so entries go stale without being counted).  The queue-accounting
@@ -150,8 +122,7 @@ struct KernelOptions {
   // processes.  Trade-off: a stack overflow corrupts the neighboring stack
   // instead of faulting -- use for mega-scale benches, not debugging.
   // Slabs live until kernel destruction (stacks recycle within the kernel
-  // but are not returned to the process-wide cache).  Ignored by the thread
-  // backend.
+  // but are not returned to the process-wide cache).
   std::size_t fiber_stack_slab = 0;
 };
 
@@ -174,7 +145,7 @@ struct FiberStack {
 };
 
 // The kernel whose mutex this thread holds for the duration of an active
-// fiber-backend drain (full-hold locking, see Kernel::lock_self), or
+// drain (full-hold locking, see Kernel::lock_self), or
 // nullptr.  GNU __thread rather than C++ thread_local: the constant
 // initializer guarantees no dynamic-init wrapper, so the hot-path read in
 // lock_self compiles to a single %fs-relative load.
@@ -210,23 +181,21 @@ class Process : public std::enable_shared_from_this<Process> {
 
   enum class State { kNew, kBlocked, kRunning, kFinished };
 
-  // Thread-backend body driver.
-  void thread_main();
-  // Fiber-backend body driver, sigsetjmp impl; parks at creation, runs the
+  // Body driver, sigsetjmp impl; parks at creation, runs the
   // body on first resume, never returns (final siglongjmp back to the
   // scheduler).  The trampoline reassembles the Process* makecontext split
   // into two ints.
   static void fiber_trampoline(unsigned int hi, unsigned int lo);
   void fiber_main();
-  // Fiber-backend body driver, raw-switch impl.  fcontext_entry is the
+  // Body driver, raw-switch impl.  fcontext_entry is the
   // fresh context's entry point: it parks the jumper's continuation and
   // runs the body immediately (no park-at-creation bounce); fiber_main_raw
   // never returns (final jump_fcontext back to the scheduler frame).
   static void fcontext_entry(internal::transfer_t t);
   [[noreturn]] void fiber_main_raw();
   // Shared core of the drivers: runs the body (unless killed at birth)
-  // and records the result.  Expects `lock` held; returns with it held.
-  void run_body_locked(std::unique_lock<std::mutex>& lock);
+  // and records the result, under the drain's continuous mutex hold.
+  void run_body_locked();
   // Resets a finished process for the kernel's free list (pooling).  The
   // shared_from_this control block, the done_ Event allocation, and string
   // capacities survive; identity (id, name, body, rng) is assigned by the
@@ -238,8 +207,7 @@ class Process : public std::enable_shared_from_this<Process> {
   std::string name_;
   ProcessBody body_;
 
-  // All fields below are guarded by the kernel mutex (the fiber fields are
-  // in practice single-threaded, but the thread backend shares the struct).
+  // All fields below are guarded by the kernel mutex.
   State state_ = State::kNew;
   bool killed_ = false;
   std::string kill_reason_;
@@ -258,16 +226,7 @@ class Process : public std::enable_shared_from_this<Process> {
   Context* context_ = nullptr;   // valid while the body runs
   Rng rng_;
 
-  // Thread backend only; created lazily at first dispatch, so processes
-  // killed before running (and spawns during shutdown) never start an OS
-  // thread.  Pooled processes keep the allocation, with the thread joined.
-  struct ThreadState {
-    std::condition_variable cv;
-    std::thread thread;
-  };
-  std::unique_ptr<ThreadState> thread_state_;
-
-  // Fiber backend only.  Which member is active follows the kernel's
+  // Which member is active follows the kernel's
   // switch_impl: the raw impl parks a continuation pointer; the sigsetjmp
   // impl's jmp_buf lives in a header carved from the top of the fiber's own
   // stack (so the Process object stays small for 10^6-process worlds) and
@@ -279,6 +238,7 @@ class Process : public std::enable_shared_from_this<Process> {
   };
   internal::FiberStack stack_;       // empty until first dispatch
   void* asan_fake_stack_ = nullptr;  // this fiber's ASan fake-stack handle
+  void* tsan_fiber_ = nullptr;       // this fiber's TSan context
 };
 
 // A broadcast condition: processes wait, someone sets.  Once set it stays
@@ -431,14 +391,13 @@ class Kernel {
   ~Kernel();
 
   // Kills every live process, drains their unwinding, and reclaims their
-  // threads or fiber stacks.  After shutdown the kernel accepts no further
+  // fiber stacks.  After shutdown the kernel accepts no further
   // work (spawns create already-killed processes).  Idempotent.
   void shutdown();
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  Backend backend() const { return backend_; }
   QueueImpl queue_impl() const { return queue_impl_; }
   SwitchImpl switch_impl() const { return switch_impl_; }
 
@@ -526,8 +485,8 @@ class Kernel {
   // The Context of the process currently executing inside this kernel, or
   // nullptr when the scheduler (or no simulation at all) is running.  This
   // is how ambient-context consumers (shell::SimExecutor) find "the current
-  // simulated process": a thread_local cannot express it on the fiber
-  // backend, where every process shares the scheduler's OS thread.
+  // simulated process": a thread_local cannot express it, because every
+  // process shares the scheduler's OS thread.
   Context* current_context() const;
 
  private:
@@ -535,16 +494,14 @@ class Kernel {
   friend class Context;
   friend class Event;
 
-  // Acquires mu_ -- unless this thread already holds it because a
-  // fiber-backend drain is active (full-hold locking), in which case the
-  // returned guard is non-owning.  On the fiber backend the scheduler and
-  // every process share one OS thread, so run()/run_until() hold mu_ for
-  // the whole drain and the per-primitive lock/unlock churn (three atomic
-  // RMWs per simulated event) disappears; callers on other threads still
-  // serialize normally.  The thread backend never engages full-hold: its
-  // baton protocol needs the real unlock inside condition_variable::wait.
-  // Defined here so every simulation primitive inlines it down to one TLS
-  // compare on the fiber fast path.
+  // Acquires mu_ -- unless this thread already holds it because a drain is
+  // active (full-hold locking), in which case the returned guard is
+  // non-owning.  The scheduler and every process share one OS thread, so
+  // run()/run_until() hold mu_ for the whole drain and the per-primitive
+  // lock/unlock churn (three atomic RMWs per simulated event) disappears;
+  // callers on other threads still serialize normally.  Defined here so
+  // every simulation primitive inlines it down to one TLS compare on the
+  // drain's fast path.
   std::unique_lock<std::mutex> lock_self() const {
     if (internal::tls_mu_holder == this) {
       return std::unique_lock<std::mutex>(mu_, std::defer_lock);
@@ -595,19 +552,20 @@ class Kernel {
   // recount, reported as a Status instead of an abort.
   Status check_queue_accounting_locked() const;
 
-  // Hands control to p and blocks until it yields back or finishes.
-  void resume_locked(std::unique_lock<std::mutex>& lock, Process* p);
+  // Hands control to p and returns once control is back in the scheduler
+  // frame (p yielded to it, finished, or handed it on).
+  void resume_locked(Process* p);
 
-  // Called from inside a process: gives control back to the scheduler and
-  // blocks until resumed.  Returns with the lock held.
-  void yield_from_process_locked(std::unique_lock<std::mutex>& lock,
-                                 Process* p);
+  // Called from inside a process: gives control away -- directly to the
+  // next runnable process, or to the scheduler frame -- and returns when p
+  // is resumed.
+  void yield_from_process_locked(Process* p);
 
   // Kill, assuming mu_ held.
   void kill_locked(Process& p, std::string reason);
 
   // Finishes a killed, never-dispatched process without materializing a
-  // stack or thread: the observable sequence (result, wake invalidation,
+  // stack: the observable sequence (result, wake invalidation,
   // done signal) is identical to run_body_locked's killed-at-birth arm.
   void finish_killed_at_birth_locked(Process* p);
 
@@ -659,15 +617,14 @@ class Kernel {
   // original (time, seq, token) so delivery order is untouched.
   void repush_entry_locked(const internal::QueueEntry& entry);
 
-  void drain_locked(std::unique_lock<std::mutex>& lock, TimePoint limit);
+  void drain_locked(TimePoint limit);
 
-  // Fiber plumbing (kFiber backend only).
+  // Fiber plumbing.
   void make_fiber_locked(Process* p);
   internal::FiberStack obtain_stack_locked();
   void recycle_stack_locked(Process* p);
   void release_stacks_locked();
 
-  const Backend backend_;
   const QueueImpl queue_impl_;
   const SwitchImpl switch_impl_;
   const std::size_t fiber_stack_bytes_;
@@ -675,7 +632,6 @@ class Kernel {
   const bool debug_kill_skips_invalidate_;
 
   mutable std::mutex mu_;
-  std::condition_variable kernel_cv_;  // thread backend baton
   Process* current_ = nullptr;  // whose turn it is; nullptr => kernel's
 
   TimePoint now_{};
@@ -719,7 +675,7 @@ class Kernel {
   bool propagate_errors_ = true;
   std::exception_ptr pending_error_;
 
-  // Direct-switch scheduling (fiber backend).  A yielding process pops the
+  // Direct-switch scheduling.  A yielding process pops the
   // next runnable itself and siglongjmps straight into its fiber -- or
   // simply returns, when the next wakeup is its own -- cutting the
   // scheduler-frame bounce (a full switch pair) out of every steady-state
@@ -729,7 +685,7 @@ class Kernel {
   Process* pending_next_ = nullptr;  // popped, awaiting a scheduler resume
   Process* last_finished_ = nullptr;  // stack awaiting recycling
 
-  // Fiber backend state.  The scheduler's frame is saved in sched_jb_
+  // Scheduler-frame state.  The scheduler's frame is saved in sched_jb_
   // (sigsetjmp impl) or sched_ctx_ (raw impl) across each switch into a
   // fiber; finished fibers' stacks go to the free list for reuse
   // (peak-live-bounded, ASan-poisoned while pooled, and kind to
@@ -739,6 +695,7 @@ class Kernel {
   void* sched_asan_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;  // learned at fiber entry
   std::size_t sched_stack_size_ = 0;
+  void* sched_tsan_fiber_ = nullptr;  // re-read at every drain entry
   std::vector<internal::FiberStack> free_stacks_;
   // Slab mode (fiber_stack_slab > 0): the live slab mappings, munmapped in
   // the destructor, and the carve frontier within the newest slab.  Carved
@@ -753,7 +710,7 @@ class Kernel {
 };
 
 // Hot methods defined here, below Kernel, so callers in any translation
-// unit inline them: on the fiber fast path Event::set() is a TLS compare
+// unit inline them: on the drain fast path Event::set() is a TLS compare
 // plus the waiter walk and a queue push, reset() a TLS compare and a store.
 
 inline bool Kernel::entry_stale(const internal::QueueEntry& e) {

@@ -39,7 +39,7 @@
 //     scheduling can reorder nothing that virtual time doesn't.
 //
 // Thread affinity: shard i is pinned to worker (i % threads) for the
-// kernel's whole life.  This is a hard requirement of the fiber backend:
+// kernel's whole life.  This is a hard requirement of the kernel's fibers:
 // a parked fiber's sigsetjmp frame caches thread-local addresses, so a
 // fiber must always resume on the OS thread that first ran it.  With
 // threads=1 no workers are spawned and every shard runs inline on the
@@ -74,7 +74,7 @@ struct ShardedKernelOptions {
   // pending event.  Larger = fewer barriers but coarser cross-shard
   // timing; must be >= 1us.
   Duration lookahead = msec(50);
-  // Per-shard kernel options (backend, queue, stacks).  Every shard
+  // Per-shard kernel options (queue, switch, stacks).  Every shard
   // kernel is constructed with the same seed so name-derived RNG streams
   // are partition-independent.
   KernelOptions kernel;

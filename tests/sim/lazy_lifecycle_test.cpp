@@ -1,8 +1,8 @@
 // Lazy materialization + pooling lifecycle pins.
 //
-// PR 10 made the fiber backend materialize a process's fiber (stack +
-// context) at FIRST DISPATCH rather than at spawn, and recycle finished
-// process objects and stacks through bounded freelists.  These tests pin
+// The kernel materializes a process's fiber (stack + context) at FIRST
+// DISPATCH rather than at spawn, and recycles finished process objects
+// and stacks through bounded freelists.  These tests pin
 // the observable contract of that machinery:
 //
 //   - a process killed before its first dispatch finishes kKilled without
@@ -35,15 +35,9 @@
 namespace ethergrid::sim {
 namespace {
 
-bool fiber_backend_available() {
-  Kernel probe;
-  return probe.backend() == Backend::kFiber;
-}
-
 // Killing a process before the kernel ever dispatches it must mirror the
 // killed arm exactly -- finished, kKilled result, join observes it -- while
-// never running the body and, on the fiber backend, never materializing a
-// stack.
+// never running the body and never materializing a stack.
 TEST(LazyLifecycleTest, KillBeforeFirstDispatchNeverMaterializes) {
   Kernel k;
   bool ran = false;
@@ -53,18 +47,13 @@ TEST(LazyLifecycleTest, KillBeforeFirstDispatchNeverMaterializes) {
   EXPECT_FALSE(ran);
   EXPECT_TRUE(p->finished());
   EXPECT_EQ(p->result().code(), StatusCode::kKilled);
-  if (k.backend() == Backend::kFiber) {
-    // No fiber ever existed, so no stack was ever created or pooled.
-    EXPECT_EQ(k.pooled_stack_count(), 0u);
-  }
+  // No fiber ever existed, so no stack was ever created or pooled.
+  EXPECT_EQ(k.pooled_stack_count(), 0u);
 }
 
 // Control for the pin above: a process that DOES run leaves its recycled
 // stack in the pool, so the zero-count assertion is not vacuous.
 TEST(LazyLifecycleTest, DispatchedProcessPoolsItsStack) {
-  if (!fiber_backend_available()) {
-    GTEST_SKIP() << "fiber backend unavailable (TSan build)";
-  }
   Kernel k;
   auto p = k.spawn("worker", [](Context& ctx) { ctx.sleep(sec(1)); });
   k.run();
@@ -163,9 +152,7 @@ TEST(LazyLifecycleTest, PoolsAreReusedAcrossWaves) {
   const std::size_t procs_after_one = k.pooled_process_count();
   const std::size_t stacks_after_one = k.pooled_stack_count();
   EXPECT_EQ(procs_after_one, std::size_t(kWave));
-  if (k.backend() == Backend::kFiber) {
-    EXPECT_EQ(stacks_after_one, std::size_t(kWave));
-  }
+  EXPECT_EQ(stacks_after_one, std::size_t(kWave));
   run_wave();
   EXPECT_EQ(k.pooled_process_count(), procs_after_one);
   EXPECT_EQ(k.pooled_stack_count(), stacks_after_one);
@@ -201,9 +188,7 @@ TEST(LazyLifecycleTest, HeldHandleKeepsProcessOutOfPool) {
   k.run();
   EXPECT_TRUE(held->finished());
   EXPECT_EQ(k.pooled_process_count(), 0u);
-  if (k.backend() == Backend::kFiber) {
-    EXPECT_EQ(k.pooled_stack_count(), 1u);  // stacks pool independently
-  }
+  EXPECT_EQ(k.pooled_stack_count(), 1u);  // stacks pool independently
 }
 
 #ifdef ETHERGRID_TEST_ASAN
@@ -211,9 +196,6 @@ TEST(LazyLifecycleTest, HeldHandleKeepsProcessOutOfPool) {
 // while the fiber ran must read as poisoned once the stack is back in the
 // pool, so use-after-return across the recycle boundary traps.
 TEST(LazyLifecycleTest, PooledStackIsPoisonedUnderAsan) {
-  if (!fiber_backend_available()) {
-    GTEST_SKIP() << "fiber backend unavailable (TSan build)";
-  }
   Kernel k;
   volatile char* frame_addr = nullptr;
   k.spawn("frame", [&](Context& ctx) {

@@ -48,7 +48,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--list] [--scenario NAME]... [--all] [--script FILE]\n"
       "          [--replay FILE] [--trace-out FILE]\n"
-      "          [--queue wheel|heap] [--backend fiber|thread] [--seed N]\n"
+      "          [--queue wheel|heap] [--seed N]\n"
       "          [--max-depth N] [--max-executions N] [--max-transitions N]\n"
       "          [--keep-going] [--state-pruning]\n",
       argv0);
@@ -213,16 +213,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       args.queue_set = true;
-    } else if (arg == "--backend") {
-      const char* name = next();
-      if (!name) return usage(argv[0]);
-      if (std::strcmp(name, "fiber") == 0) {
-        args.options.kernel.backend = sim::Backend::kFiber;
-      } else if (std::strcmp(name, "thread") == 0) {
-        args.options.kernel.backend = sim::Backend::kThread;
-      } else {
-        return usage(argv[0]);
-      }
     } else if (arg == "--seed") {
       const char* value = next();
       if (!value || !parse_u64(value, &args.options.seed)) {
