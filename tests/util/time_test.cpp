@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+
 namespace ethergrid {
 namespace {
 
@@ -30,6 +33,12 @@ struct DurationCase {
   const char* text;
   std::int64_t expected_us;
 };
+
+// Print the case as its text: the default byte dump includes the address
+// of `text`, which changes from run to run and so would rename the case.
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class ParseDurationTest : public ::testing::TestWithParam<DurationCase> {};
 
