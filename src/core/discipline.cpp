@@ -1,21 +1,6 @@
 #include "core/discipline.hpp"
 
-#include <utility>
-
 namespace ethergrid::core {
-
-Discipline Discipline::fixed(TryOptions options) {
-  options.backoff = BackoffPolicy::none();
-  return Discipline{"fixed", options, nullptr};
-}
-
-Discipline Discipline::aloha(TryOptions options) {
-  return Discipline{"aloha", options, nullptr};
-}
-
-Discipline Discipline::ethernet(TryOptions options, CarrierSenseFn carrier) {
-  return Discipline{"ethernet", options, std::move(carrier)};
-}
 
 Status run_with_discipline(Clock& clock, Rng& rng,
                            const Discipline& discipline, const AttemptFn& work,

@@ -33,15 +33,13 @@ struct DisciplineMetrics {
   int probes = 0;      // carrier-sense invocations
 };
 
+// One disciplined work loop.  The named disciplines (which ones back off,
+// which sense the carrier) are described once, by grid::DisciplineTraits;
+// callers build this from those traits.
 struct Discipline {
   std::string name;
   TryOptions options;             // backoff + budget
   CarrierSenseFn carrier_sense;   // empty for Fixed/Aloha
-
-  // The paper's three clients, parameterized by the try budget.
-  static Discipline fixed(TryOptions options);
-  static Discipline aloha(TryOptions options);
-  static Discipline ethernet(TryOptions options, CarrierSenseFn carrier);
 };
 
 // Runs `work` under the discipline: per attempt, probe the carrier (if any)

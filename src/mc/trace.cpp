@@ -8,7 +8,8 @@ namespace ethergrid::mc {
 
 namespace {
 
-constexpr const char* kMagic = "ethergrid-mc-trace v1";
+constexpr const char* kMagic = "ethergrid-mc-trace v2";
+constexpr const char* kMagicV1 = "ethergrid-mc-trace v1";
 
 }  // namespace
 
@@ -17,9 +18,6 @@ std::string format_trace(const TraceFile& trace) {
   out += kMagic;
   out += '\n';
   out += "scenario " + trace.scenario + "\n";
-  out += "queue ";
-  out += sim::queue_impl_name(trace.queue);
-  out += '\n';
   out += "seed " + std::to_string(trace.seed) + "\n";
   if (!trace.violation.empty()) {
     out += "violation " + trace.violation + "\n";
@@ -45,6 +43,11 @@ Status parse_trace(const std::string& text, TraceFile* out) {
   };
   if (!std::getline(in, line)) return Status::failure("trace: empty input");
   ++line_no;
+  if (line == kMagicV1) {
+    return fail("v1 traces are no longer read (they name an event queue); "
+                "delete the `queue` line and change the magic to \"" +
+                std::string(kMagic) + "\"");
+  }
   if (line != kMagic) return fail("bad magic (expected \"" +
                                   std::string(kMagic) + "\")");
   bool saw_end = false;
@@ -61,16 +64,6 @@ Status parse_trace(const std::string& text, TraceFile* out) {
     if (key == "scenario") {
       fields >> out->scenario;
       if (out->scenario.empty()) return fail("scenario: missing name");
-    } else if (key == "queue") {
-      std::string name;
-      fields >> name;
-      if (name == "wheel") {
-        out->queue = sim::QueueImpl::kWheel;
-      } else if (name == "heap") {
-        out->queue = sim::QueueImpl::kHeap;
-      } else {
-        return fail("queue: expected wheel|heap, got \"" + name + "\"");
-      }
     } else if (key == "seed") {
       if (!(fields >> out->seed)) return fail("seed: expected an integer");
     } else if (key == "violation") {

@@ -1,13 +1,11 @@
 // Counterexample trace files: a recorded choice vector plus enough header
-// to re-create the execution (scenario, queue implementation, seed) and the
-// expected outcome (which invariant the trace violates, or none for a
-// clean-replay fixture).
+// to re-create the execution (scenario, seed) and the expected outcome
+// (which invariant the trace violates, or none for a clean-replay fixture).
 //
 // The format is line-oriented text so fixtures diff well in review:
 //
-//   ethergrid-mc-trace v1
+//   ethergrid-mc-trace v2
 //   scenario forall-abort
-//   queue wheel
 //   seed 1
 //   violation queue-accounting        <- omitted for clean traces
 //   d sched 2 3 sched branch#4
@@ -20,6 +18,9 @@
 // expectation -- a violation trace must reproduce its violation, a clean
 // trace must stay clean -- which is what lets ctest run both kinds of
 // fixture through one code path.
+//
+// v1 traces also named an event queue (`queue wheel|heap`); parse_trace
+// rejects them with a message saying how to update one.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +28,12 @@
 #include <vector>
 
 #include "mc/explorer.hpp"
-#include "sim/event_queue.hpp"
 #include "util/status.hpp"
 
 namespace ethergrid::mc {
 
 struct TraceFile {
   std::string scenario;
-  sim::QueueImpl queue = sim::QueueImpl::kWheel;
   std::uint64_t seed = 1;
   // Name of the invariant this trace violates; empty for a clean fixture.
   std::string violation;

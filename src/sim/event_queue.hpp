@@ -1,10 +1,12 @@
-// Event-queue implementations for sim::Kernel: a hierarchical timer wheel
-// (default) and the original binary heap (differential-testing oracle).
+// The event queue for sim::Kernel: a hierarchical timer wheel.
 //
-// Both deliver pending wakeups in strict (time, seq) order -- seq is the
+// It delivers pending wakeups in strict (time, seq) order -- seq is the
 // kernel's global schedule counter, so equal-time entries pop FIFO and the
-// whole simulation stays deterministic and byte-identical across queue
-// and context-switch implementations.
+// whole simulation stays deterministic and byte-identical across
+// context-switch implementations.  The reference model for that order is a
+// plain binary heap over all entries; it lives with the tests
+// (tests/sim/heap_queue.hpp), which check the wheel's pop order against it
+// under randomized pushes, bounded pops, stale drops and compaction.
 //
 // Timer wheel geometry (ticks are integer microseconds, the resolution of
 // ethergrid::Duration):
@@ -42,7 +44,7 @@
 // drops stale entries whenever it touches a slot (drain or cascade) and,
 // when the owning kernel's stale counter crosses the compaction threshold,
 // compacts a bounded number of *occupied* slots per call -- incremental
-// per-slot reclamation instead of the heap's stop-the-world pass.
+// per-slot reclamation instead of a stop-the-world pass.
 #pragma once
 
 #include <algorithm>
@@ -57,13 +59,6 @@
 namespace ethergrid::sim {
 
 class Process;
-
-// Which event-queue implementation a Kernel uses.  kWheel is the default;
-// kHeap is kept as the differential-testing oracle that tests and the
-// model checker select explicitly (tests/sim/queue_oracle_test.cpp).
-enum class QueueImpl { kWheel, kHeap };
-
-const char* queue_impl_name(QueueImpl impl);
 
 namespace internal {
 
@@ -83,52 +78,6 @@ struct QueueEntryLater {
     return a.seq > b.seq;
   }
 };
-
-// ------------------------------------------------------------------ heap
-
-// The original implementation: one std::push_heap/std::pop_heap min-heap
-// over all pending entries, with stop-the-world compaction.
-class HeapQueue {
- public:
-  void push(const QueueEntry& e) {
-    entries_.push_back(e);
-    std::push_heap(entries_.begin(), entries_.end(), QueueEntryLater{});
-  }
-
-  // Removes and returns the earliest entry if its time is <= limit.
-  bool pop_due(TimePoint limit, QueueEntry* out) {
-    if (entries_.empty() || entries_.front().time > limit) return false;
-    *out = entries_.front();
-    std::pop_heap(entries_.begin(), entries_.end(), QueueEntryLater{});
-    entries_.pop_back();
-    return true;
-  }
-
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  const QueueEntry& front() const { return entries_.front(); }
-
-  // Drops every entry matching pred and re-heapifies; returns the number
-  // dropped.  O(size) -- the stop-the-world pass the wheel avoids.
-  template <typename Pred>
-  std::size_t compact(Pred pred) {
-    const std::size_t before = entries_.size();
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred),
-                   entries_.end());
-    std::make_heap(entries_.begin(), entries_.end(), QueueEntryLater{});
-    return before - entries_.size();
-  }
-
-  template <typename Fn>
-  void for_each(Fn fn) const {
-    for (const QueueEntry& e : entries_) fn(e);
-  }
-
- private:
-  std::vector<QueueEntry> entries_;  // min-heap via QueueEntryLater
-};
-
-// ----------------------------------------------------------------- wheel
 
 class TimerWheel {
  public:

@@ -335,7 +335,7 @@ void Process::run_body_locked() {
   // Retire every pending wakeup BEFORE anything can observe the finished
   // process.  The token bump makes "stale" a pure token comparison: a
   // finished process's entries mismatch just like a killed process's do,
-  // so queue implementations never need to read process state.  Skipping
+  // so the queue never needs to read process state.  Skipping
   // this accounting would leave live-counted entries behind that the pop
   // path later subtracts from stale_wakeups_, wrapping the counter and
   // locking the queue into permanent O(n) compaction.
@@ -629,10 +629,9 @@ DeadlineScope::~DeadlineScope() { ctx_.pop_deadline(); }
 // ----------------------------------------------------------------- Kernel
 
 Kernel::Kernel(std::uint64_t seed, KernelOptions options)
-    : queue_impl_(options.queue),
-      // Requests for the raw switch on targets without the assembly are
-      // coerced to the portable fallback, never an error.
-      switch_impl_(internal::kRawSwitchAvailable ? options.switch_impl
+    // Requests for the raw switch on targets without the assembly are
+    // coerced to the portable fallback, never an error.
+    : switch_impl_(internal::kRawSwitchAvailable ? options.switch_impl
                                                  : SwitchImpl::kSigsetjmp),
       fiber_stack_bytes_(resolve_stack_bytes(options.fiber_stack_bytes)),
       fiber_stack_slab_(options.fiber_stack_slab),
@@ -657,6 +656,9 @@ void Kernel::shutdown() {
   // would stop the drain and strand unwinding processes.
   strategy_ = nullptr;
   strategy_halt_ = false;
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  last_delivered_time_ = TimePoint::min();
+#endif
   // Repeatedly kill everything alive and drain; unwinding bodies might
   // spawn (spawns during shutdown start pre-killed, see spawn()).
   for (int rounds = 0; live_processes_ > 0 && rounds < 64; ++rounds) {
@@ -839,11 +841,7 @@ Status Kernel::check_queue_accounting_locked() const {
       finished_with_live = e.process;
     }
   };
-  if (queue_impl_ == QueueImpl::kWheel) {
-    wheel_queue_.for_each(count);
-  } else {
-    heap_queue_.for_each(count);
-  }
+  queue_.for_each(count);
   // Retirement safety: every queue entry's process must still be in
   // processes_ (a retired process would be a dangling pointer), and each
   // process's queue_entries_ must match its actual entry total -- that
@@ -920,9 +918,28 @@ void Kernel::audit_accounting_slow_locked() const {
 #endif
 }
 
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+void Kernel::audit_delivery_order_slow_locked(const internal::QueueEntry& e) {
+  if (e.time < last_delivered_time_ ||
+      (e.time == last_delivered_time_ && e.seq <= last_delivered_seq_)) {
+    std::fprintf(stderr,
+                 "queue audit: delivery (%lld us, seq %llu) does not follow "
+                 "(%lld us, seq %llu)\n",
+                 static_cast<long long>(e.time.time_since_epoch().count()),
+                 static_cast<unsigned long long>(e.seq),
+                 static_cast<long long>(
+                     last_delivered_time_.time_since_epoch().count()),
+                 static_cast<unsigned long long>(last_delivered_seq_));
+    std::abort();
+  }
+  last_delivered_time_ = e.time;
+  last_delivered_seq_ = e.seq;
+}
+#endif
+
 void Kernel::compact_queue_locked() {
-  // Both queue impls call the predicate exactly once per drop decision and
-  // drop exactly the entries it accepts (event_queue.hpp documents the
+  // The wheel calls the predicate exactly once per drop decision and drops
+  // exactly the entries it accepts (event_queue.hpp documents the
   // contract), so it doubles as the per-process entry-count bookkeeper:
   // when a pending-retire process's last entry is compacted away it lands
   // on retirable_, to be flushed at the next pop site -- NOT here, because
@@ -933,17 +950,12 @@ void Kernel::compact_queue_locked() {
     note_entry_discarded_locked(e.process);
     return true;
   };
-  if (queue_impl_ == QueueImpl::kWheel) {
-    // Incremental: sweep a few occupied slots per trigger.  Near-future
-    // stale entries are already dropped when their slot drains; this
-    // reclaims the far-future ones (abandoned long timeouts, killed
-    // sleepers) without a stop-the-world rebuild.  Inline lambda, not a
-    // function pointer, so the predicate inlines into the template.
-    stale_wakeups_ -= std::min(wheel_queue_.compact_step(stale),
-                               stale_wakeups_);
-  } else {
-    stale_wakeups_ -= std::min(heap_queue_.compact(stale), stale_wakeups_);
-  }
+  // Incremental: sweep a few occupied slots per trigger.  Near-future
+  // stale entries are already dropped when their slot drains; this
+  // reclaims the far-future ones (abandoned long timeouts, killed
+  // sleepers) without a stop-the-world rebuild.  Inline lambda, not a
+  // function pointer, so the predicate inlines into the template.
+  stale_wakeups_ -= std::min(queue_.compact_step(stale), stale_wakeups_);
 }
 
 void Kernel::make_fiber_locked(Process* p) {
@@ -1217,6 +1229,7 @@ inline Process* Kernel::pop_runnable_locked(TimePoint limit) {
       audit_accounting_locked();
       continue;
     }
+    audit_delivery_order_locked(entry);
     --entry.process->live_wakeups_;
     // A live entry's process cannot be finished (token-uniform staleness),
     // so this note can never queue a retirement.
@@ -1241,27 +1254,24 @@ inline Process* Kernel::pop_runnable_locked(TimePoint limit) {
 }
 
 bool Kernel::raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out) {
-  if (queue_impl_ == QueueImpl::kWheel) {
-    // The wheel drops stale entries it meets while draining slots; count
-    // them off (and their per-process entry totals -- the predicate runs
-    // exactly once per dropped entry).  The entry it hands back may still
-    // be stale (it went stale after reaching the ready heap), so callers
-    // recheck.
-    std::size_t dropped = 0;
-    const bool got = wheel_queue_.pop_due(
-        limit, out,
-        [this](const internal::QueueEntry& e) {
-          if (!entry_stale(e)) return false;
-          note_entry_discarded_locked(e.process);
-          return true;
-        },
-        &dropped);
-    assert((stale_wakeups_ >= dropped || debug_kill_skips_invalidate_) &&
-           "stale-wakeup underflow");
-    stale_wakeups_ -= std::min(dropped, stale_wakeups_);
-    return got;
-  }
-  return heap_queue_.pop_due(limit, out);
+  // The wheel drops stale entries it meets while draining slots; count
+  // them off (and their per-process entry totals -- the predicate runs
+  // exactly once per dropped entry).  The entry it hands back may still be
+  // stale (it went stale after reaching the ready heap), so callers
+  // recheck.
+  std::size_t dropped = 0;
+  const bool got = queue_.pop_due(
+      limit, out,
+      [this](const internal::QueueEntry& e) {
+        if (!entry_stale(e)) return false;
+        note_entry_discarded_locked(e.process);
+        return true;
+      },
+      &dropped);
+  assert((stale_wakeups_ >= dropped || debug_kill_skips_invalidate_) &&
+         "stale-wakeup underflow");
+  stale_wakeups_ -= std::min(dropped, stale_wakeups_);
+  return got;
 }
 
 void Kernel::repush_entry_locked(const internal::QueueEntry& entry) {
@@ -1271,11 +1281,7 @@ void Kernel::repush_entry_locked(const internal::QueueEntry& entry) {
   // wheel routes t <= cursor straight to its ready heap, which restores the
   // (time, seq) total order, so a pop-inspect-repush round trip is
   // order-neutral.
-  if (queue_impl_ == QueueImpl::kWheel) {
-    wheel_queue_.push(entry);
-  } else {
-    heap_queue_.push(entry);
-  }
+  queue_.push(entry);
 }
 
 Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
@@ -1437,29 +1443,13 @@ bool Kernel::run_until(TimePoint t) {
   now_ = std::max(now_, t);
   now_fast_.store(now_.time_since_epoch().count(),
                   std::memory_order_release);
-  if (queue_impl_ == QueueImpl::kHeap) {
-    // Purge stale entries off the front so the oracle's observable
-    // queue_depth matches its historical behavior.
-    internal::QueueEntry entry;
-    while (!heap_queue_.empty() && entry_stale(heap_queue_.front())) {
-      heap_queue_.pop_due(TimePoint::max(), &entry);
-      assert((stale_wakeups_ > 0 || debug_kill_skips_invalidate_) &&
-             "stale-wakeup underflow");
-      if (stale_wakeups_ > 0) --stale_wakeups_;
-      note_entry_discarded_locked(entry.process);
-      flush_retirable_locked();
-      audit_accounting_locked();
-    }
-    return !heap_queue_.empty();
-  }
   // Exact lazy-cancellation accounting makes "any real pending work?" pure
   // arithmetic -- no purge loop.  (Everything stale at or before t was
   // already dropped while draining; what remains stale is far-future and
   // incremental compaction's job.)
-  assert((wheel_queue_.size() >= stale_wakeups_ ||
-          debug_kill_skips_invalidate_) &&
+  assert((queue_.size() >= stale_wakeups_ || debug_kill_skips_invalidate_) &&
          "stale-wakeup underflow");
-  return wheel_queue_.size() > stale_wakeups_;
+  return queue_.size() > stale_wakeups_;
 }
 
 std::size_t Kernel::live_process_count() const {
@@ -1482,6 +1472,9 @@ void Kernel::set_strategy(mc::Strategy* strategy) {
   const auto lock = lock_self();
   strategy_ = strategy;
   strategy_halt_ = false;
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  last_delivered_time_ = TimePoint::min();
+#endif
 }
 
 mc::Strategy* Kernel::strategy() const {
@@ -1492,8 +1485,8 @@ mc::Strategy* Kernel::strategy() const {
 std::uint64_t Kernel::state_digest() const {
   const auto lock = lock_self();
   // FNV-1a for the ordered part (clock), plus an order-insensitive sum of
-  // per-item hashes for the sets (queue iteration order differs between the
-  // wheel and the heap, and across compaction points, for identical states).
+  // per-item hashes for the sets (queue iteration order differs across
+  // compaction and cascade points for identical states).
   const auto mix = [](std::uint64_t h, std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull;
     h *= 0x100000001b3ull;
@@ -1506,7 +1499,7 @@ std::uint64_t Kernel::state_digest() const {
   for (const ProcessHandle& p : processes_) {
     // Finished processes are not state: they can take no further action,
     // and exactly when one leaves processes_ (retirement) depends on queue
-    // internals -- which impl dropped its last stale entry, and when --
+    // internals -- which pop or compaction dropped its last stale entry --
     // that two equivalent interleavings legitimately disagree on.
     if (p->state_ == Process::State::kFinished) continue;
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -1524,11 +1517,7 @@ std::uint64_t Kernel::state_digest() const {
     h = mix(h, e.process->id_);
     queue_sum += h;
   };
-  if (queue_impl_ == QueueImpl::kWheel) {
-    wheel_queue_.for_each(add_entry);
-  } else {
-    heap_queue_.for_each(add_entry);
-  }
+  queue_.for_each(add_entry);
   digest = mix(digest, queue_sum);
   return digest;
 }
@@ -1544,11 +1533,7 @@ TimePoint Kernel::next_live_event_time() const {
   auto visit = [&](const internal::QueueEntry& e) {
     if (!entry_stale(e) && e.time < min) min = e.time;
   };
-  if (queue_impl_ == QueueImpl::kWheel) {
-    wheel_queue_.for_each(visit);
-  } else {
-    heap_queue_.for_each(visit);
-  }
+  queue_.for_each(visit);
   return min;
 }
 

@@ -16,9 +16,11 @@
 //
 // Exactly one process (or the kernel itself) executes at any instant.  The
 // result is a fully deterministic simulation -- same seed, same event
-// order, same results, byte-for-byte identical across switch and queue
+// order, same results, byte-for-byte identical across switch
 // implementations.  Every switch is annotated for AddressSanitizer and
-// ThreadSanitizer, so both sanitizers check the fiber path itself.
+// ThreadSanitizer, so both sanitizers check the fiber path itself.  The
+// event queue is a hierarchical timer wheel (event_queue.hpp); debug
+// builds check that it delivers in strict (time, seq) order.
 //
 // Time is virtual: it advances only when the kernel pops the next event.
 // All waiting flows through Context primitives (sleep / wait / join /
@@ -95,9 +97,6 @@ enum class SwitchImpl { kSigsetjmp, kRaw };
 const char* switch_impl_name(SwitchImpl impl);
 
 struct KernelOptions {
-  // Event-queue implementation (see event_queue.hpp).  kHeap is the
-  // differential-testing oracle (tests/sim/queue_oracle_test.cpp).
-  QueueImpl queue = QueueImpl::kWheel;
   // Usable fiber stack bytes (excludes the guard page).  0 means the
   // default: 256 KiB, or 1 MiB under AddressSanitizer, whose redzones
   // inflate frames.  Rounded up to the page size.
@@ -128,8 +127,8 @@ struct KernelOptions {
 
 namespace internal {
 
-// QueueEntry / QueueEntryLater and the queue implementations themselves
-// live in event_queue.hpp.  Entries are not removed from the queue on
+// QueueEntry / QueueEntryLater and the timer wheel itself live in
+// event_queue.hpp.  Entries are not removed from the queue on
 // cancellation; instead each process carries a wake token and stale entries
 // (token mismatch) are skipped on pop.  The kernel counts how many entries
 // can no longer fire and compacts when they outnumber live ones, so long
@@ -398,7 +397,6 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  QueueImpl queue_impl() const { return queue_impl_; }
   SwitchImpl switch_impl() const { return switch_impl_; }
 
   // Pool observability (tests/sim/lazy_lifecycle_test.cpp pins reuse).
@@ -459,13 +457,12 @@ class Kernel {
 
   // Exact earliest time at which a pending LIVE wakeup can fire, or
   // TimePoint::max() when none is pending.  O(queue depth): scans every
-  // entry (both queue impls keep only heap/slot-granule order, and stale
-  // entries may front-run the live minimum).  The sharded kernel's
-  // conservative window synchronization (shard.hpp) computes its lookahead
-  // horizon from this; exactness matters there -- a cheaper per-impl lower
-  // bound would vary with how entries were partitioned across shards and
-  // make the window schedule (and thus same-instant delivery order) depend
-  // on the shard count.
+  // entry (the wheel keeps only slot-granule order, and stale entries may
+  // front-run the live minimum).  The sharded kernel's conservative window
+  // synchronization (shard.hpp) computes its lookahead horizon from this;
+  // exactness matters there -- a cheaper lower bound would vary with how
+  // entries were partitioned across shards and make the window schedule
+  // (and thus same-instant delivery order) depend on the shard count.
   TimePoint next_live_event_time() const;
 
   // Wakeups actually delivered to processes since construction: the
@@ -516,22 +513,18 @@ class Kernel {
   void schedule_locked(TimePoint t, Process* p);
 
   // Reclaims queue entries that can no longer fire (stale token).  Called
-  // when stale entries outnumber live ones.  Heap: drops every stale entry
-  // and re-heapifies (stop-the-world).  Wheel: sweeps a bounded number of
-  // occupied slots (incremental, bitmap-guided round-robin).  Pop order is
-  // unchanged either way -- stale entries were skipped anyway.
+  // when stale entries outnumber live ones: sweeps a bounded number of
+  // occupied wheel slots (incremental, bitmap-guided round-robin).  Pop
+  // order is unchanged -- stale entries were skipped anyway.
   void compact_queue_locked();
 
   // True iff e can no longer fire.  Token-uniform: finish and kill both
-  // bump the wake token, so this is a single comparison and queue
-  // implementations never read process state.
+  // bump the wake token, so this is a single comparison and the queue
+  // never reads process state.
   static bool entry_stale(const internal::QueueEntry& e);
 
-  // Total pending entries (stale included) in the active implementation.
-  std::size_t queue_size_locked() const {
-    return queue_impl_ == QueueImpl::kWheel ? wheel_queue_.size()
-                                            : heap_queue_.size();
-  }
+  // Total pending entries (stale included).
+  std::size_t queue_size_locked() const { return queue_.size(); }
 
   // Note that every entry carrying p's current token just went stale.
   void invalidate_wakeups_locked(Process* p);
@@ -547,6 +540,22 @@ class Kernel {
 #endif
   }
   void audit_accounting_slow_locked() const;
+
+  // Debug/audit builds: with no strategy installed, every delivered entry's
+  // (time, seq) must be strictly greater than the previous delivery's --
+  // the total order the determinism contract rests on, and exactly what a
+  // binary heap over all entries would produce.  Compiles to nothing in
+  // release builds.
+  void audit_delivery_order_locked(const internal::QueueEntry& e) {
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+    audit_delivery_order_slow_locked(e);
+#else
+    (void)e;
+#endif
+  }
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  void audit_delivery_order_slow_locked(const internal::QueueEntry& e);
+#endif
 
   // Shared core of the debug audit and verify_queue_accounting(): the exact
   // recount, reported as a Status instead of an abort.
@@ -609,8 +618,8 @@ class Kernel {
   // strategy is installed.
   Process* pop_runnable_strategy_locked(TimePoint limit);
 
-  // Raw pop of the next due entry (stale or live) from the active queue at
-  // time <= limit, with the wheel's dropped-stale accounting applied.
+  // Raw pop of the next due entry (stale or live) at time <= limit, with
+  // the wheel's dropped-stale accounting applied.
   bool raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out);
 
   // Re-inserts an entry popped by the strategy path, preserving its
@@ -625,7 +634,6 @@ class Kernel {
   void recycle_stack_locked(Process* p);
   void release_stacks_locked();
 
-  const QueueImpl queue_impl_;
   const SwitchImpl switch_impl_;
   const std::size_t fiber_stack_bytes_;
   const std::size_t fiber_stack_slab_;  // stacks per slab; 0 = guard-paged
@@ -644,13 +652,15 @@ class Kernel {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_processed_ = 0;
-  // Exactly one of these is active, per queue_impl_ (the idle one is a few
-  // empty vectors).  See event_queue.hpp.
-  internal::TimerWheel wheel_queue_;
-  internal::HeapQueue heap_queue_;
+  internal::TimerWheel queue_;  // see event_queue.hpp
   std::size_t stale_wakeups_ = 0;  // queue entries that can no longer fire
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   mutable std::uint64_t audit_tick_ = 0;  // sampling counter, audits only
+  // (time, seq) of the last delivery the order audit saw; TimePoint::min()
+  // after a strategy change, since a strategy may reorder same-instant
+  // peers and the next default-order delivery can sort before its pick.
+  TimePoint last_delivered_time_ = TimePoint::min();
+  std::uint64_t last_delivered_seq_ = 0;
 #endif
   // Live and finished-but-unretired processes; pindex_ back-references keep
   // retirement's swap-remove O(1).  Fully-drained kernels end empty.
@@ -721,11 +731,7 @@ inline void Kernel::schedule_locked(TimePoint t, Process* p) {
   assert(p->state_ != Process::State::kFinished);
   const internal::QueueEntry entry{std::max(t, now_), next_seq_++, p,
                                    p->wake_token_};
-  if (queue_impl_ == QueueImpl::kWheel) {
-    wheel_queue_.push(entry);
-  } else {
-    heap_queue_.push(entry);
-  }
+  queue_.push(entry);
   ++p->live_wakeups_;
   ++p->queue_entries_;
   // Compaction keeps the queue O(live entries): without it, a long-lived

@@ -189,7 +189,8 @@ bool ShardedKernel::run_until(TimePoint limit) {
       if (delivered_to_[s]) m = std::min(m, shards_[s]->now());
       t = std::min(t, m);
     }
-    if (t > limit) break;
+    // t == max: drained, and the mailbox was just flushed.
+    if (t > limit || t == TimePoint::max()) break;
     // Horizon: everything in [t, h] is safe to run because no message
     // posted at >= t can deliver before t + lookahead = h + 1us.
     TimePoint h = limit;
@@ -205,6 +206,8 @@ bool ShardedKernel::run_until(TimePoint limit) {
       return true;  // halted mid-window (mc strategy); events remain
     }
   }
+  // run(): fully drained; the clocks stay at the last event.
+  if (limit == TimePoint::max()) return false;
   // Advance every clock to exactly `limit` (no event processing remains
   // at or below it).
   dispatch([this, limit](std::size_t s) {
@@ -216,32 +219,7 @@ bool ShardedKernel::run_until(TimePoint limit) {
   return pending;
 }
 
-void ShardedKernel::run() {
-  dispatch([this](std::size_t s) {
-    scan_min_[s] = shards_[s]->next_live_event_time();
-  });
-  std::fill(delivered_to_.begin(), delivered_to_.end(), 0);
-  for (;;) {
-    const std::size_t delivered = flush_mail();
-    TimePoint t = TimePoint::max();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      TimePoint m = scan_min_[s];
-      if (delivered_to_[s]) m = std::min(m, shards_[s]->now());
-      t = std::min(t, m);
-    }
-    if (t == TimePoint::max()) break;  // drained; mailbox just flushed
-    TimePoint h = TimePoint::max();
-    if (TimePoint::max() - (lookahead_ - usec(1)) > t) {
-      h = t + lookahead_ - usec(1);
-    }
-    std::uint64_t events_before = 0;
-    for (const auto& k : shards_) events_before += k->events_processed();
-    run_window(h);
-    std::uint64_t events_after = 0;
-    for (const auto& k : shards_) events_after += k->events_processed();
-    if (events_after == events_before && delivered == 0) return;  // halted
-  }
-}
+void ShardedKernel::run() { (void)run_until(TimePoint::max()); }
 
 void ShardedKernel::shutdown() {
   if (shut_down_) return;

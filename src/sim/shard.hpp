@@ -120,7 +120,9 @@ class ShardedKernel {
   // index) exception a shard raised.
   bool run_until(TimePoint t);
 
-  // Runs until every shard drains and no message is pending.
+  // Runs until every shard drains and no message is pending:
+  // run_until(TimePoint::max()), except that the clocks stay at the last
+  // event instead of jumping to the end of time.
   void run();
 
   // Kills and drains every shard (each on its pinned worker) and drops

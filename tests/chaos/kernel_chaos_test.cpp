@@ -9,8 +9,8 @@
 //    entry it scheduled before the kill is accounted stale, not live);
 //  - spawns issued while the kernel is shutting down are born killed and
 //    leave no live queue entries behind;
-//  - a randomized kill storm replays identically for a fixed seed across
-//    both queue implementations.
+//  - a randomized kill storm replays identically for a fixed seed, and
+//    matches a pinned transcript.
 //
 // Debug builds audit the exact stale/live counts after every queue
 // operation, so any accounting drift these sequences provoke aborts the
@@ -25,26 +25,16 @@
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "util/rng.hpp"
 
 namespace ethergrid::sim {
 namespace {
 
-class KernelChaosTest : public ::testing::TestWithParam<QueueImpl> {
- protected:
-  KernelOptions options() const {
-    KernelOptions o;
-    o.queue = GetParam();
-    return o;
-  }
-};
-
 // A storm of workers that sleep, pulse, self-kill, and murder each other
 // on a deterministic schedule.  The trace of every observable step must be
-// identical run-to-run and across queue implementations.
-std::vector<std::string> run_kill_storm(QueueImpl queue, std::uint64_t seed) {
-  KernelOptions options;
-  options.queue = queue;
-  Kernel kernel(seed, options);
+// identical run-to-run.
+std::vector<std::string> run_kill_storm(std::uint64_t seed) {
+  Kernel kernel(seed);
   std::vector<std::string> trace;
   std::vector<ProcessHandle> workers;
   Event churn(kernel);
@@ -111,9 +101,9 @@ std::vector<std::string> run_kill_storm(QueueImpl queue, std::uint64_t seed) {
   return trace;
 }
 
-TEST_P(KernelChaosTest, KillStormReplaysIdentically) {
-  const auto first = run_kill_storm(GetParam(), 42);
-  const auto second = run_kill_storm(GetParam(), 42);
+TEST(KernelChaosTest, KillStormReplaysIdentically) {
+  const auto first = run_kill_storm(42);
+  const auto second = run_kill_storm(42);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     ASSERT_EQ(first[i], second[i]) << "diverges at step " << i;
@@ -126,13 +116,16 @@ TEST_P(KernelChaosTest, KillStormReplaysIdentically) {
   EXPECT_TRUE(saw_kill);
 }
 
-TEST(KernelChaos, KillStormIdenticalAcrossQueueImpls) {
-  const auto wheel = run_kill_storm(QueueImpl::kWheel, 7);
-  const auto heap = run_kill_storm(QueueImpl::kHeap, 7);
-  ASSERT_EQ(wheel.size(), heap.size());
-  for (std::size_t i = 0; i < wheel.size(); ++i) {
-    ASSERT_EQ(wheel[i], heap[i]) << "diverges at step " << i;
-  }
+// Pinned transcript of the seed-7 storm.  Recorded when the kernel could
+// still run on a binary heap, from a run where the heap and the timer wheel
+// produced this exact transcript, so a wheel change that reorders kernel
+// events fails here.
+TEST(KernelChaos, KillStormMatchesPinnedTrace) {
+  const auto trace = run_kill_storm(7);
+  std::string joined;
+  for (const std::string& line : trace) joined += line + "\n";
+  EXPECT_EQ(trace.size(), 43u);
+  EXPECT_EQ(fnv1a64(joined), 0x3e429a90c335b61cull);
 }
 
 // Spawns issued while the kernel is shutting down: the unwinding bodies
@@ -140,8 +133,8 @@ TEST(KernelChaos, KillStormIdenticalAcrossQueueImpls) {
 // children must be born killed, unwind without running their bodies, and
 // leave the queue truly empty -- no live-counted entries for processes
 // that never ran.
-TEST_P(KernelChaosTest, SpawnDuringShutdownIsBornKilledAndLeakFree) {
-  Kernel kernel(1, options());
+TEST(KernelChaosTest, SpawnDuringShutdownIsBornKilledAndLeakFree) {
+  Kernel kernel(1);
   int respawned = 0;
   int respawn_bodies_ran = 0;
   std::function<void(Context&)> body = [&](Context& ctx) {
@@ -173,13 +166,6 @@ TEST_P(KernelChaosTest, SpawnDuringShutdownIsBornKilledAndLeakFree) {
   EXPECT_TRUE(late->finished());
   EXPECT_EQ(kernel.queue_depth(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllQueues, KernelChaosTest,
-    ::testing::Values(QueueImpl::kWheel, QueueImpl::kHeap),
-    [](const ::testing::TestParamInfo<QueueImpl>& info) {
-      return std::string(queue_impl_name(info.param));
-    });
 
 }  // namespace
 }  // namespace ethergrid::sim

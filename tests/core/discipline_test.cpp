@@ -22,29 +22,14 @@ void run_in_sim(const std::function<void(Context&, SimClock&, Rng&)>& body,
   kernel.run();
 }
 
-TEST(DisciplineTest, FactoriesSetNamesAndBackoff) {
-  Discipline f = Discipline::fixed(TryOptions::times(3));
-  EXPECT_EQ(f.name, "fixed");
-  EXPECT_EQ(f.options.backoff.kind, BackoffPolicy::Kind::kNone);
-  EXPECT_FALSE(f.carrier_sense);
-
-  Discipline a = Discipline::aloha(TryOptions::times(3));
-  EXPECT_EQ(a.name, "aloha");
-  EXPECT_EQ(a.options.backoff.kind, BackoffPolicy::Kind::kExponential);
-  EXPECT_FALSE(a.carrier_sense);
-
-  Discipline e = Discipline::ethernet(
-      TryOptions::times(3), [](TimePoint) { return Status::success(); });
-  EXPECT_EQ(e.name, "ethernet");
-  EXPECT_TRUE(e.carrier_sense);
-}
-
 TEST(DisciplineTest, FixedRetriesWithoutDelay) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
     int calls = 0;
     DisciplineMetrics m;
+    TryOptions options = TryOptions::times(5);
+    options.backoff = BackoffPolicy::none();
     Status s = run_with_discipline(
-        clock, rng, Discipline::fixed(TryOptions::times(5)),
+        clock, rng, Discipline{"fixed", options, nullptr},
         [&](TimePoint) {
           ++calls;
           return Status::failure("busy");
@@ -63,7 +48,7 @@ TEST(DisciplineTest, AlohaBacksOffBetweenCollisions) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
     DisciplineMetrics m;
     (void)run_with_discipline(
-        clock, rng, Discipline::aloha(TryOptions::times(4)),
+        clock, rng, Discipline{"aloha", TryOptions::times(4), nullptr},
         [&](TimePoint) { return Status::failure("busy"); }, &m);
     EXPECT_EQ(m.collisions, 4);
     EXPECT_GT(clock.now(), kEpoch + sec(6));  // >= 1+2+4 (min jitter)
@@ -75,11 +60,10 @@ TEST(DisciplineTest, EthernetDefersWithoutConsuming) {
     int medium_busy = 3;  // carrier clears after 3 probes
     int work_runs = 0;
     DisciplineMetrics m;
-    Discipline d = Discipline::ethernet(
-        TryOptions::times(10), [&](TimePoint) {
-          return medium_busy-- > 0 ? Status::unavailable("busy")
-                                   : Status::success();
-        });
+    const Discipline d{"ethernet", TryOptions::times(10), [&](TimePoint) {
+                         return medium_busy-- > 0 ? Status::unavailable("busy")
+                                                  : Status::success();
+                       }};
     Status s = run_with_discipline(
         clock, rng, d,
         [&](TimePoint) {
@@ -98,9 +82,9 @@ TEST(DisciplineTest, EthernetDefersWithoutConsuming) {
 
 TEST(DisciplineTest, DeferralsApplyBackoff) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
-    Discipline d = Discipline::ethernet(
-        TryOptions::times(3),
-        [](TimePoint) { return Status::unavailable("always busy"); });
+    const Discipline d{
+        "ethernet", TryOptions::times(3),
+        [](TimePoint) { return Status::unavailable("always busy"); }};
     DisciplineMetrics m;
     Status s = run_with_discipline(
         clock, rng, d,
@@ -119,8 +103,8 @@ TEST(DisciplineTest, CollisionsCountedOnWorkFailure) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
     int calls = 0;
     DisciplineMetrics m;
-    Discipline d = Discipline::ethernet(
-        TryOptions::times(5), [](TimePoint) { return Status::success(); });
+    const Discipline d{"ethernet", TryOptions::times(5),
+                       [](TimePoint) { return Status::success(); }};
     Status s = run_with_discipline(
         clock, rng, d,
         [&](TimePoint) {
@@ -138,11 +122,11 @@ TEST(DisciplineTest, CollisionsCountedOnWorkFailure) {
 TEST(DisciplineTest, CarrierSenseReceivesDeadline) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
     TimePoint seen{};
-    Discipline d = Discipline::ethernet(TryOptions::for_time(minutes(5)),
-                                        [&](TimePoint deadline) {
-                                          seen = deadline;
-                                          return Status::success();
-                                        });
+    const Discipline d{"ethernet", TryOptions::for_time(minutes(5)),
+                       [&](TimePoint deadline) {
+                         seen = deadline;
+                         return Status::success();
+                       }};
     (void)run_with_discipline(
         clock, rng, d, [](TimePoint) { return Status::success(); }, nullptr);
     EXPECT_EQ(seen, kEpoch + minutes(5));
@@ -152,7 +136,7 @@ TEST(DisciplineTest, CarrierSenseReceivesDeadline) {
 TEST(DisciplineTest, NullMetricsIsSafe) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
     Status s = run_with_discipline(
-        clock, rng, Discipline::aloha(TryOptions::times(2)),
+        clock, rng, Discipline{"aloha", TryOptions::times(2), nullptr},
         [](TimePoint) { return Status::failure("x"); }, nullptr);
     EXPECT_TRUE(s.failed());
   });
@@ -160,9 +144,9 @@ TEST(DisciplineTest, NullMetricsIsSafe) {
 
 TEST(DisciplineTest, TimeBudgetAppliesAcrossDeferrals) {
   run_in_sim([](Context&, SimClock& clock, Rng& rng) {
-    Discipline d = Discipline::ethernet(
-        TryOptions::for_time(sec(30)),
-        [](TimePoint) { return Status::unavailable("busy forever"); });
+    const Discipline d{
+        "ethernet", TryOptions::for_time(sec(30)),
+        [](TimePoint) { return Status::unavailable("busy forever"); }};
     DisciplineMetrics m;
     Status s = run_with_discipline(
         clock, rng, d, [](TimePoint) { return Status::success(); }, &m);

@@ -22,6 +22,28 @@ TEST(DisciplineRegistryTest, PaperNamesResolve) {
   EXPECT_TRUE(resolve_discipline("ethernet").carrier_sense);
 }
 
+// The traits are the one description of each discipline's backoff rule:
+// Fixed never backs off, not even under a per-client override; the others
+// take the paper's exponential default or the override.
+TEST(DisciplineRegistryTest, TryOptionsFollowTheBackoffRule) {
+  using core::BackoffPolicy;
+  const DisciplineTraits& fixed = resolve_discipline("fixed");
+  EXPECT_EQ(fixed.try_options(sec(10)).backoff.kind,
+            BackoffPolicy::Kind::kNone);
+  EXPECT_EQ(fixed.try_options(sec(10), BackoffPolicy::paper_default())
+                .backoff.kind,
+            BackoffPolicy::Kind::kNone);
+  for (const char* name : {"aloha", "ethernet"}) {
+    SCOPED_TRACE(name);
+    const DisciplineTraits& traits = resolve_discipline(name);
+    const core::TryOptions options = traits.try_options(sec(10));
+    EXPECT_EQ(options.backoff.kind, BackoffPolicy::Kind::kExponential);
+    EXPECT_EQ(options.time_limit, sec(10));
+    EXPECT_EQ(traits.try_options(sec(10), BackoffPolicy::none()).backoff.kind,
+              BackoffPolicy::Kind::kNone);
+  }
+}
+
 // ------------------------------------------------------------- submitters
 
 ScheddConfig tiny_schedd() {

@@ -1,5 +1,5 @@
-// The built-in scenarios (the three ROADMAP discipline invariants plus the
-// wake-token self-test) across both event-queue implementations.
+// The built-in scenarios: the three ROADMAP discipline invariants, the
+// kernel and sharding races, and the wake-token self-test.
 #include "mc/scenarios.hpp"
 
 #include <gtest/gtest.h>
@@ -9,22 +9,20 @@
 
 #include "mc/explorer.hpp"
 #include "mc/trace.hpp"
-#include "sim/event_queue.hpp"
 
 namespace ethergrid::mc {
 namespace {
 
-class McScenariosTest : public ::testing::TestWithParam<sim::QueueImpl> {
+class McScenariosTest : public ::testing::Test {
  protected:
   ExplorerOptions options_for(std::uint64_t max_executions = 100000) {
     ExplorerOptions options;
-    options.kernel.queue = GetParam();
     options.max_executions = max_executions;
     return options;
   }
 };
 
-TEST_P(McScenariosTest, ListsAllScenarios) {
+TEST_F(McScenariosTest, ListsAllScenarios) {
   const std::vector<std::string> names = scenario_names();
   ASSERT_EQ(names.size(), 7u);
   for (const std::string& name : names) {
@@ -35,7 +33,7 @@ TEST_P(McScenariosTest, ListsAllScenarios) {
 
 // Acceptance: exhaustive exploration of the 3-process forall sibling-abort
 // script terminates and leaks nothing on any interleaving.
-TEST_P(McScenariosTest, ForallAbortExploresExhaustively) {
+TEST_F(McScenariosTest, ForallAbortExploresExhaustively) {
   std::unique_ptr<Scenario> scenario = make_scenario("forall-abort");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -47,7 +45,7 @@ TEST_P(McScenariosTest, ForallAbortExploresExhaustively) {
   EXPECT_GT(result.stats.executions, 1u);
 }
 
-TEST_P(McScenariosTest, TryTimeoutReleasesEverything) {
+TEST_F(McScenariosTest, TryTimeoutReleasesEverything) {
   std::unique_ptr<Scenario> scenario = make_scenario("try-timeout-resource");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -59,7 +57,7 @@ TEST_P(McScenariosTest, TryTimeoutReleasesEverything) {
 }
 
 // Too large to close; must stay clean within a CI-sized budget.
-TEST_P(McScenariosTest, CarrierSenseStaysCleanWithinBudget) {
+TEST_F(McScenariosTest, CarrierSenseStaysCleanWithinBudget) {
   std::unique_ptr<Scenario> scenario = make_scenario("carrier-sense-crash");
   ASSERT_NE(scenario, nullptr);
   ExplorerOptions options = options_for(/*max_executions=*/40);
@@ -76,7 +74,7 @@ TEST_P(McScenariosTest, CarrierSenseStaysCleanWithinBudget) {
 // Acceptance: the deliberately re-introduced pre-PR-6 wake-token bug is
 // caught, and the counterexample survives a serialize/parse/replay round
 // trip.
-TEST_P(McScenariosTest, WakeTokenSelfTestProducesReplayableCounterexample) {
+TEST_F(McScenariosTest, WakeTokenSelfTestProducesReplayableCounterexample) {
   std::unique_ptr<Scenario> scenario = make_scenario("wake-token-selftest");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -88,7 +86,6 @@ TEST_P(McScenariosTest, WakeTokenSelfTestProducesReplayableCounterexample) {
 
   TraceFile trace;
   trace.scenario = scenario->name();
-  trace.queue = GetParam();
   trace.seed = 1;
   trace.violation = v.invariant;
   trace.decisions = v.trace;
@@ -99,7 +96,6 @@ TEST_P(McScenariosTest, WakeTokenSelfTestProducesReplayableCounterexample) {
   std::unique_ptr<Scenario> replay_scenario = make_scenario(reloaded.scenario);
   ASSERT_NE(replay_scenario, nullptr);
   ExplorerOptions options;
-  options.kernel.queue = reloaded.queue;
   options.seed = reloaded.seed;
   Explorer replayer(*replay_scenario, options);
   const ExploreResult replayed = replayer.replay(reloaded.decisions);
@@ -112,7 +108,7 @@ TEST_P(McScenariosTest, WakeTokenSelfTestProducesReplayableCounterexample) {
 // interleaving of the mailbox delivery, the kill, and the fault branch
 // may double-deliver the reply, leak a process on either shard, or drift
 // either shard's wakeup accounting.
-TEST_P(McScenariosTest, CrossShardWindowExploresExhaustively) {
+TEST_F(McScenariosTest, CrossShardWindowExploresExhaustively) {
   std::unique_ptr<Scenario> scenario = make_scenario("cross-shard-window");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -132,7 +128,7 @@ TEST_P(McScenariosTest, CrossShardWindowExploresExhaustively) {
 // lands on, and whichever fault branch stalls a flow, no booking leaks,
 // no fluid flow is orphaned, the book never oversubscribes mid-flight,
 // and the untargeted requester completes.
-TEST_P(McScenariosTest, ReservationGrantKillExploresExhaustively) {
+TEST_F(McScenariosTest, ReservationGrantKillExploresExhaustively) {
   std::unique_ptr<Scenario> scenario = make_scenario("reservation-grant-kill");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -150,7 +146,7 @@ TEST_P(McScenariosTest, ReservationGrantKillExploresExhaustively) {
 // PR 10 lazy materialization: every arrival order of a kill racing the
 // victim's first dispatch (before-dispatch, mid-run, after-finish) keeps
 // accounting exact and gives the victim the result its fate implies.
-TEST_P(McScenariosTest, KillVsFirstDispatchExploresExhaustively) {
+TEST_F(McScenariosTest, KillVsFirstDispatchExploresExhaustively) {
   std::unique_ptr<Scenario> scenario = make_scenario("kill-vs-first-dispatch");
   ASSERT_NE(scenario, nullptr);
   Explorer explorer(*scenario, options_for());
@@ -165,7 +161,7 @@ TEST_P(McScenariosTest, KillVsFirstDispatchExploresExhaustively) {
   EXPECT_GT(result.stats.choice_points, 0u);
 }
 
-TEST_P(McScenariosTest, ScriptScenarioRunsArbitrarySource) {
+TEST_F(McScenariosTest, ScriptScenarioRunsArbitrarySource) {
   std::unique_ptr<Scenario> scenario = make_script_scenario(
       "script:inline",
       "forall x in 1 2\n  sleep 1 millisecond\nend\n");
@@ -177,13 +173,6 @@ TEST_P(McScenariosTest, ScriptScenarioRunsArbitrarySource) {
                                    : result.violations.front().message);
   EXPECT_TRUE(result.complete);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Queues, McScenariosTest,
-    ::testing::Values(sim::QueueImpl::kWheel, sim::QueueImpl::kHeap),
-    [](const ::testing::TestParamInfo<sim::QueueImpl>& info) {
-      return std::string(sim::queue_impl_name(info.param));
-    });
 
 }  // namespace
 }  // namespace ethergrid::mc

@@ -6,15 +6,12 @@
 
 #include <string>
 
-#include "sim/event_queue.hpp"
-
 namespace ethergrid::mc {
 namespace {
 
 TraceFile sample_trace() {
   TraceFile trace;
   trace.scenario = "forall-abort";
-  trace.queue = sim::QueueImpl::kHeap;
   trace.seed = 42;
   trace.violation = "queue-accounting";
   trace.decisions.push_back(
@@ -30,7 +27,6 @@ TEST(TraceTest, RoundTripsViolationTrace) {
   TraceFile reloaded;
   ASSERT_TRUE(parse_trace(format_trace(trace), &reloaded).ok());
   EXPECT_EQ(reloaded.scenario, trace.scenario);
-  EXPECT_EQ(reloaded.queue, trace.queue);
   EXPECT_EQ(reloaded.seed, trace.seed);
   EXPECT_EQ(reloaded.violation, trace.violation);
   ASSERT_EQ(reloaded.decisions.size(), 2u);
@@ -64,10 +60,9 @@ TEST(TraceTest, LabelsMayContainSpaces) {
 TEST(TraceTest, IgnoresCommentsAndUnknownHeaders) {
   TraceFile reloaded;
   const Status parsed = parse_trace(
-      "ethergrid-mc-trace v1\n"
+      "ethergrid-mc-trace v2\n"
       "# a comment\n"
       "scenario forall-abort\n"
-      "queue wheel\n"
       "seed 7\n"
       "future-key future value\n"
       "d sched 0 2 sched a#1\n"
@@ -83,10 +78,28 @@ TEST(TraceTest, RejectsBadMagic) {
   EXPECT_TRUE(parse_trace("not-a-trace v9\nend\n", &out).failed());
 }
 
-TEST(TraceTest, RejectsChosenOutOfRange) {
+// v1 traces named an event queue (`queue wheel|heap`); the kernel has one
+// queue now, so they are refused with a message that says how to update.
+TEST(TraceTest, RejectsV1WithClearMessage) {
   TraceFile out;
   const Status parsed = parse_trace(
       "ethergrid-mc-trace v1\n"
+      "scenario forall-abort\n"
+      "queue wheel\n"
+      "seed 1\n"
+      "end\n",
+      &out);
+  ASSERT_TRUE(parsed.failed());
+  EXPECT_NE(parsed.message().find("v1"), std::string::npos)
+      << parsed.message();
+  EXPECT_NE(parsed.message().find("v2"), std::string::npos)
+      << parsed.message();
+}
+
+TEST(TraceTest, RejectsChosenOutOfRange) {
+  TraceFile out;
+  const Status parsed = parse_trace(
+      "ethergrid-mc-trace v2\n"
       "scenario x\n"
       "d sched 3 2 sched a#1\n"
       "end\n",
@@ -99,7 +112,7 @@ TEST(TraceTest, RejectsChosenOutOfRange) {
 TEST(TraceTest, RejectsMalformedDecisionLine) {
   TraceFile out;
   EXPECT_TRUE(parse_trace(
-                  "ethergrid-mc-trace v1\n"
+                  "ethergrid-mc-trace v2\n"
                   "d sched zero 2 sched a#1\n"
                   "end\n",
                   &out)
@@ -109,7 +122,7 @@ TEST(TraceTest, RejectsMalformedDecisionLine) {
 TEST(TraceTest, RejectsMissingEnd) {
   TraceFile out;
   EXPECT_TRUE(parse_trace(
-                  "ethergrid-mc-trace v1\n"
+                  "ethergrid-mc-trace v2\n"
                   "scenario x\n"
                   "d sched 0 2 sched a#1\n",
                   &out)

@@ -1,12 +1,12 @@
-// Backend equivalence: the timer wheel and binary heap are two containers
-// for ONE event queue, and the raw fcontext switch and sigsetjmp fallback
+// Backend equivalence: the raw fcontext switch and the sigsetjmp fallback
 // are two implementations of ONE fiber handoff.  Same seed, same scenario,
 // same fault plan => identical final statistics and a byte-identical
-// fault audit across every (queue x switch) combination.  This is the
-// differential oracle that keeps the direct-switch fast path, the wheel's
-// cascade logic, and the assembly switch honest: any scheduling
-// divergence (wrong wake order, dropped wakeup, RNG stream skew,
-// clobbered register) shows up here as a stats or audit diff.
+// fault audit under both switches.  This is the differential oracle that
+// keeps the direct-switch fast path and the assembly switch honest: any
+// scheduling divergence (wrong wake order, dropped wakeup, RNG stream
+// skew, clobbered register) shows up here as a stats or audit diff.  The
+// event queue's own order is checked against a binary-heap model in
+// queue_oracle_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,28 +37,24 @@ sim::FaultPlan parse_plan(const std::string& spec) {
   return plan;
 }
 
-// Every (queue x context-switch) configuration the kernel supports; index
-// 0 -- the production default -- is the reference the others must match.
+// Every context-switch configuration the kernel supports; index 0 -- the
+// production default -- is the reference the other must match.
 // Any divergence (clobbered callee-saved register, missed unwind) shows up
 // as a stats/audit/trace diff.  On targets without the raw assembly kRaw
-// coerces to kSigsetjmp, leaving harmless duplicate combos.
+// coerces to kSigsetjmp, leaving a harmless duplicate combo.
 struct Combo {
-  sim::QueueImpl queue;
   sim::SwitchImpl switch_impl;
   const char* name;
 };
 constexpr Combo kCombos[] = {
-    {sim::QueueImpl::kWheel, sim::SwitchImpl::kRaw, "wheel/raw"},
-    {sim::QueueImpl::kWheel, sim::SwitchImpl::kSigsetjmp, "wheel/sigsetjmp"},
-    {sim::QueueImpl::kHeap, sim::SwitchImpl::kRaw, "heap/raw"},
-    {sim::QueueImpl::kHeap, sim::SwitchImpl::kSigsetjmp, "heap/sigsetjmp"},
+    {sim::SwitchImpl::kRaw, "raw"},
+    {sim::SwitchImpl::kSigsetjmp, "sigsetjmp"},
 };
 
 const char* combo_name(std::size_t i) { return kCombos[i].name; }
 
 sim::KernelOptions combo_options(const Combo& combo,
                                  sim::KernelOptions base = {}) {
-  base.queue = combo.queue;
   base.switch_impl = combo.switch_impl;
   return base;
 }
@@ -137,7 +133,7 @@ TEST(BackendEquivalence, SubmitScaleMatches) {
 // The fluid capacity model joins the matrix: max-min reshare events are
 // ordinary timer events, so a saturated fluid link with faults -- and the
 // reservation book's grant arithmetic on top -- must replay identically
-// across every queue/switch pairing, down to per-sender byte counts.
+// under both switches, down to per-sender byte counts.
 exp::BulkSweepPoint run_bulk(const Combo& combo,
                              std::string_view discipline) {
   exp::BulkScenarioConfig config;

@@ -162,28 +162,27 @@ TEST(FluidTest, KilledFlowLeavesAndReshares) {
   k.shutdown();
 }
 
-// Determinism probe across queue implementations: same completion times.
-TEST(FluidTest, DeterministicAcrossQueueImpls) {
-  auto run = [](QueueImpl queue) {
-    KernelOptions options;
-    options.queue = queue;
-    Kernel k(42, options);
-    FluidResource link(k, 64.0);
-    std::vector<Duration> done;
-    for (int i = 0; i < 6; ++i) {
-      k.spawn("f" + std::to_string(i), [&, i](Context& ctx) {
-        ctx.sleep(sec(i));
-        FluidFlowOptions fo;
-        fo.weight = 1.0 + i % 3;
-        ASSERT_TRUE(link.transfer(ctx, 100.0 * (i + 1), fo).ok());
-        done.push_back(ctx.now() - kEpoch);
-      });
-    }
-    k.run();
-    k.shutdown();
-    return done;
-  };
-  EXPECT_EQ(run(QueueImpl::kWheel), run(QueueImpl::kHeap));
+// Determinism probe: pinned completion times (us since the epoch), recorded
+// from a run where the binary-heap queue and the timer wheel agreed.
+TEST(FluidTest, CompletionTimesMatchPinned) {
+  Kernel k(42);
+  FluidResource link(k, 64.0);
+  std::vector<Duration> done;
+  for (int i = 0; i < 6; ++i) {
+    k.spawn("f" + std::to_string(i), [&, i](Context& ctx) {
+      ctx.sleep(sec(i));
+      FluidFlowOptions fo;
+      fo.weight = 1.0 + i % 3;
+      ASSERT_TRUE(link.transfer(ctx, 100.0 * (i + 1), fo).ok());
+      done.push_back(ctx.now() - kEpoch);
+    });
+  }
+  k.run();
+  k.shutdown();
+  const std::vector<Duration> pinned = {
+      usec(3437501),  usec(13593751), usec(16593751),
+      usec(28656251), usec(30625001), usec(32812501)};
+  EXPECT_EQ(done, pinned);
 }
 
 }  // namespace

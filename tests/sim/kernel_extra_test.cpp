@@ -132,30 +132,21 @@ TEST(KernelExtraTest, DeadlineAtExactlyNowThrowsOnEntry) {
 
 // Same-instant FIFO fairness: when several processes yield() at the same
 // virtual instant, they must proceed round-robin in (time, seq) order -- no
-// process may run twice before a same-instant peer runs once.  Identical on
-// both queue implementations (the heap is the wheel's oracle).
-TEST(KernelExtraTest, SameInstantYieldIsFifoFairOnBothQueues) {
-  std::vector<std::string> transcripts;
-  for (QueueImpl queue : {QueueImpl::kWheel, QueueImpl::kHeap}) {
-    KernelOptions options;
-    options.queue = queue;
-    Kernel k(1, options);
-    std::string transcript;
-    for (const char* name : {"a", "b", "c"}) {
-      k.spawn(name, [&transcript, name](Context& ctx) {
-        for (int round = 0; round < 3; ++round) {
-          transcript += name;
-          ctx.yield();
-        }
-      });
-    }
-    k.run();
-    // Spawn order seeds the rotation; every round is a full a,b,c sweep.
-    EXPECT_EQ(transcript, "abcabcabc")
-        << "queue=" << queue_impl_name(queue);
-    transcripts.push_back(transcript);
+// process may run twice before a same-instant peer runs once.
+TEST(KernelExtraTest, SameInstantYieldIsFifoFair) {
+  Kernel k(1);
+  std::string transcript;
+  for (const char* name : {"a", "b", "c"}) {
+    k.spawn(name, [&transcript, name](Context& ctx) {
+      for (int round = 0; round < 3; ++round) {
+        transcript += name;
+        ctx.yield();
+      }
+    });
   }
-  EXPECT_EQ(transcripts[0], transcripts[1]);
+  k.run();
+  // Spawn order seeds the rotation; every round is a full a,b,c sweep.
+  EXPECT_EQ(transcript, "abcabcabc");
 }
 
 }  // namespace

@@ -10,9 +10,6 @@
 // locks the queue into permanent O(n) compaction, which the depth bounds
 // below would catch (debug builds additionally audit the exact counts after
 // every queue operation and abort on mismatch).
-//
-// The whole suite runs under both queue implementations (timer wheel and
-// the binary-heap oracle); the accounting contract is identical.
 #include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -23,20 +20,11 @@
 namespace ethergrid::sim {
 namespace {
 
-class QueueCompaction : public ::testing::TestWithParam<QueueImpl> {
- protected:
-  KernelOptions options() const {
-    KernelOptions o;
-    o.queue = GetParam();
-    return o;
-  }
-};
-
 // The classic leak: wait_for(event, long_timeout) where the event always
 // wins.  Each cycle schedules a timer entry hours in the future that can
 // only die by compaction.
-TEST_P(QueueCompaction, EventWinsLeavesNoUnboundedTimerResidue) {
-  Kernel kernel(1, options());
+TEST(QueueCompaction, EventWinsLeavesNoUnboundedTimerResidue) {
+  Kernel kernel(1);
   Event tick(kernel);
   constexpr int kCycles = 20000;
   kernel.spawn("poller", [&](Context& ctx) {
@@ -64,8 +52,8 @@ TEST_P(QueueCompaction, EventWinsLeavesNoUnboundedTimerResidue) {
 
 // Pure timeout churn: every wakeup is consumed at its own time, so depth
 // must stay flat even without compaction.  Guards the accounting itself.
-TEST_P(QueueCompaction, RepeatedWaitForTimeoutsStayFlat) {
-  Kernel kernel(1, options());
+TEST(QueueCompaction, RepeatedWaitForTimeoutsStayFlat) {
+  Kernel kernel(1);
   Event never(kernel);
   kernel.spawn("poller", [&](Context& ctx) {
     for (int i = 0; i < 5000; ++i) {
@@ -83,8 +71,8 @@ TEST_P(QueueCompaction, RepeatedWaitForTimeoutsStayFlat) {
 // Kill-heavy churn: killing a blocked process invalidates its pending
 // wakeups; the stale count must come back down via pops or compaction and
 // never go negative (which would show up as a huge queue_depth bound).
-TEST_P(QueueCompaction, KilledSleepersAreCompactedAway) {
-  Kernel kernel(7, options());
+TEST(QueueCompaction, KilledSleepersAreCompactedAway) {
+  Kernel kernel(7);
   for (int i = 0; i < 500; ++i) {
     auto sleeper = kernel.spawn("sleeper", [](Context& ctx) {
       ctx.sleep(hours(1000));
@@ -111,8 +99,8 @@ TEST_P(QueueCompaction, KilledSleepersAreCompactedAway) {
 // when the stranded entries are later popped or purged.  The
 // permanent-compaction fallout would show up here as a blown depth bound;
 // debug builds additionally abort in the accounting audit.
-TEST_P(QueueCompaction, FinishedProcessesWithStrandedEntriesDrainExactly) {
-  Kernel kernel(42, options());
+TEST(QueueCompaction, FinishedProcessesWithStrandedEntriesDrainExactly) {
+  Kernel kernel(42);
   Event tick(kernel);
   constexpr int kWaiters = 300;
   for (int i = 0; i < kWaiters; ++i) {
@@ -148,8 +136,8 @@ TEST_P(QueueCompaction, FinishedProcessesWithStrandedEntriesDrainExactly) {
 // current process's wake token too.  A self-killed process that then
 // blocks must unwind promptly (Interrupted at the next yield point), not
 // strand a live-counted entry until its full timeout elapses.
-TEST_P(QueueCompaction, KillingRunningProcessTakesEffectAtNextYield) {
-  Kernel kernel(7, options());
+TEST(QueueCompaction, KillingRunningProcessTakesEffectAtNextYield) {
+  Kernel kernel(7);
   bool interrupted = false;
   bool resumed_after_kill = false;
   auto victim = kernel.spawn("self-kill", [&](Context& ctx) {
@@ -172,13 +160,6 @@ TEST_P(QueueCompaction, KillingRunningProcessTakesEffectAtNextYield) {
   EXPECT_EQ(kernel.queue_depth(), 0u);
   (void)victim;
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllQueues, QueueCompaction,
-    ::testing::Values(QueueImpl::kWheel, QueueImpl::kHeap),
-    [](const ::testing::TestParamInfo<QueueImpl>& info) {
-      return std::string(queue_impl_name(info.param));
-    });
 
 }  // namespace
 }  // namespace ethergrid::sim

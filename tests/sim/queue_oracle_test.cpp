@@ -1,11 +1,12 @@
-// Differential oracle for the event-queue implementations.
+// Differential oracle for the kernel's event queue.
 //
-// The binary heap (the original implementation) is kept as the reference:
-// its pop order is trivially the (time, seq) min.  The hierarchical timer
-// wheel must reproduce that order exactly -- same entries, same sequence --
-// under randomized schedules, cancellations (stale tokens), limit
-// advances, and compaction, or the kernel's determinism contract breaks
-// silently.  Three fixed seeds keep failures reproducible.
+// A binary heap (heap_queue.hpp, the original implementation) is kept as
+// the reference model: its pop order is trivially the (time, seq) min.
+// The hierarchical timer wheel must reproduce that order exactly -- same
+// entries, same sequence -- under randomized schedules, cancellations
+// (stale tokens), limit advances, and compaction, or the kernel's
+// determinism contract breaks silently.  Three fixed seeds keep failures
+// reproducible.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +14,10 @@
 #include <sstream>
 #include <vector>
 
+#include "heap_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
+#include "util/rng.hpp"
 
 namespace ethergrid::sim {
 namespace {
@@ -195,14 +198,14 @@ TEST(QueueOracle, EqualTimestampsPopInSeqOrder) {
   }
 }
 
-// Kernel-level differential: an identical randomized simulation must
-// process events in the same order -- observed as identical (virtual time,
-// process) wake traces -- under both queue implementations.
-std::vector<std::string> run_kernel_trace(QueueImpl queue,
-                                          std::uint64_t seed) {
-  KernelOptions options;
-  options.queue = queue;
-  Kernel kernel(seed, options);
+// Kernel-level pin: a randomized simulation's (virtual time, process) wake
+// trace.  The hashes below were recorded from a run in which the kernel on
+// the binary heap and the kernel on the timer wheel produced identical
+// traces, so a wheel change that reorders kernel events fails here.  Debug
+// builds also abort on any out-of-order delivery
+// (Kernel::audit_delivery_order_locked).
+std::vector<std::string> run_kernel_trace(std::uint64_t seed) {
+  Kernel kernel(seed);
   std::vector<std::string> trace;
   Event tick(kernel);
   for (int i = 0; i < 6; ++i) {
@@ -237,15 +240,23 @@ std::vector<std::string> run_kernel_trace(QueueImpl queue,
   return trace;
 }
 
-TEST(QueueOracle, KernelTracesIdenticalAcrossQueueImpls) {
-  for (std::uint64_t seed : kSeeds) {
-    const auto wheel_trace = run_kernel_trace(QueueImpl::kWheel, seed);
-    const auto heap_trace = run_kernel_trace(QueueImpl::kHeap, seed);
-    ASSERT_EQ(wheel_trace.size(), heap_trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < wheel_trace.size(); ++i) {
-      ASSERT_EQ(wheel_trace[i], heap_trace[i])
-          << "seed " << seed << " diverges at step " << i;
-    }
+TEST(QueueOracle, KernelTracesMatchPinnedHashes) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t lines;
+    std::uint64_t fnv;
+  };
+  constexpr Pin kPins[] = {
+      {1, 1455, 0x416712a1c7562f0cull},
+      {7, 1473, 0xe6fdaf8109b124fbull},
+      {42, 1459, 0xd8a636f620338143ull},
+  };
+  for (const Pin& pin : kPins) {
+    const auto trace = run_kernel_trace(pin.seed);
+    std::string joined;
+    for (const std::string& line : trace) joined += line + "\n";
+    EXPECT_EQ(trace.size(), pin.lines) << "seed " << pin.seed;
+    EXPECT_EQ(fnv1a64(joined), pin.fnv) << "seed " << pin.seed;
   }
 }
 

@@ -5,7 +5,7 @@
 // re-execute a recorded counterexample trace:
 //
 //   ethergrid_mc --list
-//   ethergrid_mc --scenario forall-abort --queue heap
+//   ethergrid_mc --scenario forall-abort --seed 7
 //   ethergrid_mc --all --max-depth 24 --max-executions 2000
 //   ethergrid_mc --script my.ftsh
 //   ethergrid_mc --scenario wake-token-selftest --trace-out bug.trace
@@ -16,7 +16,6 @@
 // input error.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -26,7 +25,6 @@
 #include "mc/explorer.hpp"
 #include "mc/scenarios.hpp"
 #include "mc/trace.hpp"
-#include "sim/kernel.hpp"
 
 namespace {
 
@@ -40,7 +38,6 @@ struct Args {
   std::string replay_path;
   std::string trace_out;
   mc::ExplorerOptions options;
-  bool queue_set = false;
 };
 
 int usage(const char* argv0) {
@@ -48,7 +45,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--list] [--scenario NAME]... [--all] [--script FILE]\n"
       "          [--replay FILE] [--trace-out FILE]\n"
-      "          [--queue wheel|heap] [--seed N]\n"
+      "          [--seed N]\n"
       "          [--max-depth N] [--max-executions N] [--max-transitions N]\n"
       "          [--keep-going] [--state-pruning]\n",
       argv0);
@@ -97,9 +94,7 @@ void print_violation(const mc::Violation& v) {
 // Explores one scenario; returns 0 clean, 1 violation.  Writes the first
 // violation's trace to trace_out (if set).
 int explore_scenario(mc::Scenario& scenario, const Args& args) {
-  std::printf("exploring %s (queue=%s, seed=%llu)\n",
-              scenario.name().c_str(),
-              sim::queue_impl_name(args.options.kernel.queue),
+  std::printf("exploring %s (seed=%llu)\n", scenario.name().c_str(),
               static_cast<unsigned long long>(args.options.seed));
   mc::Explorer explorer(scenario, args.options);
   const mc::ExploreResult result = explorer.explore();
@@ -112,7 +107,6 @@ int explore_scenario(mc::Scenario& scenario, const Args& args) {
   if (!args.trace_out.empty()) {
     mc::TraceFile trace;
     trace.scenario = scenario.name();
-    trace.queue = args.options.kernel.queue;
     trace.seed = args.options.seed;
     trace.violation = result.violations.front().invariant;
     trace.decisions = result.violations.front().trace;
@@ -140,11 +134,9 @@ int replay_trace(const Args& args) {
     return 2;
   }
   mc::ExplorerOptions options = args.options;
-  options.kernel.queue = trace.queue;
   options.seed = trace.seed;
-  std::printf("replaying %s (%zu decisions, queue=%s, seed=%llu)\n",
+  std::printf("replaying %s (%zu decisions, seed=%llu)\n",
               args.replay_path.c_str(), trace.decisions.size(),
-              sim::queue_impl_name(trace.queue),
               static_cast<unsigned long long>(trace.seed));
   mc::Explorer explorer(*scenario, options);
   const mc::ExploreResult result = explorer.replay(trace.decisions);
@@ -202,17 +194,6 @@ int main(int argc, char** argv) {
       const char* path = next();
       if (!path) return usage(argv[0]);
       args.trace_out = path;
-    } else if (arg == "--queue") {
-      const char* name = next();
-      if (!name) return usage(argv[0]);
-      if (std::strcmp(name, "wheel") == 0) {
-        args.options.kernel.queue = sim::QueueImpl::kWheel;
-      } else if (std::strcmp(name, "heap") == 0) {
-        args.options.kernel.queue = sim::QueueImpl::kHeap;
-      } else {
-        return usage(argv[0]);
-      }
-      args.queue_set = true;
     } else if (arg == "--seed") {
       const char* value = next();
       if (!value || !parse_u64(value, &args.options.seed)) {
