@@ -1,8 +1,9 @@
 // Microbenchmarks: the discrete-event kernel itself.
 //
 // The custom main captures every benchmark's items/sec into the shared
-// bench report, records the raw-vs-sigsetjmp switch ratios, and gates the
-// event-queue hot paths against the committed baseline.
+// bench report, records the raw-vs-sigsetjmp switch ratios, gates the
+// horizon scan's cost at two queue depths against each other, and gates
+// the event-queue hot paths against the committed baseline.
 #include <benchmark/benchmark.h>
 
 #include <csetjmp>
@@ -114,6 +115,42 @@ void BM_PingStorm(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * n * rounds);
 }
 BENCHMARK(BM_PingStorm)->Arg(10000)->Iterations(1);
+
+// Horizon scan: the sharded coordinator's per-window read,
+// Kernel::next_live_event_time(), on a kernel holding n sleepers.  Sleeper
+// i wakes at (i + 1) ms and every fourth one is killed, so its entry stays
+// queued but stale -- the earliest entry of all among them.  The spacing
+// keeps each wheel slot's population the same whatever n is: an exact
+// minimum read from the front slots costs the same at 256 and 32768
+// sleepers, where a walk of every entry costs ~100x more.  main() gates
+// that ratio.
+void BM_HorizonScan(benchmark::State& state) {
+  const int n = int(state.range(0));
+  sim::KernelOptions options;
+  // 32768 guard-paged stacks would need two mappings each; carve them from
+  // slabs instead (see KernelOptions::fiber_stack_slab).
+  options.fiber_stack_bytes = 64 << 10;
+  options.fiber_stack_slab = 256;
+  sim::Kernel kernel(1, options);
+  std::vector<sim::ProcessHandle> sleepers;
+  sleepers.reserve(std::size_t(n));
+  for (int i = 0; i < n; ++i) {
+    sleepers.push_back(kernel.spawn(
+        "sleeper", [i](sim::Context& ctx) { ctx.sleep(msec(i + 1)); }));
+  }
+  kernel.run_until(kEpoch);  // every sleeper parks on its timer
+  for (int i = 0; i < n; i += 4) kernel.kill(*sleepers[std::size_t(i)]);
+  kernel.run_until(kEpoch);  // the killed unwind; their timers go stale
+  if (kernel.next_live_event_time() != kEpoch + msec(2)) {
+    state.SkipWithError("unexpected live minimum");
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.next_live_event_time());
+  }
+  state.SetItemsProcessed(state.iterations());
+  kernel.shutdown();
+}
+BENCHMARK(BM_HorizonScan)->Arg(256)->Arg(32768);
 
 // ------------------------------------------------------ kernel primitives
 
@@ -282,8 +319,30 @@ int main(int argc, char** argv) {
   // change can cause (accidental O(n) scheduling, a busted fast path),
   // not single-digit drift.  A skipped benchmark (filtered run) skips its
   // gate.
-  const char* baseline_path = std::getenv("ETHERGRID_BENCH_BASELINE");
   int failures = 0;
+  // The horizon scan must not grow with queue depth: a within-run ratio,
+  // so runner speed cancels out and no baseline is needed.  An O(depth)
+  // walk reads ~100x here; the exact bitmap-guided minimum about 1x.
+  const auto scan_small = reporter.items_per_sec.find("BM_HorizonScan/256");
+  const auto scan_large = reporter.items_per_sec.find("BM_HorizonScan/32768");
+  if (scan_small != reporter.items_per_sec.end() &&
+      scan_large != reporter.items_per_sec.end() && scan_large->second > 0) {
+    const double ratio = scan_small->second / scan_large->second;
+    report.metric("horizon_scan_32768_vs_256_cost", ratio);
+    report.shape(ratio <= 4.0);
+    if (ratio > 4.0) {
+      ++failures;
+      std::fprintf(stderr,
+                   "micro_sim: a horizon scan over 32768 sleepers costs "
+                   "%.1fx one over 256 (gate: <= 4x)\n",
+                   ratio);
+    } else {
+      std::printf("horizon scan 32768 vs 256 sleepers: %.2fx cost -> OK\n",
+                  ratio);
+    }
+  }
+
+  const char* baseline_path = std::getenv("ETHERGRID_BENCH_BASELINE");
   if (baseline_path && *baseline_path) {
     for (const char* gated : {"BM_SleepEvents/1000", "BM_SleepEvents/10000",
                               "BM_EventPingPong/1000"}) {

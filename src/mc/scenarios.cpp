@@ -1,6 +1,8 @@
 #include "mc/scenarios.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -514,6 +516,178 @@ class CrossShardScenario final : public Scenario {
   mutable sim::KernelOptions shard_kernel_;
 };
 
+// ------------------------------------------------ stale-front-window
+
+// Forwards to the explorer's strategy, recording each delivered wakeup as
+// (window index, virtual time) -- the window schedule as it happened.
+class WindowLog final : public Strategy {
+ public:
+  struct Delivery {
+    std::uint64_t window;
+    TimePoint time;
+  };
+
+  WindowLog(Strategy* inner, const sim::ShardedKernel* sk, std::size_t shard,
+            std::vector<Delivery>* log)
+      : inner_(inner), sk_(sk), shard_(shard), log_(log) {}
+
+  std::size_t choose(const ChoicePoint& cp) override {
+    return inner_->choose(cp);
+  }
+
+  bool on_transition() override {
+    // windows_run() counts finished windows, so it indexes the running one.
+    log_->push_back({sk_->windows_run(), sk_->shard(shard_).now()});
+    return inner_->on_transition();
+  }
+
+ private:
+  Strategy* inner_;
+  const sim::ShardedKernel* sk_;
+  std::size_t shard_;
+  std::vector<Delivery>* log_;
+};
+
+// Two shards, lookahead 10ms.  On shard 0 a killer and its victim both
+// wake at 9.999ms, the last instant of the first window; on shard 1 a
+// worker sleeps until 20ms, one lookahead past the boundary.  When the
+// victim runs first it re-arms for 10ms -- the first instant past the
+// boundary -- and the kill then leaves that entry stale at the front of
+// shard 0's queue.  The horizon scan must skip it: the next window opens
+// at 20ms, not at 10ms, whichever order the explorer picks.
+class StaleFrontWorld final : public ScenarioWorld {
+ public:
+  StaleFrontWorld(std::uint64_t seed, const sim::ShardedKernelOptions& opts)
+      : sk(seed, opts) {}
+  ~StaleFrontWorld() override { sk.shutdown(); }
+
+  sim::ShardedKernel sk;
+  std::vector<std::unique_ptr<WindowLog>> logs;
+  std::vector<WindowLog::Delivery> deliveries;
+  sim::ProcessHandle victim;  // shard 0
+  bool victim_done = false;
+  bool worker_done = false;
+};
+
+class StaleFrontScenario final : public Scenario {
+ public:
+  std::string name() const override { return "stale-front-window"; }
+
+  sim::KernelOptions kernel_options(sim::KernelOptions base) const override {
+    shard_kernel_ = base;  // as in cross-shard-window
+    return base;
+  }
+
+  std::unique_ptr<ScenarioWorld> build(sim::Kernel& kernel, Strategy* strategy,
+                                       InvariantSet& invariants) override {
+    (void)kernel;  // stays empty; drive() runs the sharded world instead
+    sim::ShardedKernelOptions opts;
+    opts.shards = 2;
+    opts.threads = 1;  // DFS prefix replay must stay on the calling thread
+    opts.lookahead = kLookahead;
+    opts.kernel = shard_kernel_;
+    auto world = std::make_unique<StaleFrontWorld>(1, opts);
+    StaleFrontWorld* w = world.get();
+    for (std::size_t s = 0; s < w->sk.shard_count(); ++s) {
+      w->logs.push_back(std::make_unique<WindowLog>(strategy, &w->sk, s,
+                                                    &w->deliveries));
+      w->sk.shard(s).set_strategy(w->logs.back().get());
+    }
+    const TimePoint boundary = kEpoch + kLookahead;  // second window's T
+    // Spawned first, so the default same-instant order (the clean-replay
+    // fixture) is victim-then-killer: the order that leaves the stale
+    // entry behind.
+    w->victim = w->sk.spawn(0, "victim", [w, boundary](sim::Context& ctx) {
+      ctx.sleep(boundary - usec(1) - ctx.now());
+      ctx.sleep(usec(1));
+      w->victim_done = true;
+    });
+    w->sk.spawn(0, "killer", [w, boundary](sim::Context& ctx) {
+      ctx.sleep(boundary - usec(1) - ctx.now());
+      ctx.kill(w->victim, "stale-front kill");
+    });
+    w->sk.spawn(1, "worker", [w, boundary](sim::Context& ctx) {
+      ctx.sleep(boundary + kLookahead - ctx.now());
+      w->worker_done = true;
+    });
+    invariants.add(
+        "window-schedule-matches-full-scan",
+        [w](const CheckContext& ctx) -> Status {
+          if (!ctx.at_end) return Status::success();
+          return check_schedule(*w);
+        });
+    invariants.add(
+        "stale-front-drains", [w](const CheckContext& ctx) -> Status {
+          if (!ctx.at_end) return Status::success();
+          if (w->sk.live_process_count() != 0) {
+            return Status::failure(
+                std::to_string(w->sk.live_process_count()) +
+                " process(es) still live across the shards after the run");
+          }
+          if (w->victim_done || !w->worker_done) {
+            return Status::failure(
+                "the victim outlived its kill or the worker never woke");
+          }
+          for (std::size_t s = 0; s < w->sk.shard_count(); ++s) {
+            const Status status = w->sk.shard(s).verify_queue_accounting();
+            if (status.failed()) return status;
+          }
+          return Status::success();
+        });
+    return world;
+  }
+
+  void drive(sim::Kernel& kernel, ScenarioWorld& world) override {
+    (void)kernel;
+    static_cast<StaleFrontWorld&>(world).sk.run();
+  }
+
+ private:
+  static constexpr Duration kLookahead = msec(10);
+
+  // A full scan over live entries opens each window at the earliest one,
+  // and every such entry (or the wake a same-instant kill replaces it
+  // with) is delivered.  With no cross-shard mail, the schedule it implies
+  // is therefore the greedy cover of the delivered instants: open at the
+  // earliest not yet covered, cover lookahead of virtual time, repeat.
+  // The run must have opened exactly those windows, in that order, each
+  // delivering at its opening instant first.
+  static Status check_schedule(const StaleFrontWorld& w) {
+    std::vector<TimePoint> times;
+    for (const WindowLog::Delivery& d : w.deliveries) times.push_back(d.time);
+    std::sort(times.begin(), times.end());
+    std::vector<TimePoint> want;
+    for (const TimePoint t : times) {
+      if (want.empty() || t > want.back() + kLookahead - usec(1)) {
+        want.push_back(t);
+      }
+    }
+    std::vector<TimePoint> got(w.sk.windows_run(), TimePoint::max());
+    for (const WindowLog::Delivery& d : w.deliveries) {
+      if (d.window >= got.size()) {
+        return Status::failure("delivery outside any window");
+      }
+      got[d.window] = std::min(got[d.window], d.time);
+    }
+    if (got == want) return Status::success();
+    auto describe = [](const std::vector<TimePoint>& opens) {
+      std::string out;
+      for (const TimePoint t : opens) {
+        if (!out.empty()) out += " ";
+        out += t == TimePoint::max()
+                   ? std::string("(empty)")
+                   : std::to_string(t.time_since_epoch().count()) + "us";
+      }
+      return out;
+    };
+    return Status::failure("windows opened at [" + describe(got) +
+                           "], a full scan opens them at [" +
+                           describe(want) + "]");
+  }
+
+  mutable sim::KernelOptions shard_kernel_;
+};
+
 // ------------------------------------------- reservation-grant-kill
 
 // Two bulk clients negotiate malleable grants from a ReservationBook whose
@@ -753,7 +927,8 @@ class ScriptScenario final : public Scenario {
 std::vector<std::string> scenario_names() {
   return {"forall-abort", "try-timeout-resource", "carrier-sense-crash",
           "wake-token-selftest", "cross-shard-window",
-          "reservation-grant-kill", "kill-vs-first-dispatch"};
+          "stale-front-window", "reservation-grant-kill",
+          "kill-vs-first-dispatch"};
 }
 
 std::unique_ptr<Scenario> make_scenario(const std::string& name) {
@@ -769,6 +944,9 @@ std::unique_ptr<Scenario> make_scenario(const std::string& name) {
   }
   if (name == "cross-shard-window") {
     return std::make_unique<CrossShardScenario>();
+  }
+  if (name == "stale-front-window") {
+    return std::make_unique<StaleFrontScenario>();
   }
   if (name == "reservation-grant-kill") {
     return std::make_unique<ReservationKillScenario>();

@@ -23,6 +23,12 @@
 //                             delivery instant.  No interleaving may leak
 //                             a booking, orphan a fluid flow, or
 //                             oversubscribe the book.
+//  * stale-front-window    -- a kill on one shard leaves the earliest
+//                             entry of its queue stale at the first instant
+//                             past a window boundary, while the other shard
+//                             waits one lookahead later; the windows the
+//                             sharded kernel opens must be the ones a full
+//                             scan of the live entries implies.
 //  * wake-token-selftest   -- reintroduces the pre-PR-6 kill/invalidate
 //                             accounting bug via KernelOptions and expects
 //                             the queue-accounting invariant to catch it;

@@ -45,6 +45,18 @@
 // when the owning kernel's stale counter crosses the compaction threshold,
 // compacts a bounded number of *occupied* slots per call -- incremental
 // per-slot reclamation instead of a stop-the-world pass.
+//
+// min_live(stale) answers "when is the earliest entry that can still
+// fire?" -- exactly, and without visiting every entry -- for the sharded
+// coordinator's window horizon (Kernel::next_live_event_time).  It reads
+// the ready heap, then walks each ring's occupied slots with the same
+// bitmaps and wrap mapping as the cursor (a coarse ring's slot holding the
+// cursor first), in ring order, which is time order: a slot is read only
+// while its lower bound beats the best live time found so far, so a ring
+// stops right after its first slot holding a live entry.  The overflow bag
+// is read only when its minimum could win.  Cost: O(levels + entries in
+// the slots visited), and stale entries ahead of the live minimum are
+// skipped, not dropped -- the call is const.
 #pragma once
 
 #include <algorithm>
@@ -228,6 +240,84 @@ class TimerWheel {
     }
     size_ -= dropped;
     return dropped;
+  }
+
+  // The exact earliest time among entries that do not match stale, or
+  // TimePoint::max() when there is none.  Read-only: stale entries are
+  // skipped, not dropped.  Walks the ready heap, then each ring's occupied
+  // slots in ring (= time) order from the cursor, stopping a ring at the
+  // first slot whose lower bound cannot beat the best time found so far --
+  // which is the slot after the first one holding a live entry, or sooner;
+  // the overflow bag is read only when its minimum could.  O(levels +
+  // entries in the slots visited).
+  template <typename Pred>
+  TimePoint min_live(Pred stale) const {
+    constexpr Tick kNone = std::numeric_limits<Tick>::max();
+    Tick best = kNone;
+    for (const QueueEntry& e : ready_) {
+      const Tick t = e.time.time_since_epoch().count();
+      if (t < best && !stale(e)) best = t;
+    }
+    // Level 0: every cell of a slot shares one timestamp, which the ring
+    // position fixes (the same wrap mapping next_occupied uses), so one
+    // live cell settles the slot.
+    {
+      const std::size_t pos = std::size_t(cursor_) & (kL0Slots - 1);
+      const Tick window_start = cursor_ - Tick(pos);
+      Tick prev = cursor_;
+      for (std::size_t at = pos;;) {
+        const std::size_t found = scan_l0(at);
+        if (found == kNoSlot) break;
+        const Tick t = found > pos
+                           ? window_start + Tick(found)
+                           : window_start + Tick(kL0Slots) + Tick(found);
+        if (t <= prev || t >= best) break;  // wrapped, or cannot improve
+        for (std::uint32_t i = heads_[found]; i != kNil;
+             i = key_arena_[i].next) {
+          if (!stale(entry_at(i))) {
+            best = t;
+            break;
+          }
+        }
+        prev = t;
+        at = found;
+      }
+    }
+    // Coarser rings: rotate the bitmap so bit 0 is the slot holding the
+    // cursor, which must come first (see next_occupied); bit k is then the
+    // granule k past the cursor's, whose start bounds its cells from below.
+    // A slot lists its cells unordered, so each visited slot is read in
+    // full; once one yields a live cell, the next slot's bound ends the
+    // ring.
+    for (int level = 1; level < kLevels; ++level) {
+      const std::uint64_t bits = level_bits_[level - 1];
+      if (bits == 0) continue;
+      const int shift = shift_for(level);
+      const Tick granule = cursor_ >> shift;
+      const std::size_t pos = std::size_t(granule) & (kLevelSlots - 1);
+      std::uint64_t ahead =
+          pos == 0 ? bits : (bits >> pos) | (bits << (kLevelSlots - pos));
+      while (ahead != 0) {
+        const std::size_t k = std::size_t(__builtin_ctzll(ahead));
+        ahead &= ahead - 1;
+        if ((granule + Tick(k)) << shift >= best) break;
+        const std::size_t slot =
+            level_base(level) + ((pos + k) & (kLevelSlots - 1));
+        for (std::uint32_t i = heads_[slot]; i != kNil;
+             i = key_arena_[i].next) {
+          if (key_arena_[i].time < best && !stale(entry_at(i))) {
+            best = key_arena_[i].time;
+          }
+        }
+      }
+    }
+    if (overflow_min_ < best) {
+      for (const QueueEntry& e : overflow_) {
+        const Tick t = e.time.time_since_epoch().count();
+        if (t < best && !stale(e)) best = t;
+      }
+    }
+    return best == kNone ? TimePoint::max() : TimePoint(Duration(best));
   }
 
   template <typename Fn>

@@ -1529,11 +1529,23 @@ std::size_t Kernel::queue_depth() const {
 
 TimePoint Kernel::next_live_event_time() const {
   const auto lock = lock_self();
-  TimePoint min = TimePoint::max();
-  auto visit = [&](const internal::QueueEntry& e) {
-    if (!entry_stale(e) && e.time < min) min = e.time;
-  };
-  queue_.for_each(visit);
+  const TimePoint min = queue_.min_live(
+      [](const internal::QueueEntry& e) { return entry_stale(e); });
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  // The full scan is the oracle: the sharded window schedule is only
+  // partition-independent if this minimum is exact.
+  TimePoint scanned = TimePoint::max();
+  queue_.for_each([&](const internal::QueueEntry& e) {
+    if (!entry_stale(e) && e.time < scanned) scanned = e.time;
+  });
+  if (min != scanned) {
+    std::fprintf(stderr,
+                 "queue audit: live minimum %lld us, full scan %lld us\n",
+                 static_cast<long long>(min.time_since_epoch().count()),
+                 static_cast<long long>(scanned.time_since_epoch().count()));
+    std::abort();
+  }
+#endif
   return min;
 }
 

@@ -456,13 +456,16 @@ class Kernel {
   std::size_t queue_depth() const;
 
   // Exact earliest time at which a pending LIVE wakeup can fire, or
-  // TimePoint::max() when none is pending.  O(queue depth): scans every
-  // entry (the wheel keeps only slot-granule order, and stale entries may
-  // front-run the live minimum).  The sharded kernel's conservative window
-  // synchronization (shard.hpp) computes its lookahead horizon from this;
-  // exactness matters there -- a cheaper lower bound would vary with how
-  // entries were partitioned across shards and make the window schedule
-  // (and thus same-instant delivery order) depend on the shard count.
+  // TimePoint::max() when none is pending.  Walks the wheel's occupancy
+  // bitmaps (TimerWheel::min_live): O(levels + entries in the slots up to
+  // the first live one), not O(queue depth), and exact however many stale
+  // entries front-run the live minimum.  Debug and audit builds check
+  // every answer against a full scan.  The sharded kernel's conservative
+  // window synchronization (shard.hpp) computes its lookahead horizon from
+  // this; exactness matters there -- a cheaper lower bound would vary with
+  // how entries were partitioned across shards and make the window
+  // schedule (and thus same-instant delivery order) depend on the shard
+  // count.
   TimePoint next_live_event_time() const;
 
   // Wakeups actually delivered to processes since construction: the

@@ -32,6 +32,7 @@ ShardedKernel::ShardedKernel(std::uint64_t seed, ShardedKernelOptions options)
   }
   scan_min_.assign(shards, TimePoint::max());
   shard_pending_.assign(shards, 0);
+  window_events_.assign(shards, 0);
   delivered_to_.assign(shards, 0);
   errors_.assign(shards, nullptr);
   if (threads_ > 1) {
@@ -155,21 +156,18 @@ std::size_t ShardedKernel::flush_mail() {
   return batch.size();
 }
 
-void ShardedKernel::run_window(TimePoint h) {
-  std::uint64_t before = 0;
-  for (const auto& k : shards_) before += k->events_processed();
+std::uint64_t ShardedKernel::run_window(TimePoint h) {
   dispatch([this, h](std::size_t s) {
-    shard_pending_[s] = shards_[s]->run_until(h) ? 1 : 0;
-    scan_min_[s] = shards_[s]->next_live_event_time();
+    Kernel& k = *shards_[s];
+    const std::uint64_t before = k.events_processed();
+    shard_pending_[s] = k.run_until(h) ? 1 : 0;
+    window_events_[s] = k.events_processed() - before;
+    scan_min_[s] = k.next_live_event_time();
   });
   ++windows_;
-  std::uint64_t after = 0;
-  for (const auto& k : shards_) after += k->events_processed();
-  // A window always delivers the event(s) at its opening instant T -- the
-  // only way it can't is an mc strategy halting a shard mid-window.  Bail
-  // instead of spinning on an unmovable horizon; the strategy's driver
-  // discards the run.
-  if (after == before) shard_pending_.assign(shards_.size(), 1);
+  std::uint64_t events = 0;
+  for (std::uint64_t n : window_events_) events += n;
+  return events;
 }
 
 bool ShardedKernel::run_until(TimePoint limit) {
@@ -197,13 +195,12 @@ bool ShardedKernel::run_until(TimePoint limit) {
     if (TimePoint::max() - (lookahead_ - usec(1)) > t) {
       h = std::min(limit, t + lookahead_ - usec(1));
     }
-    std::uint64_t events_before = 0;
-    for (const auto& k : shards_) events_before += k->events_processed();
-    run_window(h);
-    std::uint64_t events_after = 0;
-    for (const auto& k : shards_) events_after += k->events_processed();
-    if (events_after == events_before && delivered == 0) {
-      return true;  // halted mid-window (mc strategy); events remain
+    // A window always delivers the event(s) at its opening instant T --
+    // the only way it can't is an mc strategy halting a shard mid-window.
+    // Bail instead of spinning on an unmovable horizon; the strategy's
+    // driver discards the run.
+    if (run_window(h) == 0 && delivered == 0) {
+      return true;  // halted mid-window; events remain
     }
   }
   // run(): fully drained; the clocks stay at the last event.

@@ -15,7 +15,11 @@
 //     flush    -- drain the mailboxes in canonical (deliver, src_site,
 //                 seq) order and spawn each message's body on its
 //                 destination kernel (it sleeps until its deliver time);
-//     scan     -- T := min over shards of Kernel::next_live_event_time();
+//     scan     -- T := min over shards of Kernel::next_live_event_time(),
+//                 the exact live minimum read from each timer wheel's
+//                 occupancy bitmaps (stale entries skipped, no full
+//                 queue walk); each shard takes it at the end of its
+//                 window, on its own worker;
 //     window   -- H := min(limit, T + lookahead - 1us); every shard runs
 //                 run_until(H) in parallel; barrier.
 //
@@ -149,8 +153,9 @@ class ShardedKernel {
   // Drains the mailboxes and spawns delivery processes; returns per-shard
   // "received mail" flags via delivered_to_.
   std::size_t flush_mail();
-  // One dispatch: run_until(h) + next_live_event_time per shard.
-  void run_window(TimePoint h);
+  // One dispatch: run_until(h) + next_live_event_time per shard.  Returns
+  // the events the window delivered, summed over shards.
+  std::uint64_t run_window(TimePoint h);
 
   const Duration lookahead_;
   std::size_t threads_ = 1;
@@ -161,6 +166,7 @@ class ShardedKernel {
   // read by the coordinator after the barrier).
   std::vector<TimePoint> scan_min_;
   std::vector<char> shard_pending_;
+  std::vector<std::uint64_t> window_events_;
   std::vector<char> delivered_to_;
   std::vector<std::exception_ptr> errors_;
 

@@ -24,7 +24,7 @@ class McScenariosTest : public ::testing::Test {
 
 TEST_F(McScenariosTest, ListsAllScenarios) {
   const std::vector<std::string> names = scenario_names();
-  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(names.size(), 8u);
   for (const std::string& name : names) {
     EXPECT_NE(make_scenario(name), nullptr) << name;
   }
@@ -120,6 +120,23 @@ TEST_F(McScenariosTest, CrossShardWindowExploresExhaustively) {
   // The window-boundary race must actually branch: at least the fault
   // choice and one schedule choice.
   EXPECT_GT(result.stats.executions, 2u);
+  EXPECT_GT(result.stats.choice_points, 0u);
+}
+
+// Every order of the kill and its victim at the window's last instant --
+// including the one that leaves a stale entry at the front of shard 0 --
+// must open exactly the windows the live entries imply: none at the stale
+// entry's instant.
+TEST_F(McScenariosTest, StaleFrontWindowExploresExhaustively) {
+  std::unique_ptr<Scenario> scenario = make_scenario("stale-front-window");
+  ASSERT_NE(scenario, nullptr);
+  Explorer explorer(*scenario, options_for());
+  const ExploreResult result = explorer.explore();
+  EXPECT_TRUE(result.ok()) << (result.violations.empty()
+                                   ? ""
+                                   : result.violations.front().message);
+  EXPECT_TRUE(result.complete);
+  EXPECT_GT(result.stats.executions, 1u);
   EXPECT_GT(result.stats.choice_points, 0u);
 }
 

@@ -2,7 +2,8 @@
 // std::pop_heap min-heap over every pending entry.  Its pop order is
 // trivially the (time, seq) minimum, so queue_oracle_test.cpp drives it and
 // sim::internal::TimerWheel through the same randomized script and
-// requires identical pop streams.  Test-only: the kernel runs the wheel.
+// requires identical pop streams and identical live minima.  Test-only:
+// the kernel runs the wheel.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +28,17 @@ class HeapQueue {
     std::pop_heap(entries_.begin(), entries_.end(), QueueEntryLater{});
     entries_.pop_back();
     return true;
+  }
+
+  // Earliest time among entries not matching pred, or TimePoint::max()
+  // when there is none: a scan of every entry.
+  template <typename Pred>
+  TimePoint min_live(Pred pred) const {
+    TimePoint best = TimePoint::max();
+    for (const QueueEntry& e : entries_) {
+      if (e.time < best && !pred(e)) best = e.time;
+    }
+    return best;
   }
 
   // Drops every entry matching pred and re-heapifies (stop-the-world);

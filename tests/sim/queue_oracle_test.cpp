@@ -60,7 +60,8 @@ std::int64_t random_offset(std::mt19937_64& rng) {
 }
 
 // Drives both queues through an identical randomized script of pushes and
-// bounded pops and asserts the popped (time, seq) streams are identical.
+// bounded pops and asserts the popped (time, seq) streams are identical,
+// and that both report the same earliest live time after every step.
 // `stale_bit` marks entries whose token has that bit set as stale; the
 // wheel drops them internally (pred), the heap pops them and the harness
 // filters -- the surviving streams must still match.
@@ -117,6 +118,9 @@ void run_differential(std::uint64_t seed, bool with_stale,
       wheel.compact_step(stale);
       heap.compact(stale);
     }
+    // The exact live minimum the sharded horizon reads, after every step.
+    ASSERT_EQ(wheel.min_live(stale), heap.min_live(stale))
+        << "seed " << seed << " step " << step << " now " << now;
   }
 
   // Full drain: everything left must come out in the same order too.
@@ -196,6 +200,81 @@ TEST(QueueOracle, EqualTimestampsPopInSeqOrder) {
     }
     EXPECT_EQ(wheel.size(), 0u);
   }
+}
+
+// min_live cases the random script reaches only by chance.  Odd tokens
+// are stale, as in run_differential.
+bool odd_token(const QueueEntry& e) { return (e.token & 1) != 0; }
+
+TimePoint at_us(std::int64_t t) { return TimePoint(Duration(t)); }
+
+// Moves the cursor to `to` (nothing may be due before it).
+void advance(TimerWheel& wheel, std::int64_t to) {
+  QueueEntry out;
+  std::size_t dropped = 0;
+  ASSERT_FALSE(wheel.pop_due(at_us(to), &out, odd_token, &dropped));
+}
+
+TEST(QueueOracleMinLive, EmptyQueueHasNoMinimum) {
+  TimerWheel wheel;
+  EXPECT_EQ(wheel.min_live(odd_token), TimePoint::max());
+  wheel.push(entry_at(5, 0, 1));  // stale only
+  wheel.push(entry_at(1 << 20, 1, 1));
+  EXPECT_EQ(wheel.min_live(odd_token), TimePoint::max());
+}
+
+TEST(QueueOracleMinLive, SkipsSlotsHoldingOnlyStaleEntries) {
+  TimerWheel wheel;
+  std::uint64_t seq = 0;
+  // Level 0: the first occupied slot (t=10) is all stale.
+  wheel.push(entry_at(10, seq++, 1));
+  wheel.push(entry_at(10, seq++, 3));
+  wheel.push(entry_at(20, seq++, 0));
+  EXPECT_EQ(wheel.min_live(odd_token), at_us(20));
+  // Level 1: the first occupied slot (granule 4) is all stale; the live
+  // entry sits two slots later, behind a level-0 entry that is stale too.
+  TimerWheel coarse;
+  coarse.push(entry_at(500, seq++, 1));
+  coarse.push(entry_at(4 * 1024 + 7, seq++, 1));
+  coarse.push(entry_at(4 * 1024 + 900, seq++, 3));
+  coarse.push(entry_at(6 * 1024 + 3, seq++, 2));
+  coarse.push(entry_at(6 * 1024 + 1, seq++, 1));
+  coarse.push(entry_at(9 * 1024, seq++, 0));
+  EXPECT_EQ(coarse.min_live(odd_token), at_us(6 * 1024 + 3));
+}
+
+TEST(QueueOracleMinLive, ReadsTheCoarseSlotHoldingTheCursor) {
+  TimerWheel wheel;
+  std::uint64_t seq = 0;
+  // Filed at level 1, granule 1, while the cursor is at 0.
+  wheel.push(entry_at(1500, seq++, 0));
+  wheel.push(entry_at(1100, seq++, 1));
+  advance(wheel, 500);
+  // Now within level 0's reach; it lands exactly on granule 1's start.
+  wheel.push(entry_at(1024, seq++, 0));
+  QueueEntry out;
+  std::size_t dropped = 0;
+  ASSERT_TRUE(wheel.pop_due(at_us(1024), &out, odd_token, &dropped));
+  ASSERT_EQ(out.time, at_us(1024));
+  // The cursor stands inside granule 1, whose slot has not cascaded yet;
+  // a level-0 entry later than its live cell must not hide it.
+  wheel.push(entry_at(1900, seq++, 0));
+  EXPECT_EQ(wheel.min_live(odd_token), at_us(1500));
+  ASSERT_TRUE(wheel.pop_due(at_us(2000), &out, odd_token, &dropped));
+  EXPECT_EQ(out.time, at_us(1500));
+  EXPECT_EQ(wheel.min_live(odd_token), at_us(1900));
+}
+
+TEST(QueueOracleMinLive, FindsALiveEntryOnlyInTheOverflowBag) {
+  TimerWheel wheel;
+  const std::int64_t far = std::int64_t(1) << 41;  // beyond 2^40 us
+  wheel.push(entry_at(100, 0, 1));
+  wheel.push(entry_at(70000, 1, 1));
+  wheel.push(entry_at(far - 5, 2, 1));
+  wheel.push(entry_at(far, 3, 0));
+  EXPECT_EQ(wheel.min_live(odd_token), at_us(far));
+  wheel.push(entry_at(far + 9, 4, 0));
+  EXPECT_EQ(wheel.min_live(odd_token), at_us(far));
 }
 
 // Kernel-level pin: a randomized simulation's (virtual time, process) wake
