@@ -18,17 +18,19 @@
 //   ETHERGRID_FIG1_SHARDED_WINDOW_S virtual seconds    (default 300)
 //   ETHERGRID_FIG1_SHARDED_ONLY     skip the paper sweep (mega-run CI
 //                                   step; any non-empty value)
-// With ETHERGRID_BENCH_BASELINE set, the run gates sharded_speedup_best
-// against the committed baseline (skipped on < 4 hardware threads or
-// when the baseline lacks the metric), and -- when the client count
-// matches the baseline's sharded_clients -- peak-RSS bytes_per_client
-// within 1.5x (the 10^6-client memory contract: lazy fibers + pooling).
+// With ETHERGRID_BENCH_BASELINE set, the run gates sharded_speedup_2 and
+// sharded_speedup_4 against the committed baseline (skipped on < 4
+// hardware threads, or per row when the baseline lacks it), and -- when
+// the client count matches the baseline's sharded_clients -- peak-RSS
+// bytes_per_client within 1.5x (the 10^6-client memory contract: lazy
+// fibers + pooling).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/scenarios.hpp"
@@ -48,7 +50,8 @@ long env_long(const char* name, long fallback) {
 }
 
 // Sharded scaling pass: wall-clock the same workload at increasing shard
-// counts and gate the best speedup against the committed baseline.
+// counts and gate the 2- and 4-thread speedups against the committed
+// baseline.
 // Returns the process exit code (0 ok, 1 gate breach).
 int run_sharded_scale() {
   const std::size_t sites =
@@ -82,22 +85,41 @@ int run_sharded_scale() {
   exp::Table table("Sharded kernel scaling (Ethernet discipline)",
                    {"shards", "threads", "wall_s", "speedup", "jobs",
                     "remote_jobs", "windows", "xshard_msgs"});
-  double wall_1 = 0;
-  double best_speedup = 0;
+  // Each wall is the best of `reps` passes, interleaved across shard
+  // counts so a slow stretch of the host hits every count alike.  Host
+  // noise only ever slows a pass down, so the minimum is the stable
+  // statistic, and the speedup gate below divides two of them.  The mega
+  // run is too long to repeat.
+  const int reps = mega ? 1 : 5;
+  std::vector<double> walls(shard_counts.size(), 0);
+  std::vector<exp::ShardedSubmitResult> results(shard_counts.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
+      const std::size_t n = shard_counts[i];
+      std::fprintf(stderr,
+                   "[fig1] sharded pass %d/%d: %zu shard(s) x %ld clients\n",
+                   rep + 1, reps, n,
+                   long(config.submitters_per_site) * long(sites));
+      config.sharded.shards = n;
+      config.sharded.threads = n;
+      const auto t0 = std::chrono::steady_clock::now();
+      results[i] = exp::run_sharded_submit(config, "ethernet", window);
+      const double pass =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      walls[i] = rep == 0 ? pass : std::min(walls[i], pass);
+      report.add_events(results[i].kernel_events);
+    }
+  }
+  const double wall_1 = walls[0];
+  double best_speedup = 0;  // reported only: includes shards=1's 1.00
+  std::vector<std::pair<std::size_t, double>> speedups;  // shards > 1
   std::int64_t jobs_ref = -1;
   bool jobs_stable = true;
-  for (std::size_t n : shard_counts) {
-    std::fprintf(stderr, "[fig1] sharded pass: %zu shard(s) x %ld clients\n",
-                 n, long(config.submitters_per_site) * long(sites));
-    config.sharded.shards = n;
-    config.sharded.threads = n;
-    const auto t0 = std::chrono::steady_clock::now();
-    const exp::ShardedSubmitResult r = exp::run_sharded_submit(
-        config, "ethernet", window);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (n == 1) wall_1 = wall;
+  for (std::size_t i = 0; i < shard_counts.size(); ++i) {
+    const std::size_t n = shard_counts[i];
+    const exp::ShardedSubmitResult& r = results[i];
+    const double wall = walls[i];
     const double speedup = wall > 0 ? wall_1 / wall : 0;
     best_speedup = std::max(best_speedup, speedup);
     // Partition independence: per-site worlds are identical, so total
@@ -111,10 +133,10 @@ int run_sharded_scale() {
                    exp::Table::cell(r.remote_jobs),
                    exp::Table::cell(std::int64_t(r.windows)),
                    exp::Table::cell(std::int64_t(r.messages_delivered))});
-    report.add_events(r.kernel_events);
     report.metric("sharded_wall_s_" + std::to_string(n), wall);
     if (n > 1) {
       report.metric("sharded_speedup_" + std::to_string(n), speedup);
+      speedups.emplace_back(n, speedup);
     }
   }
   table.print();
@@ -147,28 +169,36 @@ int run_sharded_scale() {
               peak_rss / (1024 * 1024), total_clients, bytes_per_client);
 
   // Speedup gate: only meaningful against a committed baseline and with
-  // enough cores that the parallel pass can actually win.
+  // enough cores that the parallel passes can actually run in parallel.
+  // The threads=2 and threads=4 rows are gated, each against its own
+  // baseline; the shards=1 row is 1.00 by construction and proves nothing.
   const char* baseline_path = std::getenv("ETHERGRID_BENCH_BASELINE");
   if (baseline_path && *baseline_path) {
-    const double baseline = bench::Report::read_baseline_metric(
-        baseline_path, report_name, "sharded_speedup_best");
     const unsigned cores = std::thread::hardware_concurrency();
-    if (baseline <= 0) {
-      std::printf("Speedup gate: skipped (no sharded_speedup_best in %s)\n",
-                  baseline_path);
-    } else if (cores < 4) {
-      std::printf("Speedup gate: skipped (%u hardware thread(s) < 4)\n",
-                  cores);
-    } else if (best_speedup < 0.6 * baseline) {
-      std::fprintf(stderr,
-                   "[fig1] SPEEDUP GATE BREACH: best %.2fx < 60%% of "
-                   "baseline %.2fx\n",
-                   best_speedup, baseline);
-      return 1;
-    } else {
-      std::printf("Speedup gate: OK (best %.2fx vs baseline %.2fx)\n",
-                  best_speedup, baseline);
+    bool breach = false;
+    for (const auto& [n, speedup] : speedups) {
+      if (n != 2 && n != 4) continue;
+      const std::string key = "sharded_speedup_" + std::to_string(n);
+      const double baseline =
+          bench::Report::read_baseline_metric(baseline_path, report_name, key);
+      if (baseline <= 0) {
+        std::printf("Speedup gate %s: skipped (not in %s)\n", key.c_str(),
+                    baseline_path);
+      } else if (cores < 4) {
+        std::printf("Speedup gate %s: skipped (%u hardware thread(s) < 4)\n",
+                    key.c_str(), cores);
+      } else if (speedup < 0.6 * baseline) {
+        std::fprintf(stderr,
+                     "[fig1] SPEEDUP GATE BREACH: %s %.2fx < 60%% of "
+                     "baseline %.2fx\n",
+                     key.c_str(), speedup, baseline);
+        breach = true;
+      } else {
+        std::printf("Speedup gate %s: OK (%.2fx vs baseline %.2fx)\n",
+                    key.c_str(), speedup, baseline);
+      }
     }
+    if (breach) return 1;
     // Memory gate: RSS is reproducible (unlike shared-runner wall
     // clocks), so the tolerance can be much tighter than the speedup
     // gate's.  Compared only at matching scale -- bytes_per_client

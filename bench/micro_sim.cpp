@@ -1,8 +1,8 @@
 // Microbenchmarks: the discrete-event kernel itself.
 //
 // The custom main captures every benchmark's items/sec into the shared
-// bench report, records the raw-vs-sigsetjmp switch ratios, gates the
-// horizon scan's cost at two queue depths against each other, and gates
+// bench report, gates the bare raw switch against libc's sigsetjmp, gates
+// the horizon scan's cost at two queue depths against each other, and gates
 // the event-queue hot paths against the committed baseline.
 #include <benchmark/benchmark.h>
 
@@ -26,20 +26,11 @@ using namespace ethergrid;
 
 // Context-switch round-trip throughput: one process sleeping K times.
 // Every event is one scheduler->process->scheduler round trip, so
-// items/sec IS switch-pair throughput.  The two fiber context-switch
-// implementations run head to head: the raw fcontext-style assembly switch
-// (the default) vs the portable sigsetjmp fallback (also the
-// differential-testing oracle).
-void BM_SwitchImplRoundTrip(benchmark::State& state, sim::SwitchImpl impl) {
+// items/sec IS switch-pair throughput.
+void BM_SwitchRoundTrip(benchmark::State& state) {
   const int k = 20000;
   for (auto _ : state) {
-    sim::KernelOptions options;
-    options.switch_impl = impl;
-    sim::Kernel kernel(1, options);
-    if (kernel.switch_impl() != impl) {
-      state.SkipWithError("switch impl unavailable on this target");
-      return;
-    }
+    sim::Kernel kernel(1);
     kernel.spawn("switcher", [&](sim::Context& ctx) {
       for (int i = 0; i < k; ++i) ctx.sleep(msec(1));
     });
@@ -47,17 +38,15 @@ void BM_SwitchImplRoundTrip(benchmark::State& state, sim::SwitchImpl impl) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * k);
 }
-BENCHMARK_CAPTURE(BM_SwitchImplRoundTrip, raw, sim::SwitchImpl::kRaw);
-BENCHMARK_CAPTURE(BM_SwitchImplRoundTrip, sigsetjmp,
-                  sim::SwitchImpl::kSigsetjmp);
+BENCHMARK(BM_SwitchRoundTrip);
 
-// The naked switch primitives, no kernel: a scheduler round trip above is
-// ~40ns all-in (queue pop, clock bump, dispatch bookkeeping), so the two
-// switch impls tie there.  These isolate what the handoff itself costs --
-// one item is one round trip, i.e. two suspends + two resumes of the
-// respective primitive -- which is where the raw switch's "a dozen moves
-// plus an indirect jump" shows against glibc's pointer-mangled,
-// unwind-checked sigsetjmp.
+// The naked switch primitive, no kernel: a scheduler round trip above is
+// ~40ns all-in (queue pop, clock bump, dispatch bookkeeping).  This
+// isolates what the handoff itself costs -- one item is one round trip,
+// i.e. two suspends + two resumes -- against libc's sigsetjmp/siglongjmp
+// pair as a within-run reference: the raw switch's "a dozen moves plus an
+// indirect jump" must beat glibc's pointer-mangled, unwind-checked
+// save/restore.
 struct BareRawPingPong {
   static void entry(sim::internal::transfer_t t) {
     // Bounce forever between our stack and the caller's newest
@@ -70,10 +59,6 @@ struct BareRawPingPong {
 };
 
 void BM_BareSwitchRaw(benchmark::State& state) {
-  if (!sim::internal::kRawSwitchAvailable) {
-    state.SkipWithError("raw switch unavailable on this target");
-    return;
-  }
   std::vector<char> stack(16 * 1024);
   sim::internal::fcontext_t fiber = sim::internal::make_fcontext(
       stack.data() + stack.size(), stack.size(), &BareRawPingPong::entry);
@@ -87,8 +72,7 @@ BENCHMARK(BM_BareSwitchRaw);
 
 void BM_BareSwitchSigsetjmp(benchmark::State& state) {
   // Two save/restore pairs, matching the four primitive operations of one
-  // fiber round trip under the sigsetjmp impl (kernel.cpp uses the same
-  // savemask=0 flavor).
+  // fiber round trip (savemask=0: no signal-mask syscall).
   for (auto _ : state) {
     sigjmp_buf buf;
     if (sigsetjmp(buf, 0) == 0) siglongjmp(buf, 1);
@@ -284,20 +268,8 @@ int main(int argc, char** argv) {
   for (const auto& [name, rate] : reporter.items_per_sec) {
     report.metric(name, rate);
   }
-  // Raw-vs-sigsetjmp: recorded (not shape-gated -- raw is unavailable on
-  // some targets and shared runners are noisy); the PR 10 acceptance was
-  // raw >= 2x sigsetjmp on the round-trip workload.
-  const auto raw = reporter.items_per_sec.find("BM_SwitchImplRoundTrip/raw");
-  const auto sjlj =
-      reporter.items_per_sec.find("BM_SwitchImplRoundTrip/sigsetjmp");
-  if (raw != reporter.items_per_sec.end() &&
-      sjlj != reporter.items_per_sec.end() && sjlj->second > 0) {
-    const double ratio = raw->second / sjlj->second;
-    report.metric("raw_vs_sigsetjmp_switch_ratio", ratio);
-    std::printf("raw/sigsetjmp switch throughput ratio: %.1fx\n", ratio);
-  }
-  // The bare-primitive ratio is where the assembly switch must actually
-  // win: >= 2x the sigsetjmp save/restore pair (the PR 10 target).
+  // The bare-primitive ratio is where the assembly switch must win: >= 2x
+  // libc's sigsetjmp save/restore pair, measured in the same run.
   const auto bare_raw = reporter.items_per_sec.find("BM_BareSwitchRaw");
   const auto bare_sjlj =
       reporter.items_per_sec.find("BM_BareSwitchSigsetjmp");

@@ -35,7 +35,7 @@ struct SubmitScenarioConfig {
   grid::ScheddConfig schedd;        // paper defaults from ScheddConfig
   grid::SubmitterConfig submitter;  // .discipline overridden by the runners
   std::uint64_t seed = 42;
-  sim::KernelOptions kernel;        // queue/switch impl; results identical
+  sim::KernelOptions kernel;        // stacks; results identical
   sim::FaultPlan faults;            // sites: schedd.submit
   // Observability: installed on the substrate (crashes, fd-table
   // exhaustion) and bridged from the fault injector (kFault events).
@@ -177,7 +177,7 @@ struct BufferScenarioConfig {
   grid::ProducerConfig producer;          // .discipline overridden
   grid::ConsumerConfig consumer;
   std::uint64_t seed = 42;
-  sim::KernelOptions kernel;  // queue/switch impl; results identical
+  sim::KernelOptions kernel;  // stacks; results identical
   sim::FaultPlan faults;  // sites: iochannel.write, fsbuffer.{create,append,rename}
   // Observability: ENOSPC collisions plus bridged kFault events.  Not
   // owned; nullptr off.
@@ -210,7 +210,7 @@ struct ReaderScenarioConfig {
   grid::ReaderConfig reader;                    // .discipline overridden
   int readers = 3;
   std::uint64_t seed = 42;
-  sim::KernelOptions kernel;  // queue/switch impl; results identical
+  sim::KernelOptions kernel;  // stacks; results identical
   sim::FaultPlan faults;  // sites: fileserver.<name>.{fetch,flag}
   // Observability: transfer collisions, carrier-sense probes, bridged
   // kFault events.  Not owned; nullptr off.
@@ -259,7 +259,7 @@ struct BulkScenarioConfig {
   grid::ReservationBookConfig book;  // reservable_bps derived when 0
   grid::BulkSenderConfig sender;     // .discipline overridden by the runner
   std::uint64_t seed = 42;
-  sim::KernelOptions kernel;  // queue/switch impl; results identical
+  sim::KernelOptions kernel;  // stacks; results identical
   sim::FaultPlan faults;      // sites: bulk.write
   obs::ObserverSet* observers = nullptr;
 };

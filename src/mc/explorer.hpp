@@ -138,7 +138,7 @@ class Scenario {
 };
 
 struct ExplorerOptions {
-  sim::KernelOptions kernel;  // queue/switch for every execution
+  sim::KernelOptions kernel;  // stacks etc. for every execution
   std::uint64_t seed = 1;
   // Budgets.  A run that would exceed max_depth choice points or
   // max_transitions delivered wakeups is truncated (end invariants are

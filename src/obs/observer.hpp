@@ -28,8 +28,8 @@
 //
 // Determinism contract: spans are timestamped by the emitting executor's
 // core::Clock and ids are assigned in emission order.  Because the sim
-// kernel schedules processes identically under every queue and switch
-// implementation, a fixed seed yields byte-identical trace exports.
+// kernel schedules processes deterministically, a fixed seed yields
+// byte-identical trace exports.
 #pragma once
 
 #include <array>

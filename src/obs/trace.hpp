@@ -20,8 +20,8 @@
 // Export is deterministic: entries are written in emission order, all
 // numbers are integers (virtual microseconds) or shortest-form doubles, and
 // no wall-clock or host state leaks into the output.  A fixed-seed sim run
-// therefore produces byte-identical JSON under every kernel queue and
-// switch implementation -- pinned by tests/sim/backend_equivalence_test.cpp.
+// therefore produces byte-identical JSON on every run and build -- pinned
+// by hash in tests/sim/backend_equivalence_test.cpp.
 #pragma once
 
 #include <atomic>

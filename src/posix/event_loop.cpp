@@ -54,7 +54,7 @@ namespace {
 int g_sigchld_pipe[2] = {-1, -1};
 struct sigaction g_prev_sigchld;
 
-void sigchld_handler(int signo, siginfo_t* info, void* ucontext) {
+void sigchld_handler(int signo, siginfo_t* info, void* uctx) {
   const int saved_errno = errno;
   const char byte = 0;
   // Best-effort: a full pipe already guarantees pending pollers wake.
@@ -62,7 +62,7 @@ void sigchld_handler(int signo, siginfo_t* info, void* ucontext) {
   // Chain whatever handler the application had installed.
   if (g_prev_sigchld.sa_flags & SA_SIGINFO) {
     if (g_prev_sigchld.sa_sigaction) {
-      g_prev_sigchld.sa_sigaction(signo, info, ucontext);
+      g_prev_sigchld.sa_sigaction(signo, info, uctx);
     }
   } else if (g_prev_sigchld.sa_handler != SIG_IGN &&
              g_prev_sigchld.sa_handler != SIG_DFL &&

@@ -2,8 +2,8 @@
 //
 // It delivers pending wakeups in strict (time, seq) order -- seq is the
 // kernel's global schedule counter, so equal-time entries pop FIFO and the
-// whole simulation stays deterministic and byte-identical across
-// context-switch implementations.  The reference model for that order is a
+// whole simulation stays deterministic and byte-identical from run to
+// run.  The reference model for that order is a
 // plain binary heap over all entries; it lives with the tests
 // (tests/sim/heap_queue.hpp), which check the wheel's pop order against it
 // under randomized pushes, bounded pops, stale drops and compaction.

@@ -3,13 +3,11 @@
 // A hand-rolled fcontext-style switch (the boost.context / libaco shape):
 // one continuation pointer per suspended context, an assembly routine that
 // saves exactly the callee-saved register set the SysV/AAPCS ABIs require
-// and swaps stacks, and nothing else.  Compared with the portable
-// sigsetjmp/siglongjmp pair (see kernel.cpp) it skips the signal-mask
-// bookkeeping, the jmp_buf pointer mangling, and glibc's unwind checks --
-// a switch is ~a dozen moves plus an indirect jump.  It is the default
-// wherever it is available; the sigsetjmp path stays as the portable
-// fallback and the differential oracle that tests select explicitly
-// through KernelOptions::switch_impl.
+// and swaps stacks, and nothing else -- no signal-mask bookkeeping, no
+// pointer mangling, no unwind checks; a switch is ~a dozen moves plus an
+// indirect jump.  It is the kernel's only context switch, and it exists
+// for x86-64 and aarch64 ELF; other targets fail to compile here.
+// tests/sim/fcontext_test.cpp checks the contract below directly.
 //
 // Semantics (mirrors boost's fcontext):
 //  * make_fcontext(top, size, fn) carves a context record at the top of the
@@ -35,15 +33,11 @@
 
 #include <cstddef>
 
-namespace ethergrid::sim::internal {
-
-// True when this build has the assembly switch for the target.  Elsewhere
-// (other ISAs, non-ELF) the kernel silently falls back to sigsetjmp.
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__)
-inline constexpr bool kRawSwitchAvailable = true;
-#else
-inline constexpr bool kRawSwitchAvailable = false;
+#if !((defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__))
+#error "sim fiber switch (fcontext.cpp): x86-64 and aarch64 ELF only"
 #endif
+
+namespace ethergrid::sim::internal {
 
 // An opaque suspended context: points into the saved-register record at the
 // owning stack's current top.  Single-shot -- jumping to it consumes it.
@@ -55,9 +49,7 @@ struct transfer_t {
 };
 
 extern "C" {
-// Defined in fcontext.cpp as top-level assembly when kRawSwitchAvailable;
-// calling them elsewhere is a link error, which the availability gate in
-// the Kernel constructor (kernel.cpp) makes unreachable.
+// Defined in fcontext.cpp as top-level assembly.
 transfer_t ethergrid_jump_fcontext(fcontext_t to, void* data);
 fcontext_t ethergrid_make_fcontext(void* stack_top, std::size_t size,
                                    void (*fn)(transfer_t));

@@ -15,7 +15,7 @@
 // Determinism: all sharing state is touched only from process context under
 // the kernel's serialization, flows re-share in join order, and completion
 // wakeups ride the ordinary event queue -- so a fixed seed yields identical
-// runs across both switch impls and any shard count
+// runs on every build and at any shard count
 // (a FluidResource belongs to one shard's kernel; cross-shard transfers
 // ride the mailbox contract like any other cross-shard work).
 #pragma once

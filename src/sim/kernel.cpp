@@ -1,7 +1,6 @@
 #include "sim/kernel.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -100,10 +99,9 @@ inline void asan_unpoison_stack(const internal::FiberStack& stack) {
 
 // TSan shims, beside the ASan ones: every fiber gets its own TSan context
 // (created at materialization, destroyed when its stack is recycled), and
-// every switch -- jump_fcontext, siglongjmp, or the bootstrap swapcontext
-// -- names its target context immediately before it happens.  The
-// switches synchronize, so a process's writes happen-before whatever runs
-// after it on the same kernel, as they do in fact.
+// every jump_fcontext names its target context immediately before it
+// happens.  The switches synchronize, so a process's writes happen-before
+// whatever runs after it on the same kernel, as they do in fact.
 inline void* tsan_current_fiber() {
 #ifdef ETHERGRID_TSAN
   return __tsan_get_current_fiber();
@@ -147,17 +145,6 @@ inline void asan_poison_stack(const internal::FiberStack& stack) {
 #else
   (void)stack;
 #endif
-}
-
-// The sigsetjmp impl keeps each fiber's jmp_buf in a header carved from the
-// top of the fiber's own stack (cache-line rounded), so the Process object
-// itself stays small for 10^6-process worlds.  Stacks grow down from below
-// the header; an overflow still lands on the guard page.  The raw impl
-// needs no header: its context record lives at the suspended stack top.
-constexpr std::size_t stack_header_bytes(SwitchImpl impl) {
-  return impl == SwitchImpl::kSigsetjmp
-             ? (sizeof(sigjmp_buf) + 63) / 64 * 64
-             : 0;
 }
 
 std::size_t page_size() {
@@ -224,19 +211,7 @@ std::size_t resolve_stack_bytes(std::size_t requested) {
   return (bytes + page - 1) / page * page;
 }
 
-}  // namespace
-
-namespace internal {
-__thread const Kernel* tls_mu_holder = nullptr;
-}  // namespace internal
-
-const char* switch_impl_name(SwitchImpl impl) {
-  return impl == SwitchImpl::kRaw ? "raw" : "sigsetjmp";
-}
-
-namespace {
-
-// One-shot bootstrap arguments for the first entry into a fresh raw
+// One-shot bootstrap arguments for the first entry into a fresh
 // context: lives on the jumper's stack for the duration of the jump;
 // fcontext_entry copies the fields out before doing anything else.
 struct FcxBootstrap {
@@ -245,6 +220,10 @@ struct FcxBootstrap {
 };
 
 }  // namespace
+
+namespace internal {
+__thread const Kernel* tls_mu_holder = nullptr;
+}  // namespace internal
 
 // ---------------------------------------------------------------- Process
 
@@ -346,41 +325,6 @@ void Process::run_body_locked() {
   kernel_->audit_accounting_locked();
 }
 
-void Process::fiber_trampoline(unsigned int hi, unsigned int lo) {
-  auto* p = reinterpret_cast<Process*>((std::uintptr_t(hi) << 32) |
-                                       std::uintptr_t(lo));
-  p->fiber_main();
-}
-
-void Process::fiber_main() {
-  // First words on the new stack: complete the ASan switch the scheduler
-  // began, learning the scheduler's stack bounds for the switch back.
-  asan_finish_switch(nullptr, &kernel_->sched_stack_bottom_,
-                     &kernel_->sched_stack_size_);
-  // Park: creation is not the first run.  The scheduler resumes us later
-  // by siglongjmp-ing into this sigsetjmp.
-  if (sigsetjmp(*fiber_jb_, 0) == 0) {
-    asan_start_switch(&asan_fake_stack_, kernel_->sched_stack_bottom_,
-                      kernel_->sched_stack_size_);
-    tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
-    siglongjmp(kernel_->sched_jb_, 1);
-  }
-  asan_finish_switch(asan_fake_stack_, &kernel_->sched_stack_bottom_,
-                     &kernel_->sched_stack_size_);
-  // Full-hold locking: the drain that resumed us holds the mutex across
-  // the switch and keeps holding it until run()/run_until() return, so
-  // this side never locks.
-  run_body_locked();
-  kernel_->current_ = nullptr;
-  kernel_->last_finished_ = this;  // scheduler recycles the stack
-  // Final departure: a null save handle tells ASan to destroy this fiber's
-  // fake stack (the real stack goes back to the kernel's free list).
-  asan_start_switch(nullptr, kernel_->sched_stack_bottom_,
-                    kernel_->sched_stack_size_);
-  tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
-  siglongjmp(kernel_->sched_jb_, 1);
-}
-
 void Process::fcontext_entry(internal::transfer_t t) {
   // First words on the new stack.  Copy the bootstrap out of the jumper's
   // frame before anything else, then complete the ASan switch the jumper
@@ -388,26 +332,22 @@ void Process::fcontext_entry(internal::transfer_t t) {
   // under ASan fresh contexts are only ever entered from the scheduler;
   // direct fiber-to-fiber jumps are compiled out there).
   const FcxBootstrap boot = *static_cast<FcxBootstrap*>(t.data);
-  asan_finish_switch(nullptr, &boot.self->kernel_->sched_stack_bottom_,
-                     &boot.self->kernel_->sched_stack_size_);
+  Process* self = boot.self;
+  Kernel* kernel = self->kernel_;
+  asan_finish_switch(nullptr, &kernel->sched_stack_bottom_,
+                     &kernel->sched_stack_size_);
   *boot.slot = t.fctx;  // park the jumper
-  boot.self->fiber_main_raw();
-}
-
-void Process::fiber_main_raw() {
-  // Unlike the sigsetjmp driver there is no park-at-creation: entry IS the
-  // first dispatch, so the body runs immediately.  Full-hold locking: see
-  // fiber_main.
-  run_body_locked();
-  kernel_->current_ = nullptr;
-  kernel_->last_finished_ = this;  // scheduler recycles stack + object
-  // Final departure, always into the scheduler frame.  The dead
-  // continuation this jump creates is parked into our own slot by the
-  // scheduler's receive code and never jumped to again.
-  asan_start_switch(nullptr, kernel_->sched_stack_bottom_,
-                    kernel_->sched_stack_size_);
-  tsan_switch_to_fiber(kernel_->sched_tsan_fiber_);
-  internal::jump_fcontext(kernel_->sched_ctx_, &fiber_ctx_);
+  // Full-hold locking: the drain that dispatched us holds the mutex across
+  // the switch and keeps holding it until run()/run_until() return, so
+  // this side never locks.
+  self->run_body_locked();
+  kernel->current_ = nullptr;
+  kernel->last_finished_ = self;  // scheduler recycles stack + object
+  // Final departure, always into the scheduler frame.  A null save handle
+  // tells ASan to destroy this fiber's fake stack.  The dead continuation
+  // this jump creates is parked into our own slot by the scheduler's
+  // receive code and never jumped to again.
+  kernel->jump_to_scheduler_locked(self, nullptr);
   std::abort();  // a consumed continuation must never come back
 }
 
@@ -629,11 +569,7 @@ DeadlineScope::~DeadlineScope() { ctx_.pop_deadline(); }
 // ----------------------------------------------------------------- Kernel
 
 Kernel::Kernel(std::uint64_t seed, KernelOptions options)
-    // Requests for the raw switch on targets without the assembly are
-    // coerced to the portable fallback, never an error.
-    : switch_impl_(internal::kRawSwitchAvailable ? options.switch_impl
-                                                 : SwitchImpl::kSigsetjmp),
-      fiber_stack_bytes_(resolve_stack_bytes(options.fiber_stack_bytes)),
+    : fiber_stack_bytes_(resolve_stack_bytes(options.fiber_stack_bytes)),
       fiber_stack_slab_(options.fiber_stack_slab),
       debug_kill_skips_invalidate_(options.debug_kill_skips_invalidate),
       rng_(seed),
@@ -958,46 +894,55 @@ void Kernel::compact_queue_locked() {
   stale_wakeups_ -= std::min(queue_.compact_step(stale), stale_wakeups_);
 }
 
-void Kernel::make_fiber_locked(Process* p) {
-  p->stack_ = obtain_stack_locked();
-  p->tsan_fiber_ = tsan_create_fiber();
-  char* top = static_cast<char*>(p->stack_.usable_lo) + p->stack_.usable_size;
-  if (switch_impl_ == SwitchImpl::kRaw) {
-    // No bootstrap entry: the continuation enters fcontext_entry on its
-    // first jump, which is the first dispatch itself.
-    p->fiber_ctx_ = internal::make_fcontext(top, p->stack_.usable_size,
-                                            &Process::fcontext_entry);
-    return;
+inline void Kernel::check_fiber_thread_locked(
+    [[maybe_unused]] const Process* p) const {
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  if (p->fiber_thread_ == std::this_thread::get_id()) return;
+  std::fprintf(stderr,
+               "sim kernel: process '%s' resumed on a different OS thread "
+               "than the one that materialized its fiber\n",
+               p->name_.c_str());
+  std::abort();
+#endif
+}
+
+inline void Kernel::jump_into_locked(Process* next, internal::fcontext_t* park,
+                                     void** asan_fake_save) {
+  FcxBootstrap boot{park, next};
+  void* data = park;
+  if (next->state_ == Process::State::kNew) {
+    // Materialize.  No bootstrap entry: the fresh continuation enters
+    // fcontext_entry on this very jump, the first dispatch itself.
+    next->stack_ = obtain_stack_locked();
+    next->tsan_fiber_ = tsan_create_fiber();
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+    next->fiber_thread_ = std::this_thread::get_id();
+#endif
+    next->fiber_ctx_ = internal::make_fcontext(
+        static_cast<char*>(next->stack_.usable_lo) + next->stack_.usable_size,
+        next->stack_.usable_size, &Process::fcontext_entry);
+    data = &boot;
+  } else {
+    check_fiber_thread_locked(next);
   }
-  // sigsetjmp impl.  The fiber's jmp_buf lives in a header at the stack
-  // top; the execution region sits below it (see stack_header_bytes).
-  const std::size_t header = stack_header_bytes(SwitchImpl::kSigsetjmp);
-  assert(p->stack_.usable_size > header);
-  p->fiber_jb_ = reinterpret_cast<sigjmp_buf*>(top - header);
-  // The ucontext is pure bootstrap scratch -- the fiber parks in its
-  // sigsetjmp during this call and the frame is never entered again -- so
-  // it lives here, not in the (10^6-instance) Process object.
-  ucontext_t bootstrap;
-  ::getcontext(&bootstrap);
-  bootstrap.uc_stack.ss_sp = p->stack_.usable_lo;
-  bootstrap.uc_stack.ss_size = p->stack_.usable_size - header;
-  bootstrap.uc_link = nullptr;  // fibers exit via explicit siglongjmp
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  ::makecontext(&bootstrap,
-                reinterpret_cast<void (*)()>(&Process::fiber_trampoline), 2,
-                static_cast<unsigned int>(addr >> 32),
-                static_cast<unsigned int>(addr & 0xffffffffu));
-  // Bootstrap: enter the new context once so the fiber parks in its
-  // sigsetjmp; every switch from here on is a syscall-free siglongjmp
-  // (this swapcontext pair is the only sigprocmask the fiber ever costs).
-  if (sigsetjmp(sched_jb_, 0) == 0) {
-    asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
-                      p->stack_.usable_size);
-    tsan_switch_to_fiber(p->tsan_fiber_);
-    ucontext_t scratch;  // the fiber returns via siglongjmp, never via this
-    ::swapcontext(&scratch, &bootstrap);
-  }
-  asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
+  current_ = next;
+  asan_start_switch(asan_fake_save, next->stack_.usable_lo,
+                    next->stack_.usable_size);
+  tsan_switch_to_fiber(next->tsan_fiber_);
+  const internal::transfer_t t =
+      internal::jump_fcontext(next->fiber_ctx_, data);
+  // Receive: park whoever jumped here (a yielding fiber's park, or a
+  // finishing fiber's dead continuation) into the slot it named.
+  *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
+}
+
+inline void Kernel::jump_to_scheduler_locked(Process* p,
+                                             void** asan_fake_save) {
+  asan_start_switch(asan_fake_save, sched_stack_bottom_, sched_stack_size_);
+  tsan_switch_to_fiber(sched_tsan_fiber_);
+  const internal::transfer_t t =
+      internal::jump_fcontext(sched_ctx_, &p->fiber_ctx_);
+  *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
 }
 
 internal::FiberStack Kernel::obtain_stack_locked() {
@@ -1086,32 +1031,10 @@ void Kernel::resume_locked(Process* p) {
     finish_killed_at_birth_locked(p);
     return;
   }
-  const bool first = p->state_ == Process::State::kNew;
-  if (first) make_fiber_locked(p);
-  current_ = p;
   // Full-hold locking: fiber switches never leave this OS thread, so the
   // drain's mutex hold simply persists across the jump -- the far side
   // never locks, and a simulated event costs zero mutex operations.
-  if (switch_impl_ == SwitchImpl::kRaw) {
-    asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
-                      p->stack_.usable_size);
-    tsan_switch_to_fiber(p->tsan_fiber_);
-    internal::transfer_t t;
-    if (first) {
-      FcxBootstrap boot{&sched_ctx_, p};
-      t = internal::jump_fcontext(p->fiber_ctx_, &boot);
-    } else {
-      t = internal::jump_fcontext(p->fiber_ctx_, &sched_ctx_);
-    }
-    // Receive: park whoever jumped here (a yielding fiber's park, or a
-    // finishing fiber's dead continuation) into the slot it named.
-    *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
-  } else if (sigsetjmp(sched_jb_, 0) == 0) {
-    asan_start_switch(&sched_asan_fake_stack_, p->stack_.usable_lo,
-                      p->stack_.usable_size);
-    tsan_switch_to_fiber(p->tsan_fiber_);
-    siglongjmp(*p->fiber_jb_, 1);
-  }
+  jump_into_locked(p, &sched_ctx_, &sched_asan_fake_stack_);
   asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
   // With direct switching the fiber that finished is not necessarily the
   // one this frame resumed (control may have chained through several
@@ -1145,66 +1068,24 @@ void Kernel::yield_from_process_locked(Process* p) {
     return;
   }
 #ifndef ETHERGRID_ASAN
-  // ASan builds skip fiber-to-fiber jumps: the switch annotations thread
-  // the *scheduler's* stack bounds through every hop, and a direct jump
-  // would corrupt them.  (The ASan shims below are no-ops here; TSan
-  // follows direct hops like any other switch.)
-  if (switch_impl_ == SwitchImpl::kRaw) {
-    // Raw direct switch.  Unlike sigsetjmp, the raw path can materialize a
-    // first-run fiber right here and enter it with the same jump, cutting
-    // the scheduler bounce out of first dispatches too.  (A killed kNew
-    // process -- strategy mode only -- still bounces: the scheduler's
-    // resume finishes it without a stack.)
-    if (next != nullptr &&
-        (next->state_ != Process::State::kNew || !next->killed_)) {
-      const bool first = next->state_ == Process::State::kNew;
-      if (first) make_fiber_locked(next);
-      current_ = next;
-      tsan_switch_to_fiber(next->tsan_fiber_);
-      internal::transfer_t t;
-      if (first) {
-        FcxBootstrap boot{&p->fiber_ctx_, next};
-        t = internal::jump_fcontext(next->fiber_ctx_, &boot);
-      } else {
-        t = internal::jump_fcontext(next->fiber_ctx_, &p->fiber_ctx_);
-      }
-      *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
-      tls_running_context = p->context_;
-      return;
-    }
-  } else if (next != nullptr && next->state_ != Process::State::kNew) {
-    current_ = next;
-    if (sigsetjmp(*p->fiber_jb_, 0) == 0) {
-      asan_start_switch(&p->asan_fake_stack_, next->stack_.usable_lo,
-                        next->stack_.usable_size);
-      tsan_switch_to_fiber(next->tsan_fiber_);
-      siglongjmp(*next->fiber_jb_, 1);
-    }
-    asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
-                       &sched_stack_size_);
+  // Direct switch, except under ASan, whose annotations thread the
+  // *scheduler's* stack bounds through every hop (TSan follows direct hops
+  // like any other switch).  A first-run fiber is materialized and entered
+  // with the same jump; a killed kNew process -- strategy mode only --
+  // still bounces, since the scheduler's resume finishes it stackless.
+  if (next != nullptr &&
+      (next->state_ != Process::State::kNew || !next->killed_)) {
+    jump_into_locked(next, &p->fiber_ctx_, &p->asan_fake_stack_);
     tls_running_context = p->context_;
     return;
   }
 #endif
-  // Scheduler-only cases: nothing runnable (end of drain), or a process
-  // whose fiber must first be created (sigsetjmp impl; the raw impl
-  // handles first runs above).  The popped entry was consumed, so park it
-  // for the scheduler loop to resume.
+  // Scheduler-only cases: nothing runnable (end of drain), a killed
+  // never-dispatched strategy pick, or any hop under ASan.  The popped
+  // entry was consumed, so park it for the scheduler loop to resume.
   pending_next_ = next;
   // Full-hold: the mutex is owned by the drain; just jump.
-  if (switch_impl_ == SwitchImpl::kRaw) {
-    asan_start_switch(&p->asan_fake_stack_, sched_stack_bottom_,
-                      sched_stack_size_);
-    tsan_switch_to_fiber(sched_tsan_fiber_);
-    const internal::transfer_t t =
-        internal::jump_fcontext(sched_ctx_, &p->fiber_ctx_);
-    *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
-  } else if (sigsetjmp(*p->fiber_jb_, 0) == 0) {
-    asan_start_switch(&p->asan_fake_stack_, sched_stack_bottom_,
-                      sched_stack_size_);
-    tsan_switch_to_fiber(sched_tsan_fiber_);
-    siglongjmp(sched_jb_, 1);
-  }
+  jump_to_scheduler_locked(p, &p->asan_fake_stack_);
   // Re-learn the scheduler's stack bounds on every entry: run() may be
   // driven from a different thread (hence stack) across calls.
   asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,

@@ -6,21 +6,21 @@
 // existence when the process is first dispatched, so a world of 10^6
 // mostly-idle clients holds stacks only for its live working set, and a
 // process killed before its first dispatch never touches a stack at all.
-// Switching is either a hand-rolled fcontext-style assembly switch
-// (callee-saved registers only; see fcontext.hpp) or a syscall-free
-// sigsetjmp/siglongjmp pair -- selected by KernelOptions::switch_impl --
-// and every virtual-time event is at most two such switches on the
-// scheduler's own OS thread: no futex, no kernel scheduler round trip.
+// Switching is a hand-rolled fcontext-style assembly switch (callee-saved
+// registers only; see fcontext.hpp), and every virtual-time event is at
+// most two such switches on the scheduler's own OS thread: no syscall, no
+// futex, no kernel scheduler round trip.
 // Finished processes return their Process object and stack to per-kernel
 // free lists, so spawn/finish churn allocates nothing in steady state.
 //
 // Exactly one process (or the kernel itself) executes at any instant.  The
 // result is a fully deterministic simulation -- same seed, same event
-// order, same results, byte-for-byte identical across switch
-// implementations.  Every switch is annotated for AddressSanitizer and
-// ThreadSanitizer, so both sanitizers check the fiber path itself.  The
-// event queue is a hierarchical timer wheel (event_queue.hpp); debug
-// builds check that it delivers in strict (time, seq) order.
+// order, same results, byte for byte (tests/sim/backend_equivalence_test.cpp
+// pins hashes of whole runs).  Every switch is annotated for
+// AddressSanitizer and ThreadSanitizer, so both sanitizers check the fiber
+// path itself.  The event queue is a hierarchical timer wheel
+// (event_queue.hpp); debug builds check that it delivers in strict
+// (time, seq) order.
 //
 // Time is virtual: it advances only when the kernel pops the next event.
 // All waiting flows through Context primitives (sleep / wait / join /
@@ -28,8 +28,6 @@
 // semantics exact: a deadline or kill wakes the process inside the
 // primitive, which unwinds the stack with DeadlineExceeded or Interrupted.
 #pragma once
-
-#include <setjmp.h>
 
 #include <algorithm>
 #include <atomic>
@@ -39,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mc/strategy.hpp"
@@ -86,26 +85,11 @@ struct DeadlineExceeded {
 // Infinite deadline sentinel.
 inline constexpr TimePoint kNoDeadline = TimePoint::max();
 
-// How fibers switch contexts.  kRaw is the fcontext-style assembly switch
-// (fcontext.hpp) and the default wherever it is available (x86-64 /
-// aarch64 ELF); kSigsetjmp is the portable fallback and the
-// differential-testing oracle -- the two must produce byte-identical
-// simulations (tests/sim/backend_equivalence_test.cpp).  Requests for
-// kRaw on targets without the assembly fall back to kSigsetjmp.
-enum class SwitchImpl { kSigsetjmp, kRaw };
-
-const char* switch_impl_name(SwitchImpl impl);
-
 struct KernelOptions {
   // Usable fiber stack bytes (excludes the guard page).  0 means the
   // default: 256 KiB, or 1 MiB under AddressSanitizer, whose redzones
   // inflate frames.  Rounded up to the page size.
   std::size_t fiber_stack_bytes = 0;
-  // Fiber context-switch implementation; see SwitchImpl.  Coerced to
-  // kSigsetjmp when the raw assembly is unavailable on this target.
-  SwitchImpl switch_impl = internal::kRawSwitchAvailable
-                               ? SwitchImpl::kRaw
-                               : SwitchImpl::kSigsetjmp;
   // Model-checker self-test ONLY: reintroduces the pre-PR-6 stale-accounting
   // underflow by making kill skip the invalidate step (the token still
   // bumps, so entries go stale without being counted).  The queue-accounting
@@ -180,20 +164,12 @@ class Process : public std::enable_shared_from_this<Process> {
 
   enum class State { kNew, kBlocked, kRunning, kFinished };
 
-  // Body driver, sigsetjmp impl; parks at creation, runs the
-  // body on first resume, never returns (final siglongjmp back to the
-  // scheduler).  The trampoline reassembles the Process* makecontext split
-  // into two ints.
-  static void fiber_trampoline(unsigned int hi, unsigned int lo);
-  void fiber_main();
-  // Body driver, raw-switch impl.  fcontext_entry is the
-  // fresh context's entry point: it parks the jumper's continuation and
-  // runs the body immediately (no park-at-creation bounce); fiber_main_raw
-  // never returns (final jump_fcontext back to the scheduler frame).
-  static void fcontext_entry(internal::transfer_t t);
-  [[noreturn]] void fiber_main_raw();
-  // Shared core of the drivers: runs the body (unless killed at birth)
-  // and records the result, under the drain's continuous mutex hold.
+  // Body driver: a fresh context's entry point.  Parks the jumper's
+  // continuation, runs the body immediately (entry IS the first dispatch),
+  // and never returns (final jump_fcontext back to the scheduler frame).
+  [[noreturn]] static void fcontext_entry(internal::transfer_t t);
+  // Runs the body (unless killed at birth) and records the result, under
+  // the drain's continuous mutex hold.
   void run_body_locked();
   // Resets a finished process for the kernel's free list (pooling).  The
   // shared_from_this control block, the done_ Event allocation, and string
@@ -225,17 +201,16 @@ class Process : public std::enable_shared_from_this<Process> {
   Context* context_ = nullptr;   // valid while the body runs
   Rng rng_;
 
-  // Which member is active follows the kernel's
-  // switch_impl: the raw impl parks a continuation pointer; the sigsetjmp
-  // impl's jmp_buf lives in a header carved from the top of the fiber's own
-  // stack (so the Process object stays small for 10^6-process worlds) and
-  // only the pointer is stored here.  Both are meaningful only between
-  // materialization (first dispatch) and finish.
-  union {
-    internal::fcontext_t fiber_ctx_ = nullptr;  // raw: suspended continuation
-    sigjmp_buf* fiber_jb_;                      // sigsetjmp: in stack header
-  };
+  // The suspended continuation (its register record lives at the parked
+  // stack's top); meaningful only between materialization (first
+  // dispatch) and finish.
+  internal::fcontext_t fiber_ctx_ = nullptr;
   internal::FiberStack stack_;       // empty until first dispatch
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  // The OS thread that materialized the fiber; every later resume must
+  // happen on it (Kernel::check_fiber_thread_locked).  Debug/audit only.
+  std::thread::id fiber_thread_;
+#endif
   void* asan_fake_stack_ = nullptr;  // this fiber's ASan fake-stack handle
   void* tsan_fiber_ = nullptr;       // this fiber's TSan context
 };
@@ -396,8 +371,6 @@ class Kernel {
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
-
-  SwitchImpl switch_impl() const { return switch_impl_; }
 
   // Pool observability (tests/sim/lazy_lifecycle_test.cpp pins reuse).
   std::size_t pooled_process_count() const;
@@ -632,12 +605,22 @@ class Kernel {
   void drain_locked(TimePoint limit);
 
   // Fiber plumbing.
-  void make_fiber_locked(Process* p);
+  // Switches into `next` (materializing its fiber on first dispatch) and
+  // parks the jumper's continuation in *park; returns when control comes
+  // back.  asan_fake_save is the jumper's ASan fake-stack handle.
+  void jump_into_locked(Process* next, internal::fcontext_t* park,
+                        void** asan_fake_save);
+  // Parks p and switches into the scheduler frame; returns when p is
+  // resumed.  A null asan_fake_save marks p's final departure.
+  void jump_to_scheduler_locked(Process* p, void** asan_fake_save);
+  // Debug/audit builds: aborts, naming the process, unless the calling
+  // thread is the one that materialized p's fiber (shard.hpp, "Thread
+  // affinity").  Release builds compile it away.
+  void check_fiber_thread_locked(const Process* p) const;
   internal::FiberStack obtain_stack_locked();
   void recycle_stack_locked(Process* p);
   void release_stacks_locked();
 
-  const SwitchImpl switch_impl_;
   const std::size_t fiber_stack_bytes_;
   const std::size_t fiber_stack_slab_;  // stacks per slab; 0 = guard-paged
   const bool debug_kill_skips_invalidate_;
@@ -689,21 +672,20 @@ class Kernel {
   std::exception_ptr pending_error_;
 
   // Direct-switch scheduling.  A yielding process pops the
-  // next runnable itself and siglongjmps straight into its fiber -- or
+  // next runnable itself and jumps straight into its fiber -- or
   // simply returns, when the next wakeup is its own -- cutting the
   // scheduler-frame bounce (a full switch pair) out of every steady-state
   // event.  The scheduler frame is entered only for cases it alone can
-  // handle, via pending_next_: first runs (fiber creation) and end-of-drain.
+  // handle, via pending_next_: end-of-drain, killed-at-birth strategy
+  // picks, and (under ASan) every hop.
   TimePoint run_limit_ = TimePoint::max();  // active drain's limit
   Process* pending_next_ = nullptr;  // popped, awaiting a scheduler resume
   Process* last_finished_ = nullptr;  // stack awaiting recycling
 
-  // Scheduler-frame state.  The scheduler's frame is saved in sched_jb_
-  // (sigsetjmp impl) or sched_ctx_ (raw impl) across each switch into a
-  // fiber; finished fibers' stacks go to the free list for reuse
-  // (peak-live-bounded, ASan-poisoned while pooled, and kind to
-  // vm.max_map_count at 50k spawns).
-  sigjmp_buf sched_jb_;
+  // Scheduler-frame state.  The scheduler's frame is parked in sched_ctx_
+  // across each switch into a fiber; finished fibers' stacks go to the
+  // free list for reuse (peak-live-bounded, ASan-poisoned while pooled, and
+  // kind to vm.max_map_count at 50k spawns).
   internal::fcontext_t sched_ctx_ = nullptr;
   void* sched_asan_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;  // learned at fiber entry

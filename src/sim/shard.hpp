@@ -43,9 +43,12 @@
 //     scheduling can reorder nothing that virtual time doesn't.
 //
 // Thread affinity: shard i is pinned to worker (i % threads) for the
-// kernel's whole life.  This is a hard requirement of the kernel's fibers:
-// a parked fiber's sigsetjmp frame caches thread-local addresses, so a
-// fiber must always resume on the OS thread that first ran it.  With
+// kernel's whole life, because a fiber must resume on the OS thread that
+// materialized it: the compiler may keep a thread-local's address (the
+// kernel's tls_running_context, tls_mu_holder) live across a switch, each
+// TSan fiber belongs to one thread, and jump_fcontext is sound only
+// between contexts of one thread (fcontext.hpp).  Debug and audit builds
+// abort, naming the process, on a resume anywhere else.  With
 // threads=1 no workers are spawned and every shard runs inline on the
 // calling thread -- all ShardedKernel calls must then come from that same
 // thread (the model checker relies on this mode).
@@ -78,7 +81,7 @@ struct ShardedKernelOptions {
   // pending event.  Larger = fewer barriers but coarser cross-shard
   // timing; must be >= 1us.
   Duration lookahead = msec(50);
-  // Per-shard kernel options (queue, switch, stacks).  Every shard
+  // Per-shard kernel options (stacks, slabs).  Every shard
   // kernel is constructed with the same seed so name-derived RNG streams
   // are partition-independent.
   KernelOptions kernel;

@@ -1,16 +1,23 @@
-// Backend equivalence: the raw fcontext switch and the sigsetjmp fallback
-// are two implementations of ONE fiber handoff.  Same seed, same scenario,
-// same fault plan => identical final statistics and a byte-identical
-// fault audit under both switches.  This is the differential oracle that
-// keeps the direct-switch fast path and the assembly switch honest: any
+// Determinism contract of the simulation kernel, in two halves.
+//
+// Pinned determinism: a fixed (seed, plan) world must replay to the same
+// result on every build, bit for bit.  Each case renders its result --
+// final statistics, per-sample series, fault audit, or exported trace
+// bytes -- into one canonical text and compares its length and fnv1a64
+// hash against a pin.  The pins were recorded on a kernel that still had
+// two fiber switches (the fcontext assembly and a portable libc-based
+// one), with both switches run and agreeing on every rendering, so a
 // scheduling divergence (wrong wake order, dropped wakeup, RNG stream
-// skew, clobbered register) shows up here as a stats or audit diff.  The
-// event queue's own order is checked against a binary-heap model in
-// queue_oracle_test.cpp.
+// skew, clobbered register) shows up here as a pin mismatch.  The event
+// queue's own order is checked against a binary-heap model in
+// queue_oracle_test.cpp; the switch's register contract in
+// fcontext_test.cpp.
+//
+// Sharded equivalence (below): one partitioned world under several shard
+// and thread counts must agree with itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -21,6 +28,7 @@
 #include "shell/sim_executor.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/kernel.hpp"
+#include "util/rng.hpp"
 
 namespace ethergrid {
 namespace {
@@ -37,34 +45,60 @@ sim::FaultPlan parse_plan(const std::string& spec) {
   return plan;
 }
 
-// Every context-switch configuration the kernel supports; index 0 -- the
-// production default -- is the reference the other must match.
-// Any divergence (clobbered callee-saved register, missed unwind) shows up
-// as a stats/audit/trace diff.  On targets without the raw assembly kRaw
-// coerces to kSigsetjmp, leaving a harmless duplicate combo.
-struct Combo {
-  sim::SwitchImpl switch_impl;
-  const char* name;
-};
-constexpr Combo kCombos[] = {
-    {sim::SwitchImpl::kRaw, "raw"},
-    {sim::SwitchImpl::kSigsetjmp, "sigsetjmp"},
+// A pinned rendering: its length (so a mismatch says "longer" or
+// "shorter" at a glance) and its fnv1a64 hash.
+struct Pin {
+  std::size_t bytes;
+  std::uint64_t fnv;
 };
 
-const char* combo_name(std::size_t i) { return kCombos[i].name; }
-
-sim::KernelOptions combo_options(const Combo& combo,
-                                 sim::KernelOptions base = {}) {
-  base.switch_impl = combo.switch_impl;
-  return base;
+void expect_pin(const std::string& text, Pin pin) {
+  EXPECT_EQ(text.size(), pin.bytes);
+  EXPECT_EQ(fnv1a64(text), pin.fnv) << text.substr(0, 400);
 }
 
-exp::ReaderTimeline run_readers(const Combo& combo, std::uint64_t seed,
+std::string line(const char* key, std::int64_t value) {
+  return std::string(key) + " " + std::to_string(value) + "\n";
+}
+
+// Canonical renderings: every field the pins cover, one per line, in a
+// fixed order, then the fault audit verbatim.
+std::string render(const exp::ReaderTimeline& t) {
+  std::string out = line("transfers", t.transfers_total) +
+                    line("collisions", t.collisions_total) +
+                    line("deferrals", t.deferrals_total) +
+                    line("faults", t.faults_injected);
+  for (std::size_t i = 0; i < t.points.size(); ++i) {
+    out += "point " + std::to_string(i) + " " +
+           std::to_string(t.points[i].transfers) + " " +
+           std::to_string(t.points[i].collisions) + " " +
+           std::to_string(t.points[i].deferrals) + "\n";
+  }
+  return out + "audit\n" + t.fault_audit;
+}
+
+std::string render(const exp::SubmitScalePoint& p) {
+  return line("jobs", p.jobs_submitted) + line("crashes", p.schedd_crashes) +
+         line("fd_low", p.fd_low_watermark) +
+         line("faults", p.faults_injected) +
+         line("events", std::int64_t(p.kernel_events)) + "audit\n" +
+         p.fault_audit;
+}
+
+std::string render(const exp::BulkSweepPoint& p) {
+  std::string out = line("bytes", p.bytes_sent) + "per_sender";
+  for (std::int64_t b : p.per_sender_bytes) out += " " + std::to_string(b);
+  return out + "\n" + line("grants", p.grants) + line("rejects", p.rejects) +
+         line("deferrals", p.deferrals) + line("faults", p.faults_injected) +
+         line("events", std::int64_t(p.kernel_events)) + "audit\n" +
+         p.fault_audit;
+}
+
+exp::ReaderTimeline run_readers(std::uint64_t seed,
                                 const std::string& plan_spec,
                                 std::string_view discipline) {
   exp::ReaderScenarioConfig config;
   config.seed = seed;
-  config.kernel = combo_options(combo, config.kernel);
   config.faults = parse_plan(plan_spec);
   return exp::run_reader_timeline(config, discipline, sec(900), sec(30));
 }
@@ -72,36 +106,49 @@ exp::ReaderTimeline run_readers(const Combo& combo, std::uint64_t seed,
 // The plan is held as a std::string, not a const char*, so the value
 // gtest prints (and ctest names the case after) is the plan text rather
 // than an address that moves from one run to the next.
-class BackendEquivalenceTest
+class PinnedDeterminismTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
 
-TEST_P(BackendEquivalenceTest, ChaosReaderStatsAndAuditMatch) {
+// Pins recorded at the last two-switch kernel, both switches run and
+// agreeing on every rendering.
+struct ReaderPin {
+  std::uint64_t seed;
+  const char* plan;
+  const char* discipline;
+  Pin pin;
+};
+constexpr ReaderPin kReaderPins[] = {
+    {1, kPlanResets, "fixed", {2474, 0xb4b226f8893cc655ull}},
+    {1, kPlanResets, "ethernet", {3049, 0xfe94fb95b75132bbull}},
+    {1, kPlanPartitionStall, "fixed", {2037, 0x0321aeb6629ce285ull}},
+    {1, kPlanPartitionStall, "ethernet", {4377, 0x264611c212916ea7ull}},
+    {7, kPlanResets, "fixed", {2260, 0xf036e81c922f888dull}},
+    {7, kPlanResets, "ethernet", {3381, 0x122ffdfcf7a1847bull}},
+    {7, kPlanPartitionStall, "fixed", {1825, 0xdc01179a92f77451ull}},
+    {7, kPlanPartitionStall, "ethernet", {4458, 0x7675f5a6ee3505abull}},
+    {42, kPlanResets, "fixed", {2035, 0x36880afc78adb811ull}},
+    {42, kPlanResets, "ethernet", {2832, 0xca530fde353ff570ull}},
+    {42, kPlanPartitionStall, "fixed", {1678, 0x88386b1760956ca4ull}},
+    {42, kPlanPartitionStall, "ethernet", {4689, 0x304f59efd81d5a1dull}},
+};
+
+TEST_P(PinnedDeterminismTest, ChaosReaderStatsAndAuditMatch) {
   const auto [seed, plan] = GetParam();
-  for (const char* discipline : {"fixed", "ethernet"}) {
-    const auto ref = run_readers(kCombos[0], seed, plan, discipline);
-    for (std::size_t c = 1; c < std::size(kCombos); ++c) {
-      const auto got = run_readers(kCombos[c], seed, plan, discipline);
-      SCOPED_TRACE(combo_name(c));
-      EXPECT_EQ(ref.transfers_total, got.transfers_total);
-      EXPECT_EQ(ref.collisions_total, got.collisions_total);
-      EXPECT_EQ(ref.deferrals_total, got.deferrals_total);
-      EXPECT_EQ(ref.faults_injected, got.faults_injected);
-      // Byte-identical audit text: every injected fault fired at the same
-      // virtual instant at the same site in the same order.
-      EXPECT_EQ(ref.fault_audit, got.fault_audit);
-      ASSERT_EQ(ref.points.size(), got.points.size());
-      for (std::size_t i = 0; i < ref.points.size(); ++i) {
-        EXPECT_EQ(ref.points[i].transfers, got.points[i].transfers) << i;
-        EXPECT_EQ(ref.points[i].collisions, got.points[i].collisions) << i;
-        EXPECT_EQ(ref.points[i].deferrals, got.points[i].deferrals) << i;
-      }
-    }
+  int checked = 0;
+  for (const ReaderPin& pin : kReaderPins) {
+    if (pin.seed != seed || plan != pin.plan) continue;
+    SCOPED_TRACE(pin.discipline);
+    const auto got = run_readers(seed, plan, pin.discipline);
+    EXPECT_GT(got.transfers_total, 0);
+    expect_pin(render(got), pin.pin);
+    ++checked;
   }
+  EXPECT_EQ(checked, 2);  // fixed and ethernet
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsByPlans, BackendEquivalenceTest,
+    SeedsByPlans, PinnedDeterminismTest,
     ::testing::Combine(::testing::Values(std::uint64_t(1), std::uint64_t(7),
                                          std::uint64_t(42)),
                        ::testing::Values(std::string(kPlanResets),
@@ -109,68 +156,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The submit scenario exercises a different substrate mix (FD table,
 // service queue aborts, crash pulses) -- one seed is enough on top of the
-// reader matrix above.
-TEST(BackendEquivalence, SubmitScaleMatches) {
+// reader matrix above.  Pin recorded with both switches agreeing.
+TEST(PinnedDeterminism, SubmitScaleMatches) {
   exp::SubmitScenarioConfig config;
   config.seed = 42;
   config.faults = parse_plan("schedd.submit:reset@0.05");
-
-  config.kernel = combo_options(kCombos[0], config.kernel);
-  const auto ref = exp::run_submit_scale_point(config, "ethernet", 80);
-  for (std::size_t c = 1; c < std::size(kCombos); ++c) {
-    config.kernel = combo_options(kCombos[c], config.kernel);
-    const auto got = exp::run_submit_scale_point(config, "ethernet", 80);
-    SCOPED_TRACE(combo_name(c));
-    EXPECT_EQ(ref.jobs_submitted, got.jobs_submitted);
-    EXPECT_EQ(ref.schedd_crashes, got.schedd_crashes);
-    EXPECT_EQ(ref.fd_low_watermark, got.fd_low_watermark);
-    EXPECT_EQ(ref.faults_injected, got.faults_injected);
-    EXPECT_EQ(ref.fault_audit, got.fault_audit);
-    EXPECT_EQ(ref.kernel_events, got.kernel_events);
-  }
+  const auto got = exp::run_submit_scale_point(config, "ethernet", 80);
+  EXPECT_GT(got.jobs_submitted, 0);
+  expect_pin(render(got), {2575, 0x5a997092b7fcf028ull});
 }
 
-// The fluid capacity model joins the matrix: max-min reshare events are
-// ordinary timer events, so a saturated fluid link with faults -- and the
-// reservation book's grant arithmetic on top -- must replay identically
-// under both switches, down to per-sender byte counts.
-exp::BulkSweepPoint run_bulk(const Combo& combo,
-                             std::string_view discipline) {
-  exp::BulkScenarioConfig config;
-  config.link_bps = 1.0 * 1024 * 1024;
-  config.sender.file_bytes = 4 << 20;
-  config.faults = parse_plan("bulk.write:fail@0.1");
-  config.kernel = combo_options(combo, config.kernel);
-  return exp::run_bulk_point(config, discipline, 6, sec(300));
-}
-
-TEST(BackendEquivalence, FluidBulkStatsAndAuditMatch) {
-  for (const char* discipline : {"ethernet", "reservation"}) {
-    SCOPED_TRACE(discipline);
-    const auto ref = run_bulk(kCombos[0], discipline);
-    ASSERT_GT(ref.bytes_sent, 0);
-    EXPECT_GT(ref.faults_injected, 0);
-    for (std::size_t c = 1; c < std::size(kCombos); ++c) {
-      SCOPED_TRACE(combo_name(c));
-      const auto got = run_bulk(kCombos[c], discipline);
-      EXPECT_EQ(ref.bytes_sent, got.bytes_sent);
-      EXPECT_EQ(ref.per_sender_bytes, got.per_sender_bytes);
-      EXPECT_EQ(ref.grants, got.grants);
-      EXPECT_EQ(ref.rejects, got.rejects);
-      EXPECT_EQ(ref.deferrals, got.deferrals);
-      EXPECT_EQ(ref.faults_injected, got.faults_injected);
-      EXPECT_EQ(ref.fault_audit, got.fault_audit);
-      EXPECT_EQ(ref.kernel_events, got.kernel_events);
-    }
+// The fluid capacity model: max-min reshare events are ordinary timer
+// events, so a saturated fluid link with faults -- and the reservation
+// book's grant arithmetic on top -- must replay identically, down to
+// per-sender byte counts.  Pins recorded with both switches agreeing.
+TEST(PinnedDeterminism, FluidBulkStatsAndAuditMatch) {
+  struct BulkPin {
+    const char* discipline;
+    Pin pin;
+  };
+  constexpr BulkPin kPins[] = {
+      {"ethernet", {420, 0x8e704c594d404e97ull}},
+      {"reservation", {397, 0xf41b9eaa8a435c35ull}},
+  };
+  for (const BulkPin& pin : kPins) {
+    SCOPED_TRACE(pin.discipline);
+    exp::BulkScenarioConfig config;
+    config.link_bps = 1.0 * 1024 * 1024;
+    config.sender.file_bytes = 4 << 20;
+    config.faults = parse_plan("bulk.write:fail@0.1");
+    const auto got = exp::run_bulk_point(config, pin.discipline, 6, sec(300));
+    ASSERT_GT(got.bytes_sent, 0);
+    EXPECT_GT(got.faults_injected, 0);
+    expect_pin(render(got), pin.pin);
   }
 }
 
 // ---- trace determinism ----
 //
-// The observability layer extends the oracle: a fixed-seed run must export
-// a byte-identical Perfetto JSON under every combo.  Span ids are assigned
-// in emission order and every timestamp is virtual, so any divergence in
-// scheduling or RNG consumption shows up as a byte diff here.
+// The observability layer extends the contract: a fixed-seed run exports
+// byte-identical Perfetto JSON.  Span ids are assigned in emission order
+// and every timestamp is virtual, so any divergence in scheduling or RNG
+// consumption changes the bytes.
 
 // A script exercising the span hierarchy: parallel forall branches on
 // separate tracks, a try whose retries emit jittered backoff events.
@@ -182,8 +209,9 @@ const char kTraceScript[] =
     "  false\n"
     "end\n";
 
-std::string run_script_trace(const Combo& combo) {
-  sim::Kernel kernel(7, combo_options(combo));
+// Pin recorded with both switches agreeing.
+TEST(PinnedDeterminism, ScriptTraceBytesMatch) {
+  sim::Kernel kernel(7);
   shell::SimExecutor executor(kernel);
   shell::SessionOptions options;
   options.collect_trace = true;
@@ -195,40 +223,26 @@ std::string run_script_trace(const Combo& combo) {
     (void)session.run_source(kTraceScript);
   });
   kernel.run();
-  return session.trace()->to_json();
+  const std::string json = session.trace()->to_json();
+  EXPECT_NE(json.find("forall"), std::string::npos);
+  EXPECT_NE(json.find("backoff"), std::string::npos);
+  expect_pin(json, {3073, 0x848d0aa8b31090fbull});
 }
 
-TEST(BackendEquivalence, ScriptTraceBytesMatch) {
-  const std::string ref = run_script_trace(kCombos[0]);
-  EXPECT_NE(ref.find("forall"), std::string::npos);
-  EXPECT_NE(ref.find("backoff"), std::string::npos);
-  for (std::size_t c = 1; c < std::size(kCombos); ++c) {
-    SCOPED_TRACE(combo_name(c));
-    EXPECT_EQ(ref, run_script_trace(kCombos[c]));
-  }
-}
-
-std::string run_reader_trace(const Combo& combo) {
+// Pin recorded with both switches agreeing.
+TEST(PinnedDeterminism, ChaosReaderTraceBytesMatch) {
   obs::TraceRecorder recorder("gridsim");
   obs::ObserverSet set;
   set.add(&recorder);
   exp::ReaderScenarioConfig config;
   config.seed = 42;
-  config.kernel = combo_options(combo, config.kernel);
   config.faults = parse_plan(kPlanResets);
   config.observers = &set;
   (void)exp::run_reader_timeline(config, "ethernet", sec(900), sec(30));
-  return recorder.to_json();
-}
-
-TEST(BackendEquivalence, ChaosReaderTraceBytesMatch) {
-  const std::string ref = run_reader_trace(kCombos[0]);
-  EXPECT_NE(ref.find("collision"), std::string::npos);
-  EXPECT_NE(ref.find("fault"), std::string::npos);
-  for (std::size_t c = 1; c < std::size(kCombos); ++c) {
-    SCOPED_TRACE(combo_name(c));
-    EXPECT_EQ(ref, run_reader_trace(kCombos[c]));
-  }
+  const std::string json = recorder.to_json();
+  EXPECT_NE(json.find("collision"), std::string::npos);
+  EXPECT_NE(json.find("fault"), std::string::npos);
+  expect_pin(json, {24690, 0x4c855c598756dba4ull});
 }
 
 // ---- sharded equivalence ----

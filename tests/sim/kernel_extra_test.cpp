@@ -2,6 +2,9 @@
 // time-limit boundary conditions.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <thread>
+
 #include "sim/kernel.hpp"
 
 namespace ethergrid::sim {
@@ -147,6 +150,41 @@ TEST(KernelExtraTest, SameInstantYieldIsFifoFair) {
   k.run();
   // Spawn order seeds the rotation; every round is a full a,b,c sweep.
   EXPECT_EQ(transcript, "abcabcabc");
+}
+
+// A parked fiber must resume on the OS thread that materialized it
+// (shard.hpp, "Thread affinity").  Debug and audit builds check it and
+// abort, naming the process; release builds carry no check.
+TEST(KernelExtraDeathTest, ResumeOnAnotherThreadAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the thread-affinity check is compiled out under NDEBUG";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Kernel k;
+        k.spawn("sleeper", [](Context& ctx) {
+          ctx.sleep(sec(1));
+          ctx.sleep(sec(1));
+        });
+        // Thread A dispatches the sleeper (materializing its fiber) and
+        // stops mid-sleep; thread B's drain then resumes it.  A stays
+        // alive meanwhile, so B cannot inherit its recycled thread id.
+        std::promise<void> materialized;
+        std::promise<void> release;
+        std::thread a([&] {
+          k.run_until(kEpoch + msec(500));
+          materialized.set_value();
+          release.get_future().wait();
+        });
+        materialized.get_future().wait();
+        std::thread b([&] { k.run(); });
+        b.join();
+        release.set_value();
+        a.join();
+      },
+      "process 'sleeper' resumed on a different OS thread");
+#endif
 }
 
 }  // namespace
