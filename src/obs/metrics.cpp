@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.hpp"  // json_escape / json_number
+#include "obs/trace.hpp"  // append_json_escaped / append_json_number
 
 namespace ethergrid::obs {
 
@@ -53,21 +53,21 @@ double Histogram::quantile(double q) const {
 
 std::string Histogram::to_json() const {
   std::string out = "{\"count\":";
-  out += json_number(static_cast<double>(count()));
+  append_json_number(&out, static_cast<double>(count()));
   out += ",\"sum\":";
-  out += json_number(sum());
+  append_json_number(&out, sum());
   out += ",\"min\":";
-  out += json_number(min());
+  append_json_number(&out, min());
   out += ",\"max\":";
-  out += json_number(max());
+  append_json_number(&out, max());
   out += ",\"mean\":";
-  out += json_number(mean());
+  append_json_number(&out, mean());
   out += ",\"p50\":";
-  out += json_number(quantile(0.50));
+  append_json_number(&out, quantile(0.50));
   out += ",\"p95\":";
-  out += json_number(quantile(0.95));
+  append_json_number(&out, quantile(0.95));
   out += ",\"p99\":";
-  out += json_number(quantile(0.99));
+  append_json_number(&out, quantile(0.99));
   out += '}';
   return out;
 }
@@ -261,9 +261,9 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(name);
+    append_json_escaped(&out, name);
     out += "\":";
-    out += json_number(value);
+    append_json_number(&out, value);
   }
   out += "},\"histograms\":{";
 
@@ -281,7 +281,7 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(name);
+    append_json_escaped(&out, name);
     out += "\":";
     out += hist->to_json();
   }

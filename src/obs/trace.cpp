@@ -1,10 +1,12 @@
 #include "obs/trace.hpp"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <set>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 namespace ethergrid::obs {
@@ -12,70 +14,196 @@ namespace {
 
 std::int64_t to_micros(TimePoint t) { return t.time_since_epoch().count(); }
 
-void append_kv(std::string* out, std::string_view key, std::string_view value) {
-  out->append(out->empty() ? "\"" : ",\"");
-  out->append(key);
-  out->append("\":\"");
-  out->append(json_escape(value));
-  out->push_back('"');
+// The one JSON formatter.  It renders into a fixed chunk and appends the
+// chunk to the output string whenever it fills and on flush(), so a field
+// costs a bounds check and a memcpy rather than a std::string::append
+// call.  Output is complete only after flush().
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+  // pos_ points into this writer's own buf_.
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  void raw(std::string_view text) {
+    if (text.size() > room()) {
+      flush();
+      if (text.size() > kChunk) {
+        out_->append(text);
+        return;
+      }
+    }
+    std::memcpy(pos_, text.data(), text.size());
+    pos_ += text.size();
+  }
+
+  void raw(char c) {
+    if (room() == 0) flush();
+    *pos_++ = c;
+  }
+
+  template <typename Int>
+  void integer(Int value) {
+    static_assert(std::is_integral_v<Int>);
+    reserve(kMaxInteger);
+    pos_ = std::to_chars(pos_, pos_ + kMaxInteger, value).ptr;
+  }
+
+  // Integers print without a decimal point, everything else with up to 6
+  // fractional digits, trailing zeros trimmed; NaN and infinities print 0.
+  void number(double value) {
+    if (!std::isfinite(value)) {
+      raw('0');
+      return;
+    }
+    if (value >= -0x1p63 && value < 0x1p63 &&
+        value == static_cast<double>(static_cast<std::int64_t>(value))) {
+      integer(static_cast<std::int64_t>(value));
+      return;
+    }
+    reserve(kMaxFixed);
+    char* end = std::to_chars(pos_, pos_ + kMaxFixed, value,
+                              std::chars_format::fixed, 6)
+                    .ptr;
+    while (end[-1] == '0') --end;  // stops at the decimal point
+    if (end[-1] == '.') --end;
+    pos_ = end;
+  }
+
+  // Escapes quote, backslash and control bytes; runs of other bytes are
+  // copied in bulk.
+  void escaped(std::string_view text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    const char* run = text.data();
+    const char* const end = text.data() + text.size();
+    for (const char* p = run; p != end; ++p) {
+      const auto c = static_cast<unsigned char>(*p);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      raw(std::string_view(run, static_cast<std::size_t>(p - run)));
+      run = p + 1;
+      switch (c) {
+        case '"':
+          raw("\\\"");
+          break;
+        case '\\':
+          raw("\\\\");
+          break;
+        case '\n':
+          raw("\\n");
+          break;
+        case '\r':
+          raw("\\r");
+          break;
+        case '\t':
+          raw("\\t");
+          break;
+        default: {
+          const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 0xf]};
+          raw(std::string_view(escape, sizeof(escape)));
+        }
+      }
+    }
+    raw(std::string_view(run, static_cast<std::size_t>(end - run)));
+  }
+
+  void quoted(std::string_view text) {
+    raw('"');
+    escaped(text);
+    raw('"');
+  }
+
+  // Trace integers (ids, lanes, microseconds) have always been rendered
+  // as doubles.  Up to 2^53 that is exact, so they print directly; beyond
+  // it they still go through the double, rounding and all, so the bytes
+  // do not depend on which path printed them.
+  void exact_integer(std::uint64_t value) {
+    if (value <= kExactInDouble) {
+      integer(value);
+    } else {
+      number(static_cast<double>(value));
+    }
+  }
+
+  void exact_integer(std::int64_t value) {
+    const auto exact = static_cast<std::int64_t>(kExactInDouble);
+    if (value >= -exact && value <= exact) {
+      integer(value);
+    } else {
+      number(static_cast<double>(value));
+    }
+  }
+
+  void flush() {
+    out_->append(buf_, pos_);
+    pos_ = buf_;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 4096;
+  static constexpr std::size_t kMaxInteger = 24;
+  // Fixed notation of the largest double: 309 digits, sign, point, 6 more.
+  static constexpr std::size_t kMaxFixed = 320;
+  static constexpr std::uint64_t kExactInDouble = std::uint64_t{1} << 53;
+
+  std::size_t room() const {
+    return static_cast<std::size_t>(buf_ + kChunk - pos_);
+  }
+  void reserve(std::size_t n) {
+    if (room() < n) flush();
+  }
+
+  std::string* out_;
+  char buf_[kChunk];
+  char* pos_ = buf_;
+};
+
+// Keeps `lanes` within twice the number of distinct tracks: it is sorted
+// and de-duplicated whenever it fills, before it is allowed to grow.
+void add_lane(std::vector<std::uint64_t>* lanes, std::uint64_t track) {
+  if (lanes->size() == lanes->capacity()) {
+    std::sort(lanes->begin(), lanes->end());
+    lanes->erase(std::unique(lanes->begin(), lanes->end()), lanes->end());
+    if (lanes->size() * 2 > lanes->capacity()) {
+      lanes->reserve(2 * lanes->capacity());
+    }
+  }
+  lanes->push_back(track);
 }
 
-void append_kv_num(std::string* out, std::string_view key, double value) {
-  out->append(out->empty() ? "\"" : ",\"");
-  out->append(key);
-  out->append("\":");
-  out->append(json_number(value));
-}
+// Bytes a record writes besides its name fragment and payload strings,
+// with every optional field present at typical widths (12-digit
+// timestamps, 6-digit ids).  to_json() reserves its buffer from these; a
+// record that needs more only makes the string grow.
+constexpr std::size_t kSpanBytes = 224;
+constexpr std::size_t kInstantBytes = 128;
+constexpr std::size_t kLaneBytes = 128;
+constexpr std::size_t kHeaderBytes = 128;
 
 }  // namespace
+
+void append_json_escaped(std::string* out, std::string_view text) {
+  JsonWriter w(out);
+  w.escaped(text);
+  w.flush();
+}
+
+void append_json_number(std::string* out, double value) {
+  JsonWriter w(out);
+  w.number(value);
+  w.flush();
+}
 
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(&out, text);
   return out;
 }
 
 std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  if (value == static_cast<double>(static_cast<std::int64_t>(value))) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64,
-                  static_cast<std::int64_t>(value));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  std::string out = buf;
-  while (!out.empty() && out.back() == '0') out.pop_back();
-  if (!out.empty() && out.back() == '.') out.pop_back();
+  std::string out;
+  append_json_number(&out, value);
   return out;
 }
 
@@ -165,112 +293,178 @@ std::size_t TraceRecorder::event_count() const {
   return events_.load(std::memory_order_relaxed);
 }
 
-// Renders one record exactly as the eager pre-rendered path used to: the
-// byte-identical-across-kernel-configurations contract covers the
-// serialized form, so the deferred path must not reorder or reformat
-// anything.
-void TraceRecorder::render(const Rec& rec, std::string* out) const {
-  std::string name;
-  std::string_view extra;
-  if (rec.instant) {
-    name = obs_event_kind_name(static_cast<ObsEvent::Kind>(rec.kind));
-    extra = site_name(rec.name);
-  } else {
-    name = span_kind_name(static_cast<SpanKind>(rec.kind));
-    if (rec.name != 0) extra = names_[rec.name - 1];
-  }
-  if (!extra.empty()) {
-    name += ": ";
-    name += extra;
-  }
-  const std::string_view detail(arena_.data() + rec.detail_off,
-                                rec.detail_len);
-
-  std::string args;
-  if (rec.instant) {
-    if (rec.id != 0) {
-      append_kv_num(&args, "span", static_cast<double>(rec.id));
-    }
-    if (rec.value != 0) append_kv_num(&args, "value", rec.value);
-    if (!detail.empty()) append_kv(&args, "detail", detail);
-  } else {
-    append_kv_num(&args, "span", static_cast<double>(rec.id));
-    if (rec.parent != 0) {
-      append_kv_num(&args, "parent", static_cast<double>(rec.parent));
-    }
-    if (rec.line != 0) append_kv_num(&args, "line", rec.line);
-    const StatusCode code = static_cast<StatusCode>(rec.status);
-    append_kv(&args, "status",
-              code == StatusCode::kOk ? "OK" : status_code_name(code));
-    if (rec.error_len != 0) {
-      append_kv(&args, "error",
-                std::string_view(arena_.data() + rec.error_off, rec.error_len));
-    }
-    if (rec.attempts != 0) append_kv_num(&args, "attempts", rec.attempts);
-    if (rec.backoff_us != 0) {
-      append_kv_num(&args, "backoff_s", to_seconds(Duration(rec.backoff_us)));
-    }
-    if (!detail.empty()) append_kv(&args, "detail", detail);
-  }
-
-  out->append(",\n{\"ph\":\"");
-  out->push_back(rec.instant ? 'i' : 'X');
-  out->append("\",\"pid\":");
-  out->append(json_number(static_cast<double>(pid_)));
-  out->append(",\"tid\":");
-  out->append(json_number(static_cast<double>(rec.track)));
-  out->append(",\"ts\":");
-  out->append(json_number(static_cast<double>(rec.ts)));
-  if (!rec.instant) {
-    out->append(",\"dur\":");
-    out->append(json_number(static_cast<double>(rec.dur)));
-  } else {
-    out->append(",\"s\":\"t\"");
-  }
-  out->append(",\"name\":\"");
-  out->append(json_escape(name));
-  out->push_back('"');
-  if (!args.empty()) {
-    out->append(",\"args\":{");
-    out->append(args);
-    out->push_back('}');
-  }
-  out->push_back('}');
-}
-
 std::string TraceRecorder::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"traceEvents\":[\n";
-  out += "{\"ph\":\"M\",\"pid\":";
-  out += json_number(static_cast<double>(pid_));
-  out += ",\"name\":\"process_name\",\"args\":{\"name\":\"";
-  out += json_escape(process_name_);
-  out += "\"}}";
+  const auto rec_at = [this](std::size_t i) -> const Rec& {
+    return blocks_[i / kBlockRecs][i % kBlockRecs];
+  };
+
+  // The `,"name":"kind: extra"` fragment of each distinct (instant, kind,
+  // name) key is escaped once into fragment_text; consecutive records
+  // often share a key, so the last one is remembered.
+  struct Fragment {
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+  };
+  std::unordered_map<std::uint64_t, Fragment> fragments;
+  std::string fragment_text;
+  std::uint64_t last_key = ~std::uint64_t{0};
+  Fragment last;
+  const auto fragment = [&](const Rec& rec) {
+    const std::uint64_t key = std::uint64_t{rec.instant} << 40 |
+                              std::uint64_t{rec.kind} << 32 | rec.name;
+    if (key == last_key) return last;
+    auto [it, fresh] = fragments.try_emplace(key);
+    if (fresh) {
+      std::string_view kind;
+      std::string_view extra;
+      if (rec.instant) {
+        kind = obs_event_kind_name(static_cast<ObsEvent::Kind>(rec.kind));
+        extra = site_name(rec.name);
+      } else {
+        kind = span_kind_name(static_cast<SpanKind>(rec.kind));
+        if (rec.name != 0) extra = names_[rec.name - 1];
+      }
+      it->second.off = static_cast<std::uint32_t>(fragment_text.size());
+      JsonWriter w(&fragment_text);
+      w.raw(",\"name\":\"");
+      w.escaped(kind);
+      if (!extra.empty()) {
+        w.raw(": ");
+        w.escaped(extra);
+      }
+      w.raw('"');
+      w.flush();
+      it->second.len =
+          static_cast<std::uint32_t>(fragment_text.size()) - it->second.off;
+    }
+    last_key = key;
+    last = it->second;
+    return last;
+  };
+
+  // First pass: the lanes that appear, and the size of the whole export.
+  std::vector<std::uint64_t> lanes;
+  lanes.reserve(64);
+  std::size_t bytes = kHeaderBytes + 6 * process_name_.size() + arena_.size();
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Rec& rec = rec_at(i);
+    if (i == 0 || rec.track != rec_at(i - 1).track) {
+      add_lane(&lanes, rec.track);
+    }
+    bytes += (rec.instant ? kInstantBytes : kSpanBytes) + fragment(rec).len;
+  }
+  std::sort(lanes.begin(), lanes.end());
+  lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
+  bytes += lanes.size() * kLaneBytes;
+
+  std::string out;
+  out.reserve(bytes);
+  JsonWriter w(&out);
+  w.raw("{\"traceEvents\":[\n{\"ph\":\"M\",\"pid\":");
+  w.integer(pid_);
+  w.raw(",\"name\":\"process_name\",\"args\":{\"name\":");
+  w.quoted(process_name_);
+  w.raw("}}");
   // Name each lane that appears, in sorted order for stable output.
-  std::set<std::uint64_t> tracks;
+  for (std::uint64_t track : lanes) {
+    w.raw(",\n{\"ph\":\"M\",\"pid\":");
+    w.integer(pid_);
+    w.raw(",\"tid\":");
+    w.exact_integer(track);
+    w.raw(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+    if (track == 0) {
+      w.raw("main");
+    } else {
+      w.raw("lane ");
+      w.exact_integer(track);
+    }
+    w.raw("\"}}");
+  }
+
+  // Spans are complete ("X") entries; instants carry the thread scope.  The
+  // "args" object opens with its first key and is left out when empty.
   for (std::size_t i = 0; i < size_; ++i) {
-    tracks.insert(blocks_[i / kBlockRecs][i % kBlockRecs].track);
+    const Rec& rec = rec_at(i);
+    w.raw(rec.instant ? ",\n{\"ph\":\"i\",\"pid\":"
+                      : ",\n{\"ph\":\"X\",\"pid\":");
+    w.integer(pid_);
+    w.raw(",\"tid\":");
+    w.exact_integer(rec.track);
+    w.raw(",\"ts\":");
+    w.exact_integer(rec.ts);
+    if (rec.instant) {
+      w.raw(",\"s\":\"t\"");
+    } else {
+      w.raw(",\"dur\":");
+      w.exact_integer(rec.dur);
+    }
+    const Fragment name = fragment(rec);
+    w.raw(std::string_view(fragment_text.data() + name.off, name.len));
+
+    bool args = false;
+    const auto key = [&w, &args](std::string_view k) {
+      w.raw(args ? std::string_view(",\"") : std::string_view(",\"args\":{\""));
+      args = true;
+      w.raw(k);
+      w.raw("\":");
+    };
+    if (rec.instant) {
+      if (rec.id != 0) {
+        key("span");
+        w.exact_integer(rec.id);
+      }
+      if (rec.value != 0) {
+        key("value");
+        w.number(rec.value);
+      }
+    } else {
+      key("span");
+      w.exact_integer(rec.id);
+      if (rec.parent != 0) {
+        key("parent");
+        w.exact_integer(rec.parent);
+      }
+      if (rec.line != 0) {
+        key("line");
+        w.integer(rec.line);
+      }
+      key("status");
+      w.quoted(status_code_name(static_cast<StatusCode>(rec.status)));
+      if (rec.error_len != 0) {
+        key("error");
+        w.quoted(std::string_view(arena_.data() + rec.error_off,
+                                  rec.error_len));
+      }
+      if (rec.attempts != 0) {
+        key("attempts");
+        w.integer(rec.attempts);
+      }
+      if (rec.backoff_us != 0) {
+        key("backoff_s");
+        w.number(to_seconds(Duration(rec.backoff_us)));
+      }
+    }
+    if (rec.detail_len != 0) {
+      key("detail");
+      w.quoted(std::string_view(arena_.data() + rec.detail_off,
+                                rec.detail_len));
+    }
+    w.raw(args ? std::string_view("}}") : std::string_view("}"));
   }
-  for (std::uint64_t track : tracks) {
-    out += ",\n{\"ph\":\"M\",\"pid\":";
-    out += json_number(static_cast<double>(pid_));
-    out += ",\"tid\":";
-    out += json_number(static_cast<double>(track));
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    out += track == 0 ? "main" : "lane " + json_number(static_cast<double>(track));
-    out += "\"}}";
-  }
-  for (std::size_t i = 0; i < size_; ++i) {
-    render(blocks_[i / kBlockRecs][i % kBlockRecs], &out);
-  }
-  out += "\n]}\n";
+  w.raw("\n]}\n");
+  w.flush();
   return out;
 }
 
 std::string merge_chrome_traces(const std::vector<std::string>& traces) {
   static constexpr std::string_view kPrefix = "{\"traceEvents\":[\n";
   static constexpr std::string_view kSuffix = "\n]}\n";
-  std::string out{kPrefix};
+  std::size_t bytes = kPrefix.size() + kSuffix.size();
+  for (const std::string& trace : traces) bytes += trace.size();
+  std::string out;
+  out.reserve(bytes);
+  out.append(kPrefix);
   bool first = true;
   for (const std::string& trace : traces) {
     std::string_view inner = trace;

@@ -17,6 +17,13 @@
 // path touches the allocator only when a block, the arena, or the name
 // table actually grows.
 //
+// Export is a sizing pass over the records (lanes, name fragments) and
+// one rendering pass straight into a string reserved from the record
+// count and the arena size.  Each distinct span name or event site is
+// resolved and escaped once per export, not once per record, so the
+// number of allocations an export makes does not depend on the number of
+// records.
+//
 // Export is deterministic: entries are written in emission order, all
 // numbers are integers (virtual microseconds) or shortest-form doubles, and
 // no wall-clock or host state leaks into the output.  A fixed-seed sim run
@@ -31,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -90,7 +98,6 @@ class TraceRecorder final : public Observer {
   Rec& append_locked();  // returns the next free record slot
   std::uint32_t arena_add_locked(std::string_view text, std::uint32_t* len);
   std::uint32_t intern_name_locked(std::string_view name);
-  void render(const Rec& rec, std::string* out) const;  // one entry, locked
 
   mutable std::mutex mu_;
   std::string process_name_;
@@ -114,13 +121,21 @@ class TraceRecorder final : public Observer {
 // TraceRecorder exports are skipped.
 std::string merge_chrome_traces(const std::vector<std::string>& traces);
 
-// Escapes a string for embedding in a JSON string literal (no quotes
-// added).  Shared by the trace and metrics exporters.
-std::string json_escape(std::string_view text);
+// The JSON formatter shared by the trace and metrics exporters.
+//
+// append_json_escaped appends `text` escaped for embedding in a JSON
+// string literal (no quotes added): quote, backslash and control bytes
+// are escaped, every other byte is copied as is.
+//
+// append_json_number appends the shortest deterministic rendering of a
+// double: integers print without a decimal point, everything else with up
+// to 6 fractional digits, trailing zeros trimmed; NaN and infinities
+// print as 0.
+void append_json_escaped(std::string* out, std::string_view text);
+void append_json_number(std::string* out, double value);
 
-// Shortest deterministic rendering of a double: integers print without a
-// decimal point, everything else with up to 6 significant fractional
-// digits, trailing zeros trimmed.
+// The same two renderings as fresh strings.
+std::string json_escape(std::string_view text);
 std::string json_number(double value);
 
 }  // namespace ethergrid::obs

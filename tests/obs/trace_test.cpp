@@ -43,6 +43,27 @@ TEST(JsonNumberTest, FractionsTrimTrailingZeros) {
   EXPECT_EQ(json_number(1.0 / 3.0), "0.333333");
 }
 
+TEST(JsonEscapeTest, PassesDelAndHighBytesThrough) {
+  EXPECT_EQ(json_escape("\x7f\x80\xc3\xa9"), "\x7f\x80\xc3\xa9");
+}
+
+TEST(JsonNumberTest, NegativeZeroAndTinyValuesPrintAsZero) {
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(1e-9), "0");
+  EXPECT_EQ(json_number(-1e-9), "-0");  // "%.6f" keeps the sign
+}
+
+// Beyond int64 every double is integral; it prints in full fixed notation.
+// (The snprintf formatter this replaced truncated values of 1e56 and up.)
+TEST(JsonNumberTest, HugeValuesPrintEveryDigit) {
+  EXPECT_EQ(json_number(1e19), "10000000000000000000");
+  EXPECT_EQ(json_number(-0x1p63), "-9223372036854775808");
+  EXPECT_EQ(json_number(1e70),
+            "10000000000000000725314363815292351261583744096465219555182101554"
+            "790400");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::max()).size(), 309u);
+}
+
 TEST(JsonNumberTest, NonFiniteValuesSerializeAsZero) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");

@@ -7,6 +7,9 @@
 // allocation sneaking back into either path fails ctest instead of only
 // nudging a benchmark number nobody reads.
 //
+// The trace export gets the same treatment: its allocation count must not
+// depend on the number of records exported.
+//
 // This file lives in its own test binary: the global operator new/delete
 // replacements below are binary-wide.
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <new>
 
 #include "obs/metrics.hpp"
+#include "obs/site.hpp"
 #include "obs/trace.hpp"
 #include "shell/interpreter.hpp"
 #include "shell/parser.hpp"
@@ -101,6 +105,50 @@ TEST(InterpreterAllocTest, ObserversOnBudget) {
   // 201 spans land in one pre-sized record block; the arena and histogram
   // reservoirs grow amortised.  Per-span steady-state cost must stay zero.
   EXPECT_LE(allocs, 200) << "observers-on workload allocation regression";
+}
+
+// Records `records` spans and as many instants over a fixed set of names,
+// sites and lanes, then counts the allocations of one export.
+std::int64_t export_allocs(int records) {
+  obs::TraceRecorder trace("export");
+  const obs::SiteId site = obs::intern_site("export.site");
+  for (int i = 0; i < records; ++i) {
+    obs::Span span;
+    span.id = static_cast<std::uint64_t>(i) + 1;
+    span.parent = span.id / 2;
+    span.kind = i % 2 == 0 ? obs::SpanKind::kCommand : obs::SpanKind::kTry;
+    span.name = i % 3 == 0 ? "true" : "wget \"http://mirror/file\"";
+    span.detail = "argv: wget http://mirror/file\n";
+    span.line = i % 40;
+    span.track = static_cast<std::uint64_t>(i % 4);
+    span.start = TimePoint{} + Duration(1'000'000LL * i);
+    span.end = span.start + Duration(12'345);
+    span.status = i % 5 == 0 ? Status::timeout("deadline") : Status::success();
+    span.attempts = i % 4;
+    span.backoff = Duration(250'000LL * (i % 3));
+    trace.on_span_end(span);
+    obs::ObsEvent event;
+    event.kind = obs::ObsEvent::Kind::kBackoff;
+    event.time = span.end;
+    event.span = span.id;
+    event.site = site;
+    event.detail = "delay 1.5 s";
+    event.value = 0.125 * (i % 9);
+    trace.on_event(event);
+  }
+  std::string json;
+  const std::int64_t allocs = count_allocs([&] { json = trace.to_json(); });
+  EXPECT_GT(json.size(), static_cast<std::size_t>(records) * 200);
+  return allocs;
+}
+
+TEST(TraceExportAllocTest, AllocationsDoNotGrowWithRecords) {
+  const std::int64_t small = export_allocs(1'000);
+  const std::int64_t large = export_allocs(10'000);
+  // The output buffer is reserved once; the name fragments, their index
+  // and the lane list grow with distinct keys only.
+  EXPECT_EQ(small, large) << "trace export allocates per record";
+  EXPECT_LE(large, 16);
 }
 
 }  // namespace
