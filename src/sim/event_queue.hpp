@@ -48,7 +48,7 @@
 //
 // min_live(stale) answers "when is the earliest entry that can still
 // fire?" -- exactly, and without visiting every entry -- for the sharded
-// coordinator's window horizon (Kernel::next_live_event_time).  It reads
+// kernel's window horizon (Kernel::next_live_event_time).  It reads
 // the ready heap, then walks each ring's occupied slots with the same
 // bitmaps and wrap mapping as the cursor (a coarse ring's slot holding the
 // cursor first), in ring order, which is time order: a slot is read only

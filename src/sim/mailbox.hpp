@@ -4,8 +4,8 @@
 // A cross-shard "message" is a process body to run on the destination
 // shard at a virtual deliver time.  Messages are NOT delivered when
 // posted: each source shard appends to its own row while it runs a time
-// window, and the coordinator drains every row at the window barrier,
-// sorts the batch into the canonical (deliver_time, src_site, seq) order,
+// window, and the thread that closes the window drains every row at the
+// barrier, sorts the batch into the canonical (deliver_time, src_site, seq) order,
 // and spawns the bodies on their destination kernels.  Batching amortizes
 // the synchronization point (one drain per window, not one per message)
 // and the canonical sort makes delivery order -- and therefore stats and
@@ -25,8 +25,8 @@
 //
 // Thread contract (lock-free by design, not by atomics): row i is written
 // only by the worker thread that owns shard i, and only while that shard
-// is inside a window; drain() runs only on the coordinator, only at a
-// barrier.  The ShardedKernel's window barrier provides the
+// is inside a window; drain() runs only in the window close, while every
+// other thread is parked at the barrier.  The ShardedKernel's window barrier provides the
 // happens-before edges, so the rows need no locks of their own.
 #pragma once
 
@@ -54,16 +54,16 @@ class ShardMailbox {
 
   // Appends to src_shard's row and stamps msg.seq.  See the thread
   // contract above: callable only from the worker that owns src_shard (or
-  // the coordinator while the world is stopped).
+  // the calling thread while the world is stopped).
   void post(std::size_t src_shard, ShardMessage msg);
 
-  // Coordinator, at a barrier: moves out every posted message, sorted by
+  // Window close, at a barrier: moves out every posted message, sorted by
   // (deliver, src_site, seq).
   std::vector<ShardMessage> drain();
 
-  // Coordinator only.
+  // At a barrier, or while the world is stopped.
   bool empty() const;
-  // Messages ever posted (telemetry; coordinator only).
+  // Messages ever posted (telemetry; at a barrier).
   std::uint64_t posted_total() const { return posted_total_; }
 
   // Drops all pending messages (shutdown: a message for a world being torn

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <iostream>
 #include <utility>
 
 namespace ethergrid::sim {
@@ -35,11 +37,9 @@ ShardedKernel::ShardedKernel(std::uint64_t seed, ShardedKernelOptions options)
   window_events_.assign(shards, 0);
   delivered_to_.assign(shards, 0);
   errors_.assign(shards, nullptr);
-  if (threads_ > 1) {
-    workers_.reserve(threads_);
-    for (std::size_t w = 0; w < threads_; ++w) {
-      workers_.emplace_back([this, w] { worker_main(w); });
-    }
+  workers_.reserve(threads_ - 1);
+  for (std::size_t w = 1; w < threads_; ++w) {
+    workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
@@ -50,74 +50,140 @@ ShardedKernel::~ShardedKernel() {
     // Destructor: swallow; the per-shard kernels' own destructors assert
     // the important postcondition (no live processes).
   }
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    stop_ = true;
-  }
-  pool_cv_.notify_all();
+  if (workers_.empty()) return;
+  request_ = Step::kStop;
+  arrive();
   for (std::thread& t : workers_) t.join();
 }
 
 void ShardedKernel::worker_main(std::size_t worker) {
-  std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      job = job_;
-    }
-    // Fixed shard -> worker pinning: shard i always runs here (fiber
-    // resume-thread affinity, see shard.hpp).
-    for (std::size_t s = worker; s < shards_.size(); s += threads_) {
-      try {
-        (*job)(s);
-      } catch (...) {
-        errors_[s] = std::current_exception();
+    arrive();
+    if (step_ == Step::kStop) return;
+    // Idle: arrive again at once, to wait for the caller's next request.
+    if (step_ != Step::kIdle) run_step(worker);
+  }
+}
+
+void ShardedKernel::drive(Step request) {
+  const std::thread::id self = std::this_thread::get_id();
+  if (caller_ == std::thread::id()) caller_ = self;
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  if (caller_ != self) {
+    std::cerr << "sim sharded kernel: called from thread " << self
+              << ", but thread " << caller_ << " owns it and runs shard 0\n";
+    std::abort();
+  }
+#endif
+  request_ = request;
+  for (;;) {
+    arrive();
+    if (step_ == Step::kIdle) break;
+    run_step(0);
+  }
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void ShardedKernel::arrive() {
+  if (threads_ == 1) {
+    close_phase();
+    return;
+  }
+  // Read the phase before arriving: it cannot move until this thread has.
+  const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < threads_) {
+    phase_.wait(phase, std::memory_order_acquire);
+    return;
+  }
+  arrived_.store(0, std::memory_order_relaxed);
+  close_phase();
+  phase_.store(phase + 1, std::memory_order_release);
+  phase_.notify_all();
+}
+
+void ShardedKernel::run_step(std::size_t worker) {
+  // Fixed shard -> thread pinning: shard s always runs on worker s %
+  // threads_ (fiber resume-thread affinity, see shard.hpp).
+  for (std::size_t s = worker; s < shards_.size(); s += threads_) {
+    Kernel& k = *shards_[s];
+    try {
+      if (step_ == Step::kShutdown) {
+        k.shutdown();
+        continue;
       }
-    }
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--pending_workers_ == 0) done_cv_.notify_one();
+      if (step_ == Step::kWindow) {
+        const std::uint64_t before = k.events_processed();
+        shard_pending_[s] = k.run_until(horizon_) ? 1 : 0;
+        window_events_[s] = k.events_processed() - before;
+      } else if (step_ == Step::kAdvance) {
+        shard_pending_[s] = k.run_until(limit_) ? 1 : 0;
+      }
+      scan_min_[s] = k.next_live_event_time();
+    } catch (...) {
+      errors_[s] = std::current_exception();
     }
   }
 }
 
-void ShardedKernel::dispatch(const std::function<void(std::size_t)>& job) {
-  std::fill(errors_.begin(), errors_.end(), nullptr);
-  if (threads_ == 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      try {
-        job(s);
-      } catch (...) {
-        errors_[s] = std::current_exception();
-      }
-    }
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      job_ = &job;
-      pending_workers_ = threads_;
-      ++epoch_;
-    }
-    pool_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      done_cv_.wait(lock, [&] { return pending_workers_ == 0; });
-      job_ = nullptr;
-    }
+void ShardedKernel::close_phase() noexcept {
+  const Step done = std::exchange(step_, Step::kIdle);
+  if (done == Step::kIdle) {
+    step_ = request_;
+    return;
   }
   // First failure by shard index, so which exception surfaces does not
   // depend on which worker lost a race.
   for (std::exception_ptr& e : errors_) {
-    if (e) {
-      std::exception_ptr err = e;
-      std::fill(errors_.begin(), errors_.end(), nullptr);
-      std::rethrow_exception(err);
+    if (e && !error_) error_ = e;
+    e = nullptr;
+  }
+  if (error_ || done == Step::kShutdown) return;
+  if (done == Step::kAdvance) {
+    pending_ = !mailbox_.empty();
+    for (char p : shard_pending_) pending_ = pending_ || p != 0;
+    return;
+  }
+  if (done == Step::kWindow) {
+    ++windows_;
+    std::uint64_t events = 0;
+    for (std::uint64_t n : window_events_) events += n;
+    // A window always delivers the event(s) at its opening instant T,
+    // unless an mc strategy halted a shard mid-window.  Bail instead of
+    // spinning on an unmovable horizon; the strategy's driver discards it.
+    if (events == 0 && delivered_ == 0) {
+      pending_ = true;  // halted mid-window; events remain
+      return;
     }
   }
+  try {
+    delivered_ = flush_mail();
+  } catch (...) {
+    error_ = std::current_exception();
+    return;
+  }
+  TimePoint t = TimePoint::max();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    // A shard that received mail has delivery wakes at its current
+    // clock, which the pre-flush scan could not see.
+    TimePoint m = scan_min_[s];
+    if (delivered_to_[s]) m = std::min(m, shards_[s]->now());
+    t = std::min(t, m);
+  }
+  // t == max: drained, and the mailbox was just flushed.
+  if (t > limit_ || t == TimePoint::max()) {
+    // run(): fully drained, the clocks stay at the last event.  Otherwise
+    // advance every clock to exactly `limit` (no event remains up to it).
+    pending_ = false;
+    if (limit_ != TimePoint::max()) step_ = Step::kAdvance;
+    return;
+  }
+  // Horizon: everything in [t, h] is safe to run because no message
+  // posted at >= t can deliver before t + lookahead = h + 1us.
+  horizon_ = limit_;
+  if (TimePoint::max() - (lookahead_ - usec(1)) > t) {
+    horizon_ = std::min(limit_, t + lookahead_ - usec(1));
+  }
+  step_ = Step::kWindow;
 }
 
 void ShardedKernel::post(std::size_t src_shard, std::uint64_t src_site,
@@ -156,64 +222,12 @@ std::size_t ShardedKernel::flush_mail() {
   return batch.size();
 }
 
-std::uint64_t ShardedKernel::run_window(TimePoint h) {
-  dispatch([this, h](std::size_t s) {
-    Kernel& k = *shards_[s];
-    const std::uint64_t before = k.events_processed();
-    shard_pending_[s] = k.run_until(h) ? 1 : 0;
-    window_events_[s] = k.events_processed() - before;
-    scan_min_[s] = k.next_live_event_time();
-  });
-  ++windows_;
-  std::uint64_t events = 0;
-  for (std::uint64_t n : window_events_) events += n;
-  return events;
-}
-
 bool ShardedKernel::run_until(TimePoint limit) {
-  // Fresh scan: the coordinator may have spawned/killed processes since
+  // Fresh scan first: the caller may have spawned/killed processes since
   // the last window (world construction, a previous run's tail).
-  dispatch([this](std::size_t s) {
-    scan_min_[s] = shards_[s]->next_live_event_time();
-  });
-  std::fill(delivered_to_.begin(), delivered_to_.end(), 0);
-  for (;;) {
-    const std::size_t delivered = flush_mail();
-    TimePoint t = TimePoint::max();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      // A shard that received mail has delivery wakes at its current
-      // clock, which the pre-flush scan could not see.
-      TimePoint m = scan_min_[s];
-      if (delivered_to_[s]) m = std::min(m, shards_[s]->now());
-      t = std::min(t, m);
-    }
-    // t == max: drained, and the mailbox was just flushed.
-    if (t > limit || t == TimePoint::max()) break;
-    // Horizon: everything in [t, h] is safe to run because no message
-    // posted at >= t can deliver before t + lookahead = h + 1us.
-    TimePoint h = limit;
-    if (TimePoint::max() - (lookahead_ - usec(1)) > t) {
-      h = std::min(limit, t + lookahead_ - usec(1));
-    }
-    // A window always delivers the event(s) at its opening instant T --
-    // the only way it can't is an mc strategy halting a shard mid-window.
-    // Bail instead of spinning on an unmovable horizon; the strategy's
-    // driver discards the run.
-    if (run_window(h) == 0 && delivered == 0) {
-      return true;  // halted mid-window; events remain
-    }
-  }
-  // run(): fully drained; the clocks stay at the last event.
-  if (limit == TimePoint::max()) return false;
-  // Advance every clock to exactly `limit` (no event processing remains
-  // at or below it).
-  dispatch([this, limit](std::size_t s) {
-    shard_pending_[s] = shards_[s]->run_until(limit) ? 1 : 0;
-    scan_min_[s] = shards_[s]->next_live_event_time();
-  });
-  bool pending = !mailbox_.empty();
-  for (char p : shard_pending_) pending = pending || p != 0;
-  return pending;
+  limit_ = limit;
+  drive(Step::kScan);
+  return pending_;
 }
 
 void ShardedKernel::run() { (void)run_until(TimePoint::max()); }
@@ -225,8 +239,8 @@ void ShardedKernel::shutdown() {
   // must never run.
   mailbox_.clear();
   // Each kernel's shutdown drains unwinding fibers, so it must run on the
-  // shard's pinned worker.
-  dispatch([this](std::size_t s) { shards_[s]->shutdown(); });
+  // shard's pinned thread.
+  drive(Step::kShutdown);
 }
 
 TimePoint ShardedKernel::now() const {

@@ -19,9 +19,17 @@
 //                 the exact live minimum read from each timer wheel's
 //                 occupancy bitmaps (stale entries skipped, no full
 //                 queue walk); each shard takes it at the end of its
-//                 window, on its own worker;
+//                 window, on its own thread;
 //     window   -- H := min(limit, T + lookahead - 1us); every shard runs
 //                 run_until(H) in parallel; barrier.
+//
+// Who runs it: no coordinator thread.  The caller is worker 0, next to
+// threads - 1 pool workers.  Each thread runs its shards' window,
+// publishes the results and arrives at one phase barrier; the LAST to
+// arrive closes the window (count, flush, scan, next H or stop) before it
+// releases the others.  Which thread closes depends on timing; what the
+// close computes does not: it reads only values published before the
+// barrier, and every other thread is parked while it runs.
 //
 // Safety: a message posted at virtual time s delivers at s + latency with
 // latency >= lookahead.  Every event in the window satisfies s >= T, so
@@ -42,25 +50,23 @@
 //   * each shard's window runs on a fixed worker thread, so wall-clock
 //     scheduling can reorder nothing that virtual time doesn't.
 //
-// Thread affinity: shard i is pinned to worker (i % threads) for the
-// kernel's whole life, because a fiber must resume on the OS thread that
+// Thread affinity: shard i is pinned to worker (i % threads), worker 0
+// being the caller, because a fiber must resume on the OS thread that
 // materialized it: the compiler may keep a thread-local's address (the
 // kernel's tls_running_context, tls_mu_holder) live across a switch, each
 // TSan fiber belongs to one thread, and jump_fcontext is sound only
-// between contexts of one thread (fcontext.hpp).  Debug and audit builds
-// abort, naming the process, on a resume anywhere else.  With
-// threads=1 no workers are spawned and every shard runs inline on the
-// calling thread -- all ShardedKernel calls must then come from that same
-// thread (the model checker relies on this mode).
+// between contexts of one thread (fcontext.hpp).  So at every thread count
+// all ShardedKernel calls must come from one thread, the one the first
+// run_until/run/shutdown records; debug and audit builds abort, naming it,
+// on a call from another (and, naming the process, on a stray resume).
+// threads=1 runs every shard inline on the caller (the mc relies on it).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstddef>
-#include <condition_variable>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -72,9 +78,11 @@ namespace ethergrid::sim {
 
 struct ShardedKernelOptions {
   std::size_t shards = 1;
-  // Worker threads executing shard windows; 0 means min(shards,
-  // hardware_concurrency).  1 runs everything inline on the caller.
-  // Clamped to `shards` (more workers than shards would idle).
+  // Threads executing shard windows, the calling thread included (it is
+  // worker 0 and runs shards i % threads == 0; threads - 1 OS threads are
+  // spawned for the rest); 0 means min(shards, hardware_concurrency).  1
+  // runs everything inline on the caller.  Clamped to `shards` (more
+  // workers than shards would idle).
   std::size_t threads = 1;
   // Minimum cross-shard latency; post() floors every message latency to
   // this, and the window horizon extends lookahead past the earliest
@@ -90,7 +98,7 @@ struct ShardedKernelOptions {
 class ShardedKernel {
  public:
   ShardedKernel(std::uint64_t seed, ShardedKernelOptions options = {});
-  ~ShardedKernel();  // shuts down (on the pinned workers), then joins them
+  ~ShardedKernel();  // shuts down (on the pinned threads), then joins them
 
   ShardedKernel(const ShardedKernel&) = delete;
   ShardedKernel& operator=(const ShardedKernel&) = delete;
@@ -101,8 +109,8 @@ class ShardedKernel {
 
   // The shard kernels themselves: build per-shard worlds against these.
   // Between runs (construction, after run_until returns, after shutdown)
-  // they may be used freely from the coordinating thread; while a window
-  // is running they belong to their workers.
+  // they may be used freely from the calling thread; while a window is
+  // running they belong to their workers.
   Kernel& shard(std::size_t i) { return *shards_[i]; }
   const Kernel& shard(std::size_t i) const { return *shards_[i]; }
 
@@ -113,7 +121,7 @@ class ShardedKernel {
   // Posts a cross-shard message: `body` runs on dst_shard as a process
   // named `name` at virtual time now(src_shard) + max(latency, lookahead).
   // src_site is the sender's stable site id (see mailbox.hpp).  Callable
-  // from a process running on src_shard, or from the coordinating thread
+  // from a process running on src_shard, or from the calling thread
   // while the world is stopped.  src == dst is allowed and follows the
   // same batched path (so a 1-shard world behaves exactly like an N-shard
   // one).
@@ -132,7 +140,7 @@ class ShardedKernel {
   // event instead of jumping to the end of time.
   void run();
 
-  // Kills and drains every shard (each on its pinned worker) and drops
+  // Kills and drains every shard (each on its pinned thread) and drops
   // undelivered messages.  Idempotent.
   void shutdown();
 
@@ -149,43 +157,58 @@ class ShardedKernel {
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 
  private:
-  // Runs job(shard) for every shard on its pinned worker (inline when
-  // threads_ == 1) and barriers.  Rethrows the first error by shard index.
-  void dispatch(const std::function<void(std::size_t)>& job);
+  // What every thread does with its shards between two barrier crossings.
+  enum class Step { kIdle, kScan, kWindow, kAdvance, kShutdown, kStop };
+
   void worker_main(std::size_t worker);
+  // Runs `request` and the steps it leads to on the calling thread (worker
+  // 0) until the world is idle again, then rethrows the first error.
+  void drive(Step request);
+  // The phase barrier: returns once every thread arrived and the last one
+  // ran close_phase() (inline with threads_ == 1).
+  void arrive();
+  // Runs step_ for worker's shards, publishing per-shard results.
+  void run_step(std::size_t worker);
+  // The serial step between phases: picks the next step_ from what the
+  // finished one published.  Runs on exactly one thread per phase.
+  void close_phase() noexcept;
   // Drains the mailboxes and spawns delivery processes; returns per-shard
   // "received mail" flags via delivered_to_.
   std::size_t flush_mail();
-  // One dispatch: run_until(h) + next_live_event_time per shard.  Returns
-  // the events the window delivered, summed over shards.
-  std::uint64_t run_window(TimePoint h);
 
   const Duration lookahead_;
   std::size_t threads_ = 1;
   std::vector<std::unique_ptr<Kernel>> shards_;
   ShardMailbox mailbox_;
 
-  // Per-shard results of the last dispatch (written by the owning worker,
-  // read by the coordinator after the barrier).
+  // Per-shard results of the last step (written by the owning thread,
+  // read by close_phase after the barrier).
   std::vector<TimePoint> scan_min_;
   std::vector<char> shard_pending_;
   std::vector<std::uint64_t> window_events_;
   std::vector<char> delivered_to_;
   std::vector<std::exception_ptr> errors_;
 
+  // Loop state: written by the caller before it arrives, or by
+  // close_phase; read by every thread after the barrier.
+  Step step_ = Step::kIdle;
+  Step request_ = Step::kIdle;
+  TimePoint limit_{};
+  TimePoint horizon_{};
+  std::size_t delivered_ = 0;  // messages the last flush delivered
+  bool pending_ = false;       // run_until's result
+  std::exception_ptr error_;   // first failure of the last drive()
+
   std::uint64_t windows_ = 0;
   std::uint64_t messages_delivered_ = 0;
   bool shut_down_ = false;
+  std::thread::id caller_;
 
-  // Worker pool (threads_ > 1 only).
+  // Worker pool (threads_ > 1 only): the phase barrier as a futex word
+  // plus an arrival count, and workers 1..threads_-1.
+  std::atomic<std::uint32_t> phase_{0};
+  std::atomic<std::size_t> arrived_{0};
   std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;  // coordinator -> workers: new epoch
-  std::condition_variable done_cv_;  // workers -> coordinator: all done
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  std::size_t pending_workers_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace ethergrid::sim

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "sim/kernel.hpp"
+#include "sim/shard.hpp"
 
 namespace ethergrid::sim {
 namespace {
@@ -184,6 +186,44 @@ TEST(KernelExtraDeathTest, ResumeOnAnotherThreadAborts) {
         a.join();
       },
       "process 'sleeper' resumed on a different OS thread");
+#endif
+}
+
+// A ShardedKernel runs shard 0's fibers on its calling thread (worker 0),
+// at every thread count, so every call must come from the thread that
+// made the first one.  Debug and audit builds abort, naming both threads.
+TEST(KernelExtraDeathTest, ShardedKernelCallFromAnotherThreadAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the caller-thread check is compiled out under NDEBUG";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // Thread A builds the kernel, runs it partway (materializing
+        // shard 0's sleeper on A) and later destroys it; thread B calls
+        // run() in between.  A stays alive meanwhile, so B cannot inherit
+        // its recycled thread id, and no call but B's is on a stray thread.
+        ShardedKernelOptions opt;
+        opt.shards = 2;
+        opt.threads = 2;
+        std::unique_ptr<ShardedKernel> sk;
+        std::promise<void> started;
+        std::promise<void> release;
+        std::thread a([&] {
+          sk = std::make_unique<ShardedKernel>(1, opt);
+          sk->spawn(0, "sleeper", [](Context& ctx) { ctx.sleep(sec(1)); });
+          sk->run_until(kEpoch + msec(500));
+          started.set_value();
+          release.get_future().wait();
+          sk.reset();
+        });
+        started.get_future().wait();
+        std::thread b([&] { sk->run(); });
+        b.join();
+        release.set_value();
+        a.join();
+      },
+      "sim sharded kernel: called from thread .*, but thread .* owns it");
 #endif
 }
 

@@ -4,8 +4,13 @@
 // stack mode that makes 10^5 concurrent fibers possible.
 #include "sim/shard.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -202,32 +207,58 @@ void build_ping_world(ShardedKernel& sk, PingWorld& world) {
   }
 }
 
+// Runs the ping world on 4 shards with `threads` threads: `slices`
+// run_until calls of one lookahead each, then run().  Returns everything a
+// thread count must not change.
+auto run_ping_world(std::size_t threads, int slices) {
+  ShardedKernelOptions opt;
+  opt.shards = 4;
+  opt.threads = threads;
+  opt.lookahead = msec(5);
+  auto sk = std::make_unique<ShardedKernel>(42, opt);
+  PingWorld world(*sk);
+  build_ping_world(*sk, world);
+  for (int i = 1; i <= slices; ++i) sk->run_until(kEpoch + msec(5 * i));
+  sk->run();
+  std::vector<std::uint64_t> events;
+  std::vector<std::uint64_t> digests;
+  for (std::size_t s = 0; s < sk->shard_count(); ++s) {
+    events.push_back(sk->shard(s).events_processed());
+    digests.push_back(sk->shard(s).state_digest());
+  }
+  const std::uint64_t windows = sk->windows_run();
+  sk->shutdown();
+  return std::make_tuple(world.timelines, events, digests, windows);
+}
+
+// threads=3 on 4 shards is the uneven case: the calling thread (worker 0)
+// owns shards 0 and 3, the two pool workers one shard each.
 TEST(ShardedKernel, ByteIdenticalAcrossWorkerThreadCounts) {
-  auto run = [](std::size_t threads) {
-    ShardedKernelOptions opt;
-    opt.shards = 4;
-    opt.threads = threads;
-    opt.lookahead = msec(5);
-    auto sk = std::make_unique<ShardedKernel>(42, opt);
-    PingWorld world(*sk);
-    build_ping_world(*sk, world);
-    sk->run();
-    std::vector<std::uint64_t> events;
-    std::vector<std::uint64_t> digests;
-    for (std::size_t s = 0; s < sk->shard_count(); ++s) {
-      events.push_back(sk->shard(s).events_processed());
-      digests.push_back(sk->shard(s).state_digest());
-    }
-    const std::uint64_t windows = sk->windows_run();
-    sk->shutdown();
-    return std::make_tuple(world.timelines, events, digests, windows);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(4);
-  EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
-  EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+  const auto serial = run_ping_world(1, 0);
+  for (std::size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto parallel = run_ping_world(threads, 0);
+    EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+    EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
+    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+    EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+  }
+}
+
+// Stepped: ten run_until slices, then run().  Between calls the pool
+// workers sit parked at the barrier while the caller is back in user code.
+TEST(ShardedKernel, SteppedRunsByteIdenticalAcrossWorkerThreadCounts) {
+  const auto serial = run_ping_world(1, 10);
+  // Slicing changes no delivery: the timelines match the one-call run.
+  EXPECT_EQ(std::get<0>(serial), std::get<0>(run_ping_world(1, 0)));
+  for (std::size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto parallel = run_ping_world(threads, 10);
+    EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+    EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
+    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+    EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+  }
 }
 
 TEST(ShardedKernel, RunUntilReportsPendingMailAndEvents) {
@@ -262,26 +293,103 @@ TEST(ShardedKernel, ShutdownDropsUndeliveredMessages) {
   EXPECT_EQ(sk.live_process_count(), 0u);
 }
 
-TEST(ShardedKernel, ShardExceptionPropagatesDeterministically) {
+// Spawns a thrower on every shard; those in `throwing` raise "boom shard
+// <s>" in the same window.  The first by shard index must surface whatever
+// the worker timing, and the world must still shut down.
+void expect_first_shard_error(std::size_t threads,
+                              std::vector<std::size_t> throwing,
+                              const char* expected) {
   ShardedKernelOptions opt;
   opt.shards = 4;
-  opt.threads = 4;
+  opt.threads = threads;
   ShardedKernel sk(1, opt);
   for (std::size_t s = 0; s < 4; ++s) {
-    sk.spawn(s, "thrower" + std::to_string(s), [s](Context& ctx) {
+    const bool raise =
+        std::find(throwing.begin(), throwing.end(), s) != throwing.end();
+    sk.spawn(s, "thrower" + std::to_string(s), [s, raise](Context& ctx) {
       ctx.sleep(msec(1));
-      if (s >= 2) throw std::runtime_error("boom shard " + std::to_string(s));
+      if (raise) throw std::runtime_error("boom shard " + std::to_string(s));
     });
   }
-  // Both shard 2 and shard 3 throw in the same window; the first by shard
-  // index must surface regardless of worker timing.
   try {
     sk.run();
     FAIL() << "expected a shard exception";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom shard 2");
+    EXPECT_STREQ(e.what(), expected);
   }
   sk.shutdown();
+  EXPECT_EQ(sk.live_process_count(), 0u);
+}
+
+TEST(ShardedKernel, ShardExceptionPropagatesDeterministically) {
+  // Shards 2 and 3 belong to two different pool workers.
+  expect_first_shard_error(4, {2, 3}, "boom shard 2");
+  // Shard 0 is the calling thread's own; shard 3 is a pool worker's.
+  expect_first_shard_error(4, {0, 3}, "boom shard 0");
+  // threads=3: the caller runs both shard 0 and shard 3.
+  expect_first_shard_error(3, {0, 3}, "boom shard 0");
+}
+
+// `threads` counts the calling thread: it is worker 0, so N threads start
+// N - 1 OS threads, and threads=1 starts none.
+TEST(ShardedKernel, ThreadCountIncludesTheCaller) {
+  auto os_threads = [] {
+    std::size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  // threads=4 last: a joined worker's task can outlive its join briefly.
+  for (std::size_t threads : {1, 4}) {
+    const std::size_t before = os_threads();
+    ShardedKernelOptions opt;
+    opt.shards = 4;
+    opt.threads = threads;
+    ShardedKernel sk(1, opt);
+    EXPECT_EQ(sk.thread_count(), threads);
+    EXPECT_EQ(os_threads() - before, threads - 1);
+  }
+}
+
+// Barrier lifetime: many short-lived 4-thread kernels, each torn down at a
+// different point (never run, mid-run, drained, explicitly shut down).  A
+// worker left parked or a lost wakeup hangs here; ctest gives this test
+// its own timeout (tests/CMakeLists.txt).
+TEST(ShardedKernel, BuildRunDestroyManyThreadedKernels) {
+  std::uint64_t delivered = 0;
+  for (int i = 0; i < 200; ++i) {
+    ShardedKernelOptions opt;
+    opt.shards = 4;
+    opt.threads = 4;
+    opt.lookahead = msec(5);
+    ShardedKernel sk(std::uint64_t(i), opt);
+    for (std::size_t s = 0; s < 4; ++s) {
+      sk.spawn(s, "p" + std::to_string(s), [&sk, s](Context& ctx) {
+        ctx.sleep(msec(3));
+        sk.post(s, s, (s + 1) % 4, msec(5), "m", [](Context&) {});
+      });
+    }
+    switch (i % 4) {
+      case 0:
+        break;  // destroyed without ever running
+      case 1:
+        EXPECT_TRUE(sk.run_until(kEpoch + msec(4)));
+        break;
+      case 2:
+        sk.run();
+        break;
+      default:
+        sk.run();
+        sk.shutdown();
+        break;
+    }
+    delivered += sk.messages_delivered();
+  }
+  // Every kernel that ran past 3ms flushed its 4 posts to their shards.
+  EXPECT_EQ(delivered, 150u * 4u);
 }
 
 TEST(SlabStacks, ManyFibersWithoutGuardPages) {
