@@ -34,9 +34,8 @@ void FaultInjector::record(TimePoint now, std::string_view site,
 // Fires rule `index` unconditionally (the strategy already decided) and
 // records it.  Mirrors the per-kind bodies of the RNG path below, with the
 // one RNG draw (the reset fraction) replaced by the range midpoint.
-FaultDecision FaultInjector::fire_rule_locked(std::size_t index,
-                                              std::string_view site,
-                                              TimePoint now) {
+FaultDecision FaultInjector::fire_rule(std::size_t index,
+                                       std::string_view site, TimePoint now) {
   const sim::FaultRule& rule = plan_.rules()[index];
   const sim::FaultSpec& spec = rule.spec;
   FaultDecision decision;
@@ -80,8 +79,8 @@ FaultDecision FaultInjector::fire_rule_locked(std::size_t index,
   return decision;
 }
 
-FaultDecision FaultInjector::decide_with_strategy_locked(std::string_view site,
-                                                         TimePoint now) {
+FaultDecision FaultInjector::decide_with_strategy(std::string_view site,
+                                                  TimePoint now) {
   // Collect the alternatives (see set_strategy in the header for the
   // contract): probabilistic rules that *might* fire, in plan order, capped
   // by the first rule that *must* fire under first-match-wins.
@@ -112,7 +111,7 @@ FaultDecision FaultInjector::decide_with_strategy_locked(std::string_view site,
     }
   }
   if (alternatives.empty()) {
-    if (fallback < rules.size()) return fire_rule_locked(fallback, site, now);
+    if (fallback < rules.size()) return fire_rule(fallback, site, now);
     return FaultDecision{};
   }
   std::vector<std::string> labels;
@@ -131,17 +130,16 @@ FaultDecision FaultInjector::decide_with_strategy_locked(std::string_view site,
   std::size_t chosen = strategy_->choose(cp);
   if (chosen >= labels.size()) chosen = 0;
   if (chosen == 0) {
-    if (fallback < rules.size()) return fire_rule_locked(fallback, site, now);
+    if (fallback < rules.size()) return fire_rule(fallback, site, now);
     return FaultDecision{};
   }
-  return fire_rule_locked(alternatives[chosen - 1], site, now);
+  return fire_rule(alternatives[chosen - 1], site, now);
 }
 
 FaultDecision FaultInjector::decide(std::string_view site, TimePoint now) {
   FaultDecision decision;
   if (plan_.empty()) return decision;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (strategy_ != nullptr) return decide_with_strategy_locked(site, now);
+  if (strategy_ != nullptr) return decide_with_strategy(site, now);
   const auto& rules = plan_.rules();
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const sim::FaultRule& rule = rules[i];
@@ -202,31 +200,9 @@ FaultDecision FaultInjector::decide(std::string_view site, TimePoint now) {
   return decision;
 }
 
-void FaultInjector::set_strategy(mc::Strategy* strategy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  strategy_ = strategy;
-}
-
-void FaultInjector::set_observer(
-    std::function<void(const FaultEvent&)> observer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  observer_ = std::move(observer);
-}
-
-std::int64_t FaultInjector::fired_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::int64_t(events_.size());
-}
-
 std::int64_t FaultInjector::fired_at(std::string_view site) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = fired_.find(site);
   return it == fired_.end() ? 0 : it->second;
-}
-
-std::vector<FaultEvent> FaultInjector::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
 }
 
 std::string FaultInjector::render_audit_line(const FaultEvent& event) {
@@ -241,7 +217,6 @@ std::string FaultInjector::render_audit_line(const FaultEvent& event) {
 }
 
 std::string FaultInjector::audit_text() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const FaultEvent& event : events_) {
     out += render_audit_line(event);

@@ -18,14 +18,17 @@
 // whole-component failure the site models (the schedd's crash, for
 // example).  Keeping execution at the site is what lets one injector span
 // the simulated substrates and, via the syscall shim, the POSIX layer.
+//
+// Like the substrates that consult it, an injector belongs to the thread
+// draining its kernel and has no lock (sim/kernel.hpp, "Ownership").
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mc/strategy.hpp"
@@ -68,7 +71,9 @@ class FaultInjector {
   FaultDecision decide(std::string_view site, TimePoint now);
 
   // Called synchronously for every fired fault (after it is recorded).
-  void set_observer(std::function<void(const FaultEvent&)> observer);
+  void set_observer(std::function<void(const FaultEvent&)> observer) {
+    observer_ = std::move(observer);
+  }
 
   // Model checking: with a strategy installed, probabilistic rules stop
   // drawing from the per-site RNG stream and become an enumerable choice.
@@ -82,12 +87,12 @@ class FaultInjector {
   // of its fraction range so the decision stays RNG-free.  Sites with no
   // alternatives never consult the strategy, and the RNG streams are not
   // advanced while one is installed.
-  void set_strategy(mc::Strategy* strategy);
+  void set_strategy(mc::Strategy* strategy) { strategy_ = strategy; }
 
   // --- audit trail ---
-  std::int64_t fired_total() const;
+  std::int64_t fired_total() const { return std::int64_t(events_.size()); }
   std::int64_t fired_at(std::string_view site) const;
-  std::vector<FaultEvent> events() const;
+  std::vector<FaultEvent> events() const { return events_; }
   // One line per fired fault: "t=<seconds> <site> <kind> <detail>".
   // Byte-identical across replays of the same seed + plan.
   std::string audit_text() const;
@@ -100,14 +105,12 @@ class FaultInjector {
   Rng& site_rng(std::string_view site);
   void record(TimePoint now, std::string_view site, const sim::FaultSpec& spec,
               std::string detail);
-  FaultDecision decide_with_strategy_locked(std::string_view site,
-                                            TimePoint now);
-  FaultDecision fire_rule_locked(std::size_t index, std::string_view site,
-                                 TimePoint now);
+  FaultDecision decide_with_strategy(std::string_view site, TimePoint now);
+  FaultDecision fire_rule(std::size_t index, std::string_view site,
+                          TimePoint now);
 
   sim::FaultPlan plan_;
   Rng root_;
-  mutable std::mutex mu_;
   std::map<std::string, Rng, std::less<>> streams_;
   std::vector<bool> crash_fired_;  // one-shot latch per kCrash rule
   std::vector<FaultEvent> events_;

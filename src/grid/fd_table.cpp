@@ -10,7 +10,6 @@ FdTable::FdTable(std::int64_t capacity)
 }
 
 bool FdTable::try_allocate(std::int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (available_ < n) {
     ++allocation_failures_;
     return false;
@@ -21,34 +20,10 @@ bool FdTable::try_allocate(std::int64_t n) {
 }
 
 void FdTable::free(std::int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   available_ += n;
   assert(available_ <= capacity_ && "freed more descriptors than allocated");
 }
 
-std::int64_t FdTable::available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return available_;
-}
-
-std::int64_t FdTable::in_use() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_ - available_;
-}
-
-std::int64_t FdTable::low_watermark() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return low_watermark_;
-}
-
-std::int64_t FdTable::allocation_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return allocation_failures_;
-}
-
-void FdTable::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  available_ = capacity_;
-}
+void FdTable::reset() { available_ = capacity_; }
 
 }  // namespace ethergrid::grid

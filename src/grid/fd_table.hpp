@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 
 namespace ethergrid::grid {
 
@@ -25,12 +24,12 @@ class FdTable {
   void free(std::int64_t n);
 
   std::int64_t capacity() const { return capacity_; }
-  std::int64_t available() const;
-  std::int64_t in_use() const;
+  std::int64_t available() const { return available_; }
+  std::int64_t in_use() const { return capacity_ - available_; }
 
   // Telemetry: lowest available() ever observed, and failed allocations.
-  std::int64_t low_watermark() const;
-  std::int64_t allocation_failures() const;
+  std::int64_t low_watermark() const { return low_watermark_; }
+  std::int64_t allocation_failures() const { return allocation_failures_; }
 
   // Frees everything (the host rebooting / the schedd crash dropping all
   // connections is modelled by the owners releasing; this is a hard reset
@@ -39,7 +38,6 @@ class FdTable {
 
  private:
   const std::int64_t capacity_;
-  mutable std::mutex mu_;
   std::int64_t available_;
   std::int64_t low_watermark_;
   std::int64_t allocation_failures_ = 0;

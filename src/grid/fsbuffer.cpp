@@ -19,16 +19,6 @@ FsBuffer::FsBuffer(sim::Kernel& kernel, std::int64_t capacity_bytes)
       append_site_(obs::intern_site("fsbuffer.append")),
       completion_event_(kernel) {}
 
-void FsBuffer::set_fault_injector(core::FaultInjector* injector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  substrate_.set_fault_injector(injector);
-}
-
-void FsBuffer::set_observers(obs::ObserverSet* observers) {
-  std::lock_guard<std::mutex> lock(mu_);
-  substrate_.set_observers(observers);
-}
-
 std::optional<Status> FsBuffer::injected(const char* op) {
   core::FaultDecision fault = substrate_.decide_at(kernel_->now(), op);
   switch (fault.action) {
@@ -46,7 +36,6 @@ std::optional<Status> FsBuffer::injected(const char* op) {
 }
 
 Status FsBuffer::create(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (auto fault = injected("create")) return *fault;
   auto [it, inserted] = files_.try_emplace(name);
   if (!inserted) {
@@ -57,7 +46,6 @@ Status FsBuffer::create(const std::string& name) {
 }
 
 Status FsBuffer::append(const std::string& name, std::int64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (auto fault = injected("append")) return *fault;
   auto it = files_.find(name);
   if (it == files_.end()) {
@@ -79,24 +67,20 @@ Status FsBuffer::append(const std::string& name, std::int64_t bytes) {
 }
 
 Status FsBuffer::rename_done(const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto fault = injected("rename")) return *fault;
-    auto it = files_.find(name);
-    if (it == files_.end()) {
-      return Status::not_found("no such file: " + name);
-    }
-    if (it->second.complete) {
-      return Status::invalid_argument("file already complete: " + name);
-    }
-    it->second.complete = true;
+  if (auto fault = injected("rename")) return *fault;
+  auto it = files_.find(name);
+  if (it == files_.end()) {
+    return Status::not_found("no such file: " + name);
   }
+  if (it->second.complete) {
+    return Status::invalid_argument("file already complete: " + name);
+  }
+  it->second.complete = true;
   completion_event_.pulse();
   return Status::success();
 }
 
 void FsBuffer::remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(name);
   if (it == files_.end()) return;
   used_ -= it->second.size;
@@ -104,7 +88,6 @@ void FsBuffer::remove(const std::string& name) {
 }
 
 std::optional<FsBuffer::FileInfo> FsBuffer::oldest_complete() const {
-  std::lock_guard<std::mutex> lock(mu_);
   const File* best = nullptr;
   const std::string* best_name = nullptr;
   for (const auto& [name, file] : files_) {
@@ -118,18 +101,7 @@ std::optional<FsBuffer::FileInfo> FsBuffer::oldest_complete() const {
   return FileInfo{*best_name, best->size, true};
 }
 
-std::int64_t FsBuffer::free_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_ - used_;
-}
-
-std::int64_t FsBuffer::used_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return used_;
-}
-
 int FsBuffer::incomplete_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
   for (const auto& [name, file] : files_) {
     if (!file.complete) ++n;
@@ -138,7 +110,6 @@ int FsBuffer::incomplete_count() const {
 }
 
 int FsBuffer::complete_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
   for (const auto& [name, file] : files_) {
     if (file.complete) ++n;
@@ -147,7 +118,6 @@ int FsBuffer::complete_count() const {
 }
 
 std::int64_t FsBuffer::average_complete_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::int64_t total = 0;
   std::int64_t count = 0;
   for (const auto& [name, file] : files_) {
@@ -159,18 +129,7 @@ std::int64_t FsBuffer::average_complete_size() const {
   return count ? total / count : 0;
 }
 
-std::int64_t FsBuffer::enospc_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enospc_;
-}
-
-std::int64_t FsBuffer::injected_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return substrate_.injected_failures();
-}
-
 std::vector<FsBuffer::FileInfo> FsBuffer::list() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<FileInfo> out;
   out.reserve(files_.size());
   for (const auto& [name, file] : files_) {

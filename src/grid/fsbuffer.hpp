@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,8 +63,8 @@ class FsBuffer {
 
   // --- observations (the carrier-sense inputs).
   std::int64_t capacity() const { return capacity_; }
-  std::int64_t free_bytes() const;   // statfs free space
-  std::int64_t used_bytes() const;
+  std::int64_t free_bytes() const { return capacity_ - used_; }  // statfs
+  std::int64_t used_bytes() const { return used_; }
   int incomplete_count() const;
   int complete_count() const;
   // Mean size of complete files; 0 when none exist.
@@ -77,15 +76,21 @@ class FsBuffer {
   // IoChannel the traffic flows over instead).  Not owned; nullptr
   // disables.  Plumbed through a metadata-only grid::Substrate (space,
   // not bandwidth, is this medium's capacity).
-  void set_fault_injector(core::FaultInjector* injector);
+  void set_fault_injector(core::FaultInjector* injector) {
+    substrate_.set_fault_injector(injector);
+  }
 
   // Observability: each ENOSPC append becomes a kCollision event (value =
   // bytes refused).  Not owned; nullptr off.
-  void set_observers(obs::ObserverSet* observers);
+  void set_observers(obs::ObserverSet* observers) {
+    substrate_.set_observers(observers);
+  }
 
   // Telemetry.
-  std::int64_t enospc_failures() const;
-  std::int64_t injected_failures() const;
+  std::int64_t enospc_failures() const { return enospc_; }
+  std::int64_t injected_failures() const {
+    return substrate_.injected_failures();
+  }
   std::vector<FileInfo> list() const;
 
  private:
@@ -103,7 +108,6 @@ class FsBuffer {
   const std::int64_t capacity_;
   Substrate substrate_;       // fault + back-channel plumbing (no bandwidth)
   obs::SiteId append_site_;   // "fsbuffer.append", interned at construction
-  mutable std::mutex mu_;
   std::map<std::string, File> files_;
   std::int64_t used_ = 0;
   std::uint64_t next_order_ = 0;

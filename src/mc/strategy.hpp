@@ -3,7 +3,7 @@
 //
 // Two call sites exist today:
 //
-//  * sim::Kernel::pop_runnable_locked -- when two or more distinct processes
+//  * sim::Kernel::pop_runnable -- when two or more distinct processes
 //    have wakeups due at the same virtual instant, the kernel normally
 //    delivers them in (time, seq) order.  With a Strategy installed it
 //    instead surfaces the candidate set (one label per runnable process, in
@@ -58,9 +58,10 @@ class Strategy {
   virtual ~Strategy() = default;
 
   // Picks one of cp.labels; out-of-range returns are clamped to 0 by the
-  // call sites.  Called with the owning component's lock held -- must not
-  // re-enter the kernel except through const queries (which full-hold
-  // locking makes safe; see Kernel::lock_self).
+  // call sites.  Called in the middle of a scheduling or fault decision, on
+  // the thread draining the kernel -- must not re-enter the kernel except
+  // through const queries (live_process_count, queue_depth,
+  // verify_queue_accounting, state_digest).
   virtual std::size_t choose(const ChoicePoint& cp) = 0;
 
   // Called by the kernel after every delivered wakeup while a strategy is

@@ -35,12 +35,10 @@ sim::Context& SimExecutor::current() const {
 }
 
 void SimExecutor::register_command(const std::string& name, Handler handler) {
-  std::lock_guard<std::mutex> lock(mu_);
   commands_[name] = std::move(handler);
 }
 
 void SimExecutor::set_parallel_policy(const ParallelPolicy& policy) {
-  std::lock_guard<std::mutex> lock(mu_);
   parallel_policy_ = policy;
   if (policy.process_table_slots > 0) {
     process_table_ =
@@ -51,25 +49,21 @@ void SimExecutor::set_parallel_policy(const ParallelPolicy& policy) {
 }
 
 void SimExecutor::write_file(const std::string& path, std::string contents) {
-  std::lock_guard<std::mutex> lock(mu_);
   files_[path] = std::move(contents);
 }
 
 std::optional<std::string> SimExecutor::read_file(
     const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return std::nullopt;
   return it->second;
 }
 
 void SimExecutor::remove_file(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   files_.erase(path);
 }
 
 bool SimExecutor::file_exists(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   return files_.count(path) > 0;
 }
 
@@ -86,17 +80,10 @@ Status SimExecutor::with_deadline(TimePoint deadline,
 CommandResult SimExecutor::run(const CommandInvocation& invocation) {
   sim::Context& ctx = current();
 
-  // Call through a stable pointer (std::map nodes do not move) so stateful
-  // handlers keep their state across invocations.  The registry lock is NOT
-  // held while the handler runs: handlers block in virtual time, and a held
-  // lock would deadlock the cooperative scheduler.
-  Handler* handler = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = commands_.find(invocation.argv[0]);
-    if (it != commands_.end()) handler = &it->second;
-  }
-  if (!handler) {
+  // Call through the map node (std::map nodes do not move) so stateful
+  // handlers keep their state across invocations.
+  const auto it = commands_.find(invocation.argv[0]);
+  if (it == commands_.end()) {
     // "The program could not be loaded and run."
     return CommandResult{
         Status::not_found("unknown command: " + invocation.argv[0]), "", ""};
@@ -120,7 +107,7 @@ CommandResult SimExecutor::run(const CommandInvocation& invocation) {
     inv = &resolved;
   }
 
-  CommandResult result = (*handler)(ctx, *inv);
+  CommandResult result = it->second(ctx, *inv);
 
   std::string out = std::move(result.out);
   if (inv->merge_stderr) {
@@ -128,7 +115,6 @@ CommandResult SimExecutor::run(const CommandInvocation& invocation) {
     result.err.clear();
   }
   if (inv->stdout_file) {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string& file = files_[*inv->stdout_file];
     if (inv->stdout_append) {
       file += out;
@@ -148,13 +134,8 @@ std::vector<Status> SimExecutor::run_parallel(
   static const obs::SiteId kForallSite = obs::intern_site("forall");
   static const obs::SiteId kTableSite = obs::intern_site("forall.table");
   sim::Context& parent = current();
-  ParallelPolicy policy;
-  sim::Resource* table;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    policy = parallel_policy_;
-    table = process_table_.get();
-  }
+  const ParallelPolicy policy = parallel_policy_;
+  sim::Resource* const table = process_table_.get();
   const std::size_t n = branches.size();
   std::vector<Status> statuses(n, Status::killed("forall branch aborted"));
   std::vector<sim::ProcessHandle> children(n);  // null until spawned
@@ -371,8 +352,7 @@ void SimExecutor::register_builtins() {
                            "", ""};
     }
     std::vector<std::string> args(inv.argv.begin() + 2, inv.argv.end());
-    std::lock_guard<std::mutex> lock(mu_);
-    files_[inv.argv[1]] += join(args, " ");
+      files_[inv.argv[1]] += join(args, " ");
     return CommandResult{Status::success(), "", ""};
   });
 }

@@ -9,12 +9,13 @@
 // processes, giving real parallelism in virtual time with kill-on-failure.
 //
 // A small in-memory file namespace backs file redirections and `.exists.`.
+// Like the objects of its kernel, the executor has no lock: only the thread
+// draining that kernel uses it (sim/kernel.hpp, "Ownership").
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -76,7 +77,6 @@ class SimExecutor final : public Executor {
   void register_builtins();
 
   sim::Kernel* kernel_;
-  mutable std::mutex mu_;  // protects commands_ and files_
   std::map<std::string, Handler> commands_;
   std::map<std::string, std::string> files_;
   ParallelPolicy parallel_policy_;

@@ -7,6 +7,8 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <mutex>
 #include <new>
 #include <unordered_map>
 
@@ -40,31 +42,6 @@
 namespace ethergrid::sim {
 
 namespace {
-
-// The Context of the process currently executing on *this* thread, or
-// nullptr while the scheduler (or no kernel at all) owns the thread.  Set
-// on every handoff into a process body and cleared on every handoff out,
-// so Kernel::current_context() can skip the kernel mutex when the caller
-// is the running process itself -- by far the hottest query.  Only the
-// owning thread ever touches its slot, so plain loads/stores are race-free.
-thread_local Context* tls_running_context = nullptr;
-
-// RAII marker for the drain entry points (run / run_until / shutdown).
-// Saved/restored on nesting so a simulation driven from inside another
-// kernel's process keeps both honest.  The holder variable itself lives in
-// internal:: (kernel.hpp) so lock_self can inline the read.
-class MuHoldScope {
- public:
-  explicit MuHoldScope(Kernel* kernel) : prev_(internal::tls_mu_holder) {
-    internal::tls_mu_holder = kernel;
-  }
-  ~MuHoldScope() { internal::tls_mu_holder = prev_; }
-  MuHoldScope(const MuHoldScope&) = delete;
-  MuHoldScope& operator=(const MuHoldScope&) = delete;
-
- private:
-  const Kernel* prev_;
-};
 
 // No-op shims when ASan is absent, so call sites stay unconditional.
 inline void asan_start_switch(void** fake_stack_save, const void* bottom,
@@ -152,7 +129,8 @@ std::size_t page_size() {
   return page;
 }
 
-// Process-wide cache of fiber stacks, shared across Kernel instances.
+// Process-wide cache of fiber stacks, shared across Kernel instances (and
+// so across the threads that drive them: the one lock in the sim kernel).
 // Within one kernel stacks already recycle through free_stacks_, but
 // short-lived kernels (one per benchmark iteration, one per test case)
 // used to pay mmap + guard mprotect + first-touch page faults + munmap
@@ -221,9 +199,26 @@ struct FcxBootstrap {
 
 }  // namespace
 
-namespace internal {
-__thread const Kernel* tls_mu_holder = nullptr;
-}  // namespace internal
+// Records the draining thread for check_owner (debug/audit builds; empty
+// otherwise).
+class Kernel::DrainScope {
+ public:
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  explicit DrainScope(Kernel* kernel) : kernel_(kernel) {
+    kernel->check_owner();
+    kernel->drain_thread_.store(std::this_thread::get_id(),
+                                std::memory_order_relaxed);
+  }
+  ~DrainScope() {
+    kernel_->drain_thread_.store(std::thread::id(), std::memory_order_relaxed);
+  }
+
+ private:
+  Kernel* kernel_;
+#else
+  explicit DrainScope(Kernel*) {}
+#endif
+};
 
 // ---------------------------------------------------------------- Process
 
@@ -242,7 +237,7 @@ Process::~Process() {
   }
 }
 
-void Process::recycle_locked() {
+void Process::recycle() {
   assert(state_ == State::kFinished);
   assert(queue_entries_ == 0 && live_wakeups_ == 0);
   assert(!stack_.usable_lo && "finished fiber's stack was not recycled");
@@ -253,7 +248,7 @@ void Process::recycle_locked() {
   // past life must stay stale forever.
   deadlines_.clear();
   result_ = Status();
-  // The done_ Event is reused un-destroyed: set_locked() unlinked every
+  // The done_ Event is reused un-destroyed: set() unlinked every
   // waiter when the old body finished, so re-latching is a plain store.
   assert(done_ && !done_->head_);
   done_->set_ = false;
@@ -265,17 +260,11 @@ void Process::recycle_locked() {
   body_ = nullptr;
 }
 
-bool Process::finished() const {
-  const auto lock = kernel_->lock_self();
-  return state_ == State::kFinished;
-}
+bool Process::finished() const { return state_ == State::kFinished; }
 
-Status Process::result() const {
-  const auto lock = kernel_->lock_self();
-  return result_;
-}
+Status Process::result() const { return result_; }
 
-void Process::run_body_locked() {
+void Process::run_body() {
   state_ = State::kRunning;
   Status result;
   std::exception_ptr error;
@@ -284,9 +273,6 @@ void Process::run_body_locked() {
   } else {
     Context ctx(kernel_, this);
     context_ = &ctx;
-    tls_running_context = &ctx;
-    // The body runs under the drain's continuous hold (full-hold locking):
-    // primitives it calls skip locking via lock_self().
     try {
       body_(ctx);
       result = Status::success();
@@ -304,7 +290,6 @@ void Process::run_body_locked() {
       error = std::current_exception();
     }
     context_ = nullptr;
-    tls_running_context = nullptr;
   }
 
   result_ = std::move(result);
@@ -318,11 +303,11 @@ void Process::run_body_locked() {
   // this accounting would leave live-counted entries behind that the pop
   // path later subtracts from stale_wakeups_, wrapping the counter and
   // locking the queue into permanent O(n) compaction.
-  kernel_->invalidate_wakeups_locked(this);
+  kernel_->invalidate_wakeups(this);
   ++wake_token_;
-  done_->set_locked();
+  done_->set();
   body_ = nullptr;  // drop captured state while the result lives on
-  kernel_->audit_accounting_locked();
+  kernel_->audit_accounting();
 }
 
 void Process::fcontext_entry(internal::transfer_t t) {
@@ -337,17 +322,14 @@ void Process::fcontext_entry(internal::transfer_t t) {
   asan_finish_switch(nullptr, &kernel->sched_stack_bottom_,
                      &kernel->sched_stack_size_);
   *boot.slot = t.fctx;  // park the jumper
-  // Full-hold locking: the drain that dispatched us holds the mutex across
-  // the switch and keeps holding it until run()/run_until() return, so
-  // this side never locks.
-  self->run_body_locked();
+  self->run_body();
   kernel->current_ = nullptr;
   kernel->last_finished_ = self;  // scheduler recycles stack + object
   // Final departure, always into the scheduler frame.  A null save handle
   // tells ASan to destroy this fiber's fake stack.  The dead continuation
   // this jump creates is parked into our own slot by the scheduler's
   // receive code and never jumped to again.
-  kernel->jump_to_scheduler_locked(self, nullptr);
+  kernel->jump_to_scheduler(self, nullptr);
   std::abort();  // a consumed continuation must never come back
 }
 
@@ -355,7 +337,6 @@ void Process::fcontext_entry(internal::transfer_t t) {
 
 Event::~Event() {
   if (!head_) return;  // common case: nothing to detach
-  const auto lock = kernel_->lock_self();
   Waiter* w = head_;
   while (w) {
     Waiter* next = w->next;
@@ -368,7 +349,7 @@ Event::~Event() {
   head_ = tail_ = nullptr;
 }
 
-void Event::link_locked(Waiter* w) {
+void Event::link(Waiter* w) {
   w->linked = true;
   w->next = nullptr;
   w->prev = tail_;
@@ -380,7 +361,7 @@ void Event::link_locked(Waiter* w) {
   tail_ = w;
 }
 
-void Event::unlink_locked(Waiter* w) {
+void Event::unlink(Waiter* w) {
   if (!w->linked) return;
   if (w->prev) {
     w->prev->next = w->next;
@@ -402,8 +383,8 @@ namespace {
 
 using DeadlineStack = std::vector<std::pair<std::uint64_t, TimePoint>>;
 
-// Requires kernel mutex held.  Builds the exception for the *outermost*
-// expired deadline (outer timeouts dominate inner scopes).
+// Builds the exception for the *outermost* expired deadline (outer timeouts
+// dominate inner scopes).
 DeadlineExceeded outermost_expired(const DeadlineStack& deadlines,
                                    TimePoint now) {
   for (const auto& entry : deadlines) {
@@ -423,15 +404,9 @@ TimePoint earliest_deadline_of(const DeadlineStack& deadlines) {
 
 }  // namespace
 
-TimePoint Context::now() const {
-  // Lock-free: the mirror is released under mu_ on every time advance, and
-  // the handoff that resumed this process happens-after that advance.
-  return TimePoint(
-      Duration(kernel_->now_fast_.load(std::memory_order_acquire)));
-}
+TimePoint Context::now() const { return kernel_->now_; }
 
 void Context::sleep(Duration d) {
-  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -442,8 +417,8 @@ void Context::sleep(Duration d) {
   if (d < Duration(0)) d = Duration(0);
   const TimePoint target = k.now_ + d;
   const TimePoint effective = std::min(target, deadline);
-  k.schedule_locked(effective, &p);
-  k.yield_from_process_locked(&p);
+  k.schedule(effective, &p);
+  k.yield_from_process(&p);
   if (p.killed_) throw Interrupted{p.kill_reason_};
   if (deadline < target && k.now_ >= deadline) {
     throw outermost_expired(p.deadlines_, k.now_);
@@ -451,7 +426,6 @@ void Context::sleep(Duration d) {
 }
 
 void Context::wait(Event& e) {
-  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -462,26 +436,25 @@ void Context::wait(Event& e) {
   if (e.set_) return;
   Event::Waiter waiter;
   waiter.process = &p;
-  e.link_locked(&waiter);
-  if (deadline != kNoDeadline) k.schedule_locked(deadline, &p);
+  e.link(&waiter);
+  if (deadline != kNoDeadline) k.schedule(deadline, &p);
   while (true) {
-    k.yield_from_process_locked(&p);
+    k.yield_from_process(&p);
     if (p.killed_) {
-      if (waiter.linked) e.unlink_locked(&waiter);
+      if (waiter.linked) e.unlink(&waiter);
       throw Interrupted{p.kill_reason_};
     }
     if (waiter.granted) return;
     if (k.now_ >= deadline) {
-      if (waiter.linked) e.unlink_locked(&waiter);
+      if (waiter.linked) e.unlink(&waiter);
       throw outermost_expired(p.deadlines_, k.now_);
     }
     // Defensive: spurious resume; re-arm the deadline guard.
-    if (deadline != kNoDeadline) k.schedule_locked(deadline, &p);
+    if (deadline != kNoDeadline) k.schedule(deadline, &p);
   }
 }
 
 bool Context::wait_for(Event& e, Duration timeout) {
-  const auto lock = kernel_->lock_self();
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
@@ -495,47 +468,43 @@ bool Context::wait_for(Event& e, Duration timeout) {
   const TimePoint effective = std::min(local, deadline);
   Event::Waiter waiter;
   waiter.process = &p;
-  e.link_locked(&waiter);
-  k.schedule_locked(effective, &p);
+  e.link(&waiter);
+  k.schedule(effective, &p);
   while (true) {
-    k.yield_from_process_locked(&p);
+    k.yield_from_process(&p);
     if (p.killed_) {
-      if (waiter.linked) e.unlink_locked(&waiter);
+      if (waiter.linked) e.unlink(&waiter);
       throw Interrupted{p.kill_reason_};
     }
     if (waiter.granted) return true;
     if (k.now_ >= deadline) {
-      if (waiter.linked) e.unlink_locked(&waiter);
+      if (waiter.linked) e.unlink(&waiter);
       throw outermost_expired(p.deadlines_, k.now_);
     }
     if (k.now_ >= local) {
-      if (waiter.linked) e.unlink_locked(&waiter);
+      if (waiter.linked) e.unlink(&waiter);
       return false;
     }
-    k.schedule_locked(effective, &p);
+    k.schedule(effective, &p);
   }
 }
 
 std::uint64_t Context::push_deadline(TimePoint deadline) {
-  const auto lock = kernel_->lock_self();
   const std::uint64_t token = ++kernel_->next_seq_;
   process_->deadlines_.emplace_back(token, deadline);
   return token;
 }
 
 void Context::pop_deadline() {
-  const auto lock = kernel_->lock_self();
   assert(!process_->deadlines_.empty());
   process_->deadlines_.pop_back();
 }
 
 TimePoint Context::earliest_deadline() const {
-  const auto lock = kernel_->lock_self();
   return earliest_deadline_of(process_->deadlines_);
 }
 
 void Context::check() {
-  const auto lock = kernel_->lock_self();
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
   if (earliest_deadline_of(p.deadlines_) <= kernel_->now_) {
@@ -550,8 +519,7 @@ ProcessHandle Context::spawn(std::string name, ProcessBody body) {
 void Context::join(Process& p) { wait(*p.done_); }
 
 void Context::kill(Process& p, std::string reason) {
-  const auto lock = kernel_->lock_self();
-  kernel_->kill_locked(p, std::move(reason));
+  kernel_->kill(p, std::move(reason));
 }
 
 Rng& Context::rng() { return process_->rng_; }
@@ -577,15 +545,13 @@ Kernel::Kernel(std::uint64_t seed, KernelOptions options)
 
 Kernel::~Kernel() {
   shutdown();
-  std::lock_guard<std::mutex> lock(mu_);
-  release_stacks_locked();
+  release_stacks();
   for (const auto& [base, size] : slab_maps_) ::munmap(base, size);
   slab_maps_.clear();
 }
 
 void Kernel::shutdown() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  MuHoldScope hold(this);
+  const DrainScope scope(this);
   shutting_down_ = true;
   propagate_errors_ = false;
   // Shutdown must drain unconditionally; a strategy (or its pending halt)
@@ -600,10 +566,10 @@ void Kernel::shutdown() {
   for (int rounds = 0; live_processes_ > 0 && rounds < 64; ++rounds) {
     for (auto& p : processes_) {
       if (p->state_ != Process::State::kFinished) {
-        kill_locked(*p, "kernel shutdown");
+        kill(*p, "kernel shutdown");
       }
     }
-    drain_locked(TimePoint::max());
+    drain(TimePoint::max());
   }
   assert(live_processes_ == 0 && "process survived kernel shutdown");
   // The full drain popped every queue entry, so every finished process
@@ -611,12 +577,10 @@ void Kernel::shutdown() {
   free_processes_.clear();
 }
 
-TimePoint Kernel::now() const {
-  return TimePoint(Duration(now_fast_.load(std::memory_order_acquire)));
-}
+TimePoint Kernel::now() const { return now_; }
 
 ProcessHandle Kernel::spawn(std::string name, ProcessBody body) {
-  const auto lock = lock_self();
+  check_owner();
   // Lazy materialization: no stack and no context here -- those
   // happen at first dispatch (resume/pop), so spawning 10^6 clients costs
   // one pooled-or-heap Process object and a queue entry each, and a process
@@ -643,16 +607,12 @@ ProcessHandle Kernel::spawn(std::string name, ProcessBody body) {
   p->pindex_ = static_cast<std::uint32_t>(processes_.size());
   processes_.push_back(p);
   ++live_processes_;
-  schedule_locked(now_, p.get());
+  schedule(now_, p.get());
   return p;
 }
 
 void Kernel::kill(Process& p, std::string reason) {
-  const auto lock = lock_self();
-  kill_locked(p, std::move(reason));
-}
-
-void Kernel::kill_locked(Process& p, std::string reason) {
+  check_owner();
   if (p.state_ == Process::State::kFinished || p.killed_) return;
   p.killed_ = true;
   p.kill_reason_ = std::move(reason);
@@ -664,36 +624,36 @@ void Kernel::kill_locked(Process& p, std::string reason) {
   // zero.  A killed running process is NOT rescheduled: it unwinds at its
   // next wait primitive.
   if (!debug_kill_skips_invalidate_) {
-    invalidate_wakeups_locked(&p);
+    invalidate_wakeups(&p);
   }
   ++p.wake_token_;
   if (&p != current_) {
-    schedule_locked(now_, &p);
+    schedule(now_, &p);
   }
-  audit_accounting_locked();
+  audit_accounting();
 }
 
-void Kernel::invalidate_wakeups_locked(Process* p) {
+void Kernel::invalidate_wakeups(Process* p) {
   stale_wakeups_ += p->live_wakeups_;
   p->live_wakeups_ = 0;
 }
 
-void Kernel::finish_killed_at_birth_locked(Process* p) {
+void Kernel::finish_killed_at_birth(Process* p) {
   assert(p->state_ == Process::State::kNew && p->killed_);
-  // Observably identical to run_body_locked's killed-at-birth arm, without
+  // Observably identical to run_body's killed-at-birth arm, without
   // ever materializing a stack or context.
   p->result_ = Status::killed(p->kill_reason_);
   p->state_ = Process::State::kFinished;
   --live_processes_;
-  invalidate_wakeups_locked(p);
+  invalidate_wakeups(p);
   ++p->wake_token_;
-  p->done_->set_locked();
+  p->done_->set();
   p->body_ = nullptr;
-  audit_accounting_locked();
-  maybe_retire_locked(p);
+  audit_accounting();
+  maybe_retire(p);
 }
 
-void Kernel::maybe_retire_locked(Process* p) {
+void Kernel::maybe_retire(Process* p) {
   assert(p->state_ == Process::State::kFinished);
   if (p->queue_entries_ != 0) {
     // Stranded (now stale) entries still point at p; retirement waits for
@@ -702,18 +662,18 @@ void Kernel::maybe_retire_locked(Process* p) {
     p->pending_retire_ = true;
     return;
   }
-  retire_locked(p);
+  retire(p);
 }
 
-void Kernel::flush_retirable_slow_locked() {
+void Kernel::flush_retirable_slow() {
   while (!retirable_.empty()) {
     Process* p = retirable_.back();
     retirable_.pop_back();
-    retire_locked(p);
+    retire(p);
   }
 }
 
-void Kernel::retire_locked(Process* p) {
+void Kernel::retire(Process* p) {
   assert(p->state_ == Process::State::kFinished && p->queue_entries_ == 0);
   p->pending_retire_ = false;
   const std::size_t i = p->pindex_;
@@ -731,33 +691,28 @@ void Kernel::retire_locked(Process* p) {
   // results stay readable, and the object is simply not reused.
   if (!shutting_down_ && h.use_count() == 1 &&
       free_processes_.size() < kMaxPooledProcesses) {
-    h->recycle_locked();
+    h->recycle();
     free_processes_.push_back(std::move(h));
   }
 }
 
 std::size_t Kernel::pooled_process_count() const {
-  const auto lock = lock_self();
   return free_processes_.size();
 }
 
 std::size_t Kernel::pooled_stack_count() const {
-  const auto lock = lock_self();
   return free_stacks_.size();
 }
 
-// Exact recount of the lazy-cancellation bookkeeping: the stale counter
-// must equal the number of queue entries that can no longer fire, and each
-// process's live_wakeups_ must equal its token-matching entries.  O(queue)
-// per call, so the inline wrapper (kernel.hpp) only calls this when
-// assertions are on or ETHERGRID_QUEUE_AUDIT forces it.
 // The exact recount behind both the debug audit (abort on drift) and the
 // public verify_queue_accounting() (Status on drift): the stale counter must
 // equal the number of queue entries that can no longer fire, and each
 // process's live_wakeups_ its token-matching entries.  One implementation so
 // the model checker, the chaos tests, and the debug audit can never disagree
-// about what "accounting is consistent" means.
-Status Kernel::check_queue_accounting_locked() const {
+// about what "accounting is consistent" means.  O(queue) per call, so the
+// inline audit wrapper (kernel.hpp) only calls it when assertions are on or
+// ETHERGRID_QUEUE_AUDIT forces it.
+Status Kernel::verify_queue_accounting() const {
   std::size_t stale = 0;
   std::size_t depth = 0;
   std::unordered_map<const Process*, std::size_t> live_by_process;
@@ -830,12 +785,7 @@ Status Kernel::check_queue_accounting_locked() const {
   return Status::success();
 }
 
-Status Kernel::verify_queue_accounting() const {
-  const auto lock = lock_self();
-  return check_queue_accounting_locked();
-}
-
-void Kernel::audit_accounting_slow_locked() const {
+void Kernel::audit_accounting_slow() const {
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   // The self-test knob makes the counters drift on purpose; aborting here
   // would kill the run before the accounting invariant gets to observe it.
@@ -845,8 +795,8 @@ void Kernel::audit_accounting_slow_locked() const {
   // still catches it, just a bounded number of events later.  Small queues
   // (every unit test) stay exact on every call; without the throttle the
   // big scenario suites go O(events x queue) under sanitizers.
-  if (queue_size_locked() > 128 && (++audit_tick_ & 63) != 0) return;
-  const Status status = check_queue_accounting_locked();
+  if (queue_.size() > 128 && (++audit_tick_ & 63) != 0) return;
+  const Status status = verify_queue_accounting();
   if (!status.ok()) {
     std::fprintf(stderr, "queue audit: %s\n", status.message().c_str());
     std::abort();
@@ -855,7 +805,7 @@ void Kernel::audit_accounting_slow_locked() const {
 }
 
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
-void Kernel::audit_delivery_order_slow_locked(const internal::QueueEntry& e) {
+void Kernel::audit_delivery_order_slow(const internal::QueueEntry& e) {
   if (e.time < last_delivered_time_ ||
       (e.time == last_delivered_time_ && e.seq <= last_delivered_seq_)) {
     std::fprintf(stderr,
@@ -873,17 +823,17 @@ void Kernel::audit_delivery_order_slow_locked(const internal::QueueEntry& e) {
 }
 #endif
 
-void Kernel::compact_queue_locked() {
+void Kernel::compact_queue() {
   // The wheel calls the predicate exactly once per drop decision and drops
   // exactly the entries it accepts (event_queue.hpp documents the
   // contract), so it doubles as the per-process entry-count bookkeeper:
   // when a pending-retire process's last entry is compacted away it lands
   // on retirable_, to be flushed at the next pop site -- NOT here, because
-  // compaction triggers from schedule_locked, which runs under iteration
+  // compaction triggers from schedule, which runs under iteration
   // of processes_ (shutdown's kill loop).
   const auto stale = [this](const internal::QueueEntry& e) {
     if (!entry_stale(e)) return false;
-    note_entry_discarded_locked(e.process);
+    note_entry_discarded(e.process);
     return true;
   };
   // Incremental: sweep a few occupied slots per trigger.  Near-future
@@ -894,7 +844,18 @@ void Kernel::compact_queue_locked() {
   stale_wakeups_ -= std::min(queue_.compact_step(stale), stale_wakeups_);
 }
 
-inline void Kernel::check_fiber_thread_locked(
+void Kernel::check_owner_slow() const {
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  const std::thread::id owner = drain_thread_.load(std::memory_order_relaxed);
+  const std::thread::id self = std::this_thread::get_id();
+  if (owner == std::thread::id() || owner == self) return;
+  std::cerr << "sim kernel: called from thread " << self << " while thread "
+            << owner << " is draining it\n";
+  std::abort();
+#endif
+}
+
+inline void Kernel::check_fiber_thread(
     [[maybe_unused]] const Process* p) const {
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   if (p->fiber_thread_ == std::this_thread::get_id()) return;
@@ -906,14 +867,14 @@ inline void Kernel::check_fiber_thread_locked(
 #endif
 }
 
-inline void Kernel::jump_into_locked(Process* next, internal::fcontext_t* park,
-                                     void** asan_fake_save) {
+inline void Kernel::jump_into(Process* next, internal::fcontext_t* park,
+                              void** asan_fake_save) {
   FcxBootstrap boot{park, next};
   void* data = park;
   if (next->state_ == Process::State::kNew) {
     // Materialize.  No bootstrap entry: the fresh continuation enters
     // fcontext_entry on this very jump, the first dispatch itself.
-    next->stack_ = obtain_stack_locked();
+    next->stack_ = obtain_stack();
     next->tsan_fiber_ = tsan_create_fiber();
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
     next->fiber_thread_ = std::this_thread::get_id();
@@ -923,7 +884,7 @@ inline void Kernel::jump_into_locked(Process* next, internal::fcontext_t* park,
         next->stack_.usable_size, &Process::fcontext_entry);
     data = &boot;
   } else {
-    check_fiber_thread_locked(next);
+    check_fiber_thread(next);
   }
   current_ = next;
   asan_start_switch(asan_fake_save, next->stack_.usable_lo,
@@ -936,8 +897,7 @@ inline void Kernel::jump_into_locked(Process* next, internal::fcontext_t* park,
   *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
 }
 
-inline void Kernel::jump_to_scheduler_locked(Process* p,
-                                             void** asan_fake_save) {
+inline void Kernel::jump_to_scheduler(Process* p, void** asan_fake_save) {
   asan_start_switch(asan_fake_save, sched_stack_bottom_, sched_stack_size_);
   tsan_switch_to_fiber(sched_tsan_fiber_);
   const internal::transfer_t t =
@@ -945,7 +905,7 @@ inline void Kernel::jump_to_scheduler_locked(Process* p,
   *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
 }
 
-internal::FiberStack Kernel::obtain_stack_locked() {
+internal::FiberStack Kernel::obtain_stack() {
   if (!free_stacks_.empty()) {
     internal::FiberStack stack = free_stacks_.back();
     free_stacks_.pop_back();
@@ -996,11 +956,11 @@ internal::FiberStack Kernel::obtain_stack_locked() {
   return stack;
 }
 
-void Kernel::recycle_stack_locked(Process* p) {
+void Kernel::recycle_stack(Process* p) {
   if (!p->stack_.usable_lo) return;  // slab-carved stacks recycle too
   // Poisoned for the whole pooled interval: under ASan, any read through a
   // pointer that escaped the dead fiber's frames faults immediately
-  // instead of silently observing the next tenant.  obtain_stack_locked
+  // instead of silently observing the next tenant.  obtain_stack
   // unpoisons on the way out.
   asan_poison_stack(p->stack_);
   free_stacks_.push_back(p->stack_);
@@ -1009,7 +969,7 @@ void Kernel::recycle_stack_locked(Process* p) {
   p->tsan_fiber_ = nullptr;
 }
 
-void Kernel::release_stacks_locked() {
+void Kernel::release_stacks() {
   for (const internal::FiberStack& stack : free_stacks_) {
     // Pool poisoning must not outlive the pool: the cache hands stacks to
     // other kernels, and slab memory is about to be munmapped (a later
@@ -1022,19 +982,16 @@ void Kernel::release_stacks_locked() {
   free_stacks_.clear();
 }
 
-void Kernel::resume_locked(Process* p) {
+void Kernel::resume(Process* p) {
   // The strategy path delivers killed, never-dispatched processes through
   // the drain (the race it exists to explore); finish them here without
   // materializing anything.  The non-strategy pop already short-circuits
   // this case before it reaches resume.
   if (p->state_ == Process::State::kNew && p->killed_) {
-    finish_killed_at_birth_locked(p);
+    finish_killed_at_birth(p);
     return;
   }
-  // Full-hold locking: fiber switches never leave this OS thread, so the
-  // drain's mutex hold simply persists across the jump -- the far side
-  // never locks, and a simulated event costs zero mutex operations.
-  jump_into_locked(p, &sched_ctx_, &sched_asan_fake_stack_);
+  jump_into(p, &sched_ctx_, &sched_asan_fake_stack_);
   asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
   // With direct switching the fiber that finished is not necessarily the
   // one this frame resumed (control may have chained through several
@@ -1042,16 +999,15 @@ void Kernel::resume_locked(Process* p) {
   if (last_finished_ != nullptr) {
     Process* finished = last_finished_;
     last_finished_ = nullptr;
-    recycle_stack_locked(finished);
-    maybe_retire_locked(finished);
+    recycle_stack(finished);
+    maybe_retire(finished);
   }
 }
 
-void Kernel::yield_from_process_locked(Process* p) {
+void Kernel::yield_from_process(Process* p) {
   // While control is away the thread belongs to the scheduler (possibly
-  // resuming a *different* process before us); drop the thread-local and
-  // restore it on the way back in.
-  tls_running_context = nullptr;
+  // resuming a *different* process before us); whoever resumes us sets
+  // current_ back.
   current_ = nullptr;
   // Direct-switch fast path: pop the next runnable right here, on the
   // yielding process's stack, and transfer control without bouncing
@@ -1059,12 +1015,11 @@ void Kernel::yield_from_process_locked(Process* p) {
   // loop would have made (same queue, same limit), so delivery order --
   // and therefore the determinism contract -- is untouched; only the
   // route control takes differs.
-  Process* next = pop_runnable_locked(run_limit_);
+  Process* next = pop_runnable(run_limit_);
   if (next == p) {
     // Self-wakeup (a lone sleeper, the ubiquitous benchmark and timer
     // pattern): nothing to switch to; just carry on.
     current_ = p;
-    tls_running_context = p->context_;
     return;
   }
 #ifndef ETHERGRID_ASAN
@@ -1075,8 +1030,7 @@ void Kernel::yield_from_process_locked(Process* p) {
   // still bounces, since the scheduler's resume finishes it stackless.
   if (next != nullptr &&
       (next->state_ != Process::State::kNew || !next->killed_)) {
-    jump_into_locked(next, &p->fiber_ctx_, &p->asan_fake_stack_);
-    tls_running_context = p->context_;
+    jump_into(next, &p->fiber_ctx_, &p->asan_fake_stack_);
     return;
   }
 #endif
@@ -1084,57 +1038,53 @@ void Kernel::yield_from_process_locked(Process* p) {
   // never-dispatched strategy pick, or any hop under ASan.  The popped
   // entry was consumed, so park it for the scheduler loop to resume.
   pending_next_ = next;
-  // Full-hold: the mutex is owned by the drain; just jump.
-  jump_to_scheduler_locked(p, &p->asan_fake_stack_);
+  jump_to_scheduler(p, &p->asan_fake_stack_);
   // Re-learn the scheduler's stack bounds on every entry: run() may be
   // driven from a different thread (hence stack) across calls.
   asan_finish_switch(p->asan_fake_stack_, &sched_stack_bottom_,
                      &sched_stack_size_);
-  tls_running_context = p->context_;
 }
 
-inline Process* Kernel::pop_runnable_locked(TimePoint limit) {
-  if (strategy_ != nullptr) return pop_runnable_strategy_locked(limit);
+inline Process* Kernel::pop_runnable(TimePoint limit) {
+  if (strategy_ != nullptr) return pop_runnable_strategy(limit);
   internal::QueueEntry entry;
   while (true) {
-    const bool got = raw_pop_due_locked(limit, &entry);
+    const bool got = raw_pop_due(limit, &entry);
     // Pop sites are the only place deferred retirements run: nothing here
     // is iterating processes_, so the swap-remove is safe.
-    flush_retirable_locked();
+    flush_retirable();
     if (!got) return nullptr;
     if (entry_stale(entry)) {
       assert((stale_wakeups_ > 0 || debug_kill_skips_invalidate_) &&
              "stale-wakeup underflow");
       if (stale_wakeups_ > 0) --stale_wakeups_;
-      note_entry_discarded_locked(entry.process);
-      audit_accounting_locked();
+      note_entry_discarded(entry.process);
+      audit_accounting();
       continue;
     }
-    audit_delivery_order_locked(entry);
+    audit_delivery_order(entry);
     --entry.process->live_wakeups_;
     // A live entry's process cannot be finished (token-uniform staleness),
     // so this note can never queue a retirement.
-    note_entry_discarded_locked(entry.process);
+    note_entry_discarded(entry.process);
     now_ = std::max(now_, entry.time);
-    now_fast_.store(now_.time_since_epoch().count(),
-                    std::memory_order_release);
-    invalidate_wakeups_locked(entry.process);
+    invalidate_wakeups(entry.process);
     ++entry.process->wake_token_;  // consume: later same-token entries stale
     ++events_processed_;
-    audit_accounting_locked();
+    audit_accounting();
     Process* p = entry.process;
     if (p->state_ == Process::State::kNew && p->killed_) {
       // Killed before first dispatch: finish right here, no stack, no
       // thread.  The wake delivery above counted toward events_processed_
       // exactly as the old materialize-then-unwind route did.
-      finish_killed_at_birth_locked(p);
+      finish_killed_at_birth(p);
       continue;
     }
     return p;
   }
 }
 
-bool Kernel::raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out) {
+bool Kernel::raw_pop_due(TimePoint limit, internal::QueueEntry* out) {
   // The wheel drops stale entries it meets while draining slots; count
   // them off (and their per-process entry totals -- the predicate runs
   // exactly once per dropped entry).  The entry it hands back may still be
@@ -1145,7 +1095,7 @@ bool Kernel::raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out) {
       limit, out,
       [this](const internal::QueueEntry& e) {
         if (!entry_stale(e)) return false;
-        note_entry_discarded_locked(e.process);
+        note_entry_discarded(e.process);
         return true;
       },
       &dropped);
@@ -1155,7 +1105,7 @@ bool Kernel::raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out) {
   return got;
 }
 
-void Kernel::repush_entry_locked(const internal::QueueEntry& entry) {
+void Kernel::repush_entry(const internal::QueueEntry& entry) {
   // Raw re-insert: same (time, seq, token), no live_wakeups_ or
   // queue_entries_ adjustment (the strategy pop never decremented either
   // for a collected entry) and no compaction trigger.  The
@@ -1165,12 +1115,12 @@ void Kernel::repush_entry_locked(const internal::QueueEntry& entry) {
   queue_.push(entry);
 }
 
-Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
+Process* Kernel::pop_runnable_strategy(TimePoint limit) {
   if (strategy_halt_) return nullptr;
   // Deferred retirements run up front, before this pop round collects
   // entries or hands control to strategy callbacks (whose invariants
   // iterate processes_ -- they must not race a mid-round swap-remove).
-  flush_retirable_locked();
+  flush_retirable();
   // Phase 1: pull every entry due at the earliest due instant, dropping
   // stale ones with the usual accounting (collected entries keep their
   // per-process counts: the repush below puts them straight back).  The
@@ -1180,12 +1130,12 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   while (true) {
     const TimePoint bound =
         strategy_entries_.empty() ? limit : strategy_entries_.front().time;
-    if (!raw_pop_due_locked(bound, &entry)) break;
+    if (!raw_pop_due(bound, &entry)) break;
     if (entry_stale(entry)) {
       assert((stale_wakeups_ > 0 || debug_kill_skips_invalidate_) &&
              "stale-wakeup underflow");
       if (stale_wakeups_ > 0) --stale_wakeups_;
-      note_entry_discarded_locked(entry.process);
+      note_entry_discarded(entry.process);
       continue;
     }
     strategy_entries_.push_back(entry);
@@ -1195,9 +1145,9 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   // on_transition() may run invariants that inspect the queue (accounting
   // checks, digests), which must see a consistent structure.
   for (const internal::QueueEntry& e : strategy_entries_) {
-    repush_entry_locked(e);
+    repush_entry(e);
   }
-  audit_accounting_locked();
+  audit_accounting();
   // The candidate set is the distinct processes, each represented by its
   // first (lowest-seq) entry; index 0 is the default deterministic choice.
   // A process can hold several due entries (sleep target plus an event
@@ -1218,10 +1168,9 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
     if (strategy_labels_.size() > 1) {
       const mc::ChoicePoint cp{mc::ChoicePoint::Kind::kSchedule, "sched",
                                strategy_labels_};
-      // Invariant code re-entering the kernel through const queries
-      // (live_process_count, queue_depth, verify_queue_accounting) gets a
-      // non-owning lock: the drain's full-hold marker is set on this
-      // thread for the whole drain, fast path included.
+      // Invariant code may re-enter the kernel through const queries
+      // (live_process_count, queue_depth, verify_queue_accounting): the
+      // queue was restored above, so they see a consistent structure.
       chosen = strategy_->choose(cp);
       if (chosen >= strategy_labels_.size()) chosen = 0;
     }
@@ -1250,10 +1199,10 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   // to the next pop) and restoring them afterwards.
   strategy_entries_.clear();
   bool found = false;
-  while (raw_pop_due_locked(due, &entry)) {
+  while (raw_pop_due(due, &entry)) {
     if (entry_stale(entry)) {
       if (stale_wakeups_ > 0) --stale_wakeups_;
-      note_entry_discarded_locked(entry.process);
+      note_entry_discarded(entry.process);
       continue;
     }
     if (entry.seq == want_seq) {
@@ -1263,20 +1212,18 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
     strategy_entries_.push_back(entry);
   }
   for (const internal::QueueEntry& e : strategy_entries_) {
-    repush_entry_locked(e);
+    repush_entry(e);
   }
   assert(found && "strategy candidate vanished between phases");
   if (!found) return nullptr;
   // Standard delivery bookkeeping, identical to the non-strategy path.
   --entry.process->live_wakeups_;
-  note_entry_discarded_locked(entry.process);
+  note_entry_discarded(entry.process);
   now_ = std::max(now_, entry.time);
-  now_fast_.store(now_.time_since_epoch().count(),
-                  std::memory_order_release);
-  invalidate_wakeups_locked(entry.process);
+  invalidate_wakeups(entry.process);
   ++entry.process->wake_token_;
   ++events_processed_;
-  audit_accounting_locked();
+  audit_accounting();
   if (!strategy_->on_transition()) {
     // Sticky halt: the drain (and the yield-side fast path) stop delivering
     // until the strategy is replaced or removed.  The popped entry still
@@ -1286,7 +1233,7 @@ Process* Kernel::pop_runnable_strategy_locked(TimePoint limit) {
   return entry.process;
 }
 
-void Kernel::drain_locked(TimePoint limit) {
+void Kernel::drain(TimePoint limit) {
   run_limit_ = limit;  // the yield-side fast path pops against this
   // Like the ASan stack bounds, re-learned on every entry: the drain may be
   // driven from a different thread (or from another kernel's process).
@@ -1299,10 +1246,10 @@ void Kernel::drain_locked(TimePoint limit) {
     if (p != nullptr) {
       pending_next_ = nullptr;
     } else {
-      p = pop_runnable_locked(limit);
+      p = pop_runnable(limit);
       if (p == nullptr) break;
     }
-    resume_locked(p);
+    resume(p);
     if (pending_error_ && propagate_errors_) {
       std::exception_ptr error = pending_error_;
       pending_error_ = nullptr;
@@ -1312,18 +1259,14 @@ void Kernel::drain_locked(TimePoint limit) {
 }
 
 void Kernel::run() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  MuHoldScope hold(this);
-  drain_locked(TimePoint::max());
+  const DrainScope scope(this);
+  drain(TimePoint::max());
 }
 
 bool Kernel::run_until(TimePoint t) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  MuHoldScope hold(this);
-  drain_locked(t);
+  const DrainScope scope(this);
+  drain(t);
   now_ = std::max(now_, t);
-  now_fast_.store(now_.time_since_epoch().count(),
-                  std::memory_order_release);
   // Exact lazy-cancellation accounting makes "any real pending work?" pure
   // arithmetic -- no purge loop.  (Everything stale at or before t was
   // already dropped while draining; what remains stale is far-future and
@@ -1334,12 +1277,10 @@ bool Kernel::run_until(TimePoint t) {
 }
 
 std::size_t Kernel::live_process_count() const {
-  const auto lock = lock_self();
   return live_processes_;
 }
 
 std::vector<std::string> Kernel::live_process_names() const {
-  const auto lock = lock_self();
   std::vector<std::string> names;
   for (const ProcessHandle& p : processes_) {
     if (p->state_ != Process::State::kFinished) {
@@ -1350,7 +1291,7 @@ std::vector<std::string> Kernel::live_process_names() const {
 }
 
 void Kernel::set_strategy(mc::Strategy* strategy) {
-  const auto lock = lock_self();
+  check_owner();
   strategy_ = strategy;
   strategy_halt_ = false;
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
@@ -1359,12 +1300,10 @@ void Kernel::set_strategy(mc::Strategy* strategy) {
 }
 
 mc::Strategy* Kernel::strategy() const {
-  const auto lock = lock_self();
   return strategy_;
 }
 
 std::uint64_t Kernel::state_digest() const {
-  const auto lock = lock_self();
   // FNV-1a for the ordered part (clock), plus an order-insensitive sum of
   // per-item hashes for the sets (queue iteration order differs across
   // compaction and cascade points for identical states).
@@ -1403,13 +1342,9 @@ std::uint64_t Kernel::state_digest() const {
   return digest;
 }
 
-std::size_t Kernel::queue_depth() const {
-  const auto lock = lock_self();
-  return queue_size_locked();
-}
+std::size_t Kernel::queue_depth() const { return queue_.size(); }
 
 TimePoint Kernel::next_live_event_time() const {
-  const auto lock = lock_self();
   const TimePoint min = queue_.min_live(
       [](const internal::QueueEntry& e) { return entry_stale(e); });
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
@@ -1431,19 +1366,7 @@ TimePoint Kernel::next_live_event_time() const {
 }
 
 std::uint64_t Kernel::events_processed() const {
-  const auto lock = lock_self();
   return events_processed_;
-}
-
-Context* Kernel::current_context() const {
-  // Fast path: a thread-local hit means the caller *is* the process this
-  // kernel is currently running -- no lock needed.  The kernel check keeps
-  // nested/multiple kernels honest; a miss (foreign kernel, scheduler
-  // thread, plain caller thread) falls back to the locked read.
-  Context* ctx = tls_running_context;
-  if (ctx != nullptr && ctx->kernel_ == this) return ctx;
-  const auto lock = lock_self();
-  return current_ ? current_->context_ : nullptr;
 }
 
 }  // namespace ethergrid::sim

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,13 +126,6 @@ struct FiberStack {
   std::size_t usable_size = 0;
 };
 
-// The kernel whose mutex this thread holds for the duration of an active
-// drain (full-hold locking, see Kernel::lock_self), or
-// nullptr.  GNU __thread rather than C++ thread_local: the constant
-// initializer guarantees no dynamic-init wrapper, so the hot-path read in
-// lock_self compiles to a single %fs-relative load.
-extern __thread const Kernel* tls_mu_holder;
-
 }  // namespace internal
 
 // A simulated process.  Created via Kernel::spawn / Context::spawn.  The
@@ -168,21 +160,20 @@ class Process : public std::enable_shared_from_this<Process> {
   // continuation, runs the body immediately (entry IS the first dispatch),
   // and never returns (final jump_fcontext back to the scheduler frame).
   [[noreturn]] static void fcontext_entry(internal::transfer_t t);
-  // Runs the body (unless killed at birth) and records the result, under
-  // the drain's continuous mutex hold.
-  void run_body_locked();
+  // Runs the body (unless killed at birth) and records the result.
+  void run_body();
   // Resets a finished process for the kernel's free list (pooling).  The
   // shared_from_this control block, the done_ Event allocation, and string
   // capacities survive; identity (id, name, body, rng) is assigned by the
-  // next spawn.  Requires: finished, no queue entries, kernel mutex held.
-  void recycle_locked();
+  // next spawn.  Requires: finished, no queue entries.
+  void recycle();
 
   Kernel* kernel_;
   std::uint64_t id_;   // non-const: reassigned when pooled (Kernel::spawn)
   std::string name_;
   ProcessBody body_;
 
-  // All fields below are guarded by the kernel mutex.
+  // All fields below belong to the thread draining the kernel.
   State state_ = State::kNew;
   bool killed_ = false;
   std::string kill_reason_;
@@ -208,7 +199,7 @@ class Process : public std::enable_shared_from_this<Process> {
   internal::FiberStack stack_;       // empty until first dispatch
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   // The OS thread that materialized the fiber; every later resume must
-  // happen on it (Kernel::check_fiber_thread_locked).  Debug/audit only.
+  // happen on it (Kernel::check_fiber_thread).  Debug/audit only.
   std::thread::id fiber_thread_;
 #endif
   void* asan_fake_stack_ = nullptr;  // this fiber's ASan fake-stack handle
@@ -254,16 +245,14 @@ class Event {
  private:
   friend class Context;
   friend class Process;
-  friend class Kernel;  // finish_killed_at_birth_locked signals done_
+  friend class Kernel;  // finish_killed_at_birth signals done_
 
-  void set_locked();
-  void pulse_locked();
-  void link_locked(Waiter* w);
-  void unlink_locked(Waiter* w);
+  void link(Waiter* w);
+  void unlink(Waiter* w);
 
   Kernel* kernel_;
-  bool set_ = false;            // guarded by kernel mutex
-  Waiter* head_ = nullptr;      // guarded by kernel mutex; FIFO order
+  bool set_ = false;
+  Waiter* head_ = nullptr;      // FIFO order
   Waiter* tail_ = nullptr;
 };
 
@@ -351,7 +340,19 @@ class Context {
 
 // The simulation kernel: virtual clock + event queue + process scheduler.
 // Not reentrant: run()/run_until() must be called from outside any process
-// (normally the test or bench main thread).
+// of this kernel (normally the test or bench main thread; a process of
+// another kernel may drive it, see "Ownership" below).
+//
+// OWNERSHIP RULE: one OS thread owns a kernel at a time, and nothing in it
+// is locked.  While run(), run_until() or shutdown() drains the kernel, only
+// the draining thread -- the scheduler and the processes it runs, which
+// share that thread -- may touch the kernel or any object bound to it
+// (Events, Resources, Stores, grid substrates).  A kernel nobody is
+// draining may be used from any thread, provided the hand-off itself is
+// ordered (a join, a barrier).  Debug and audit builds check the rule: a
+// spawn, kill, run, run_until, shutdown, set_strategy, Event::set, pulse or
+// reset from another thread while a drain runs aborts, naming both
+// threads.  Release builds carry no check.
 //
 // LIFETIME RULE: everything a process touches (Events, Resources, grid
 // substrates, stats sinks) must stay alive until that process finishes.
@@ -411,8 +412,8 @@ class Kernel {
   // fire and each process's live_wakeups_ its token-matching entries.
   // Returns failure (with a diagnostic message) instead of aborting, so the
   // model checker and the chaos tests can assert the same check the debug
-  // audit enforces.  O(queue depth + processes); safe from any thread and
-  // from invariant callbacks during a drain.
+  // audit enforces.  O(queue depth + processes); callable from invariant
+  // callbacks during a drain.
   Status verify_queue_accounting() const;
 
   // Order-insensitive FNV-style hash of the kernel-visible state: virtual
@@ -460,122 +461,111 @@ class Kernel {
   // is how ambient-context consumers (shell::SimExecutor) find "the current
   // simulated process": a thread_local cannot express it, because every
   // process shares the scheduler's OS thread.
-  Context* current_context() const;
+  Context* current_context() const {
+    return current_ ? current_->context_ : nullptr;
+  }
 
  private:
   friend class Process;
   friend class Context;
   friend class Event;
 
-  // Acquires mu_ -- unless this thread already holds it because a drain is
-  // active (full-hold locking), in which case the returned guard is
-  // non-owning.  The scheduler and every process share one OS thread, so
-  // run()/run_until() hold mu_ for the whole drain and the per-primitive
-  // lock/unlock churn (three atomic RMWs per simulated event) disappears;
-  // callers on other threads still serialize normally.  Defined here so
-  // every simulation primitive inlines it down to one TLS compare on the
-  // drain's fast path.
-  std::unique_lock<std::mutex> lock_self() const {
-    if (internal::tls_mu_holder == this) {
-      return std::unique_lock<std::mutex>(mu_, std::defer_lock);
-    }
-    return std::unique_lock<std::mutex>(mu_);
-  }
+  // Marks the calling thread as the one draining this kernel for the
+  // scope's lifetime (run / run_until / shutdown).  Empty in release builds.
+  class DrainScope;
 
-  // --- All methods below require mu_ held. ---
+  // Debug/audit builds: aborts, naming both threads, when another thread is
+  // draining this kernel (see "Ownership" above).  Release builds compile
+  // it to nothing, so the inlined primitives carry no residual call.
+  void check_owner() const {
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+    check_owner_slow();
+#endif
+  }
+  void check_owner_slow() const;
 
   // Defined inline below the class: it sits on the wake path of every
   // primitive (sleep targets, event pulses, deadline arms).
-  void schedule_locked(TimePoint t, Process* p);
+  void schedule(TimePoint t, Process* p);
 
   // Reclaims queue entries that can no longer fire (stale token).  Called
   // when stale entries outnumber live ones: sweeps a bounded number of
   // occupied wheel slots (incremental, bitmap-guided round-robin).  Pop
   // order is unchanged -- stale entries were skipped anyway.
-  void compact_queue_locked();
+  void compact_queue();
 
   // True iff e can no longer fire.  Token-uniform: finish and kill both
   // bump the wake token, so this is a single comparison and the queue
   // never reads process state.
   static bool entry_stale(const internal::QueueEntry& e);
 
-  // Total pending entries (stale included).
-  std::size_t queue_size_locked() const { return queue_.size(); }
-
   // Note that every entry carrying p's current token just went stale.
-  void invalidate_wakeups_locked(Process* p);
+  void invalidate_wakeups(Process* p);
 
   // Debug/audit builds: recount stale entries and per-process live counts
   // and abort on any drift from stale_wakeups_ / live_wakeups_.  No-op in
   // release builds -- the inline wrapper compiles to nothing, so inlined
   // hot paths carry no residual call.  Call only at consistency points
   // (never between an invalidate and its paired token bump).
-  void audit_accounting_locked() const {
+  void audit_accounting() const {
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
-    audit_accounting_slow_locked();
+    audit_accounting_slow();
 #endif
   }
-  void audit_accounting_slow_locked() const;
+  void audit_accounting_slow() const;
 
   // Debug/audit builds: with no strategy installed, every delivered entry's
   // (time, seq) must be strictly greater than the previous delivery's --
   // the total order the determinism contract rests on, and exactly what a
   // binary heap over all entries would produce.  Compiles to nothing in
   // release builds.
-  void audit_delivery_order_locked(const internal::QueueEntry& e) {
+  void audit_delivery_order(const internal::QueueEntry& e) {
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
-    audit_delivery_order_slow_locked(e);
+    audit_delivery_order_slow(e);
 #else
     (void)e;
 #endif
   }
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
-  void audit_delivery_order_slow_locked(const internal::QueueEntry& e);
+  void audit_delivery_order_slow(const internal::QueueEntry& e);
 #endif
-
-  // Shared core of the debug audit and verify_queue_accounting(): the exact
-  // recount, reported as a Status instead of an abort.
-  Status check_queue_accounting_locked() const;
 
   // Hands control to p and returns once control is back in the scheduler
   // frame (p yielded to it, finished, or handed it on).
-  void resume_locked(Process* p);
+  void resume(Process* p);
 
   // Called from inside a process: gives control away -- directly to the
   // next runnable process, or to the scheduler frame -- and returns when p
   // is resumed.
-  void yield_from_process_locked(Process* p);
-
-  // Kill, assuming mu_ held.
-  void kill_locked(Process& p, std::string reason);
+  void yield_from_process(Process* p);
 
   // Finishes a killed, never-dispatched process without materializing a
   // stack: the observable sequence (result, wake invalidation,
-  // done signal) is identical to run_body_locked's killed-at-birth arm.
-  void finish_killed_at_birth_locked(Process* p);
+  // done signal) is identical to run_body's killed-at-birth arm.
+  void finish_killed_at_birth(Process* p);
 
   // Retirement: a finished process leaves processes_ once no queue entry
   // references it, and its object goes to the pool when the kernel holds
-  // the only handle.  maybe_retire_locked defers (pending_retire_) while
-  // entries are still out; note_entry_discarded_locked queues the process
-  // for retirement when the last one drains.  flush_retirable_locked runs
+  // the only handle.  maybe_retire defers (pending_retire_) while
+  // entries are still out; note_entry_discarded queues the process
+  // for retirement when the last one drains.  flush_retirable runs
   // ONLY at queue-pop sites -- never from kill/schedule -- because retiring
   // swap-removes from processes_, which shutdown's kill loop and the
   // invariant callbacks iterate.
-  void maybe_retire_locked(Process* p);
-  void retire_locked(Process* p);
-  void note_entry_discarded_locked(Process* p) {
+  void maybe_retire(Process* p);
+  void retire(Process* p);
+  void note_entry_discarded(Process* p) {
     assert(p->queue_entries_ > 0);
     if (--p->queue_entries_ == 0 && p->pending_retire_) {
       retirable_.push_back(p);
     }
   }
-  void flush_retirable_locked() {
+  void flush_retirable() {
     if (!retirable_.empty()) {
-      flush_retirable_slow_locked();
+      flush_retirable_slow();
     }
   }
-  void flush_retirable_slow_locked();
+  void flush_retirable_slow();
 
   // Pops entries until a valid one at time <= limit; nullptr when none.
   // Forced inline into its two callers (the drain loop and the yield-side
@@ -585,56 +575,55 @@ class Kernel {
   __attribute__((always_inline))
 #endif
   inline Process*
-  pop_runnable_locked(TimePoint limit);
+  pop_runnable(TimePoint limit);
 
   // Strategy-mode pop (out of line; this path trades speed for control):
   // surfaces every distinct process runnable at the earliest due instant as
   // a ChoicePoint, delivers the one the strategy picks, then runs the
-  // on_transition() hook.  Dispatched from pop_runnable_locked when a
+  // on_transition() hook.  Dispatched from pop_runnable when a
   // strategy is installed.
-  Process* pop_runnable_strategy_locked(TimePoint limit);
+  Process* pop_runnable_strategy(TimePoint limit);
 
   // Raw pop of the next due entry (stale or live) at time <= limit, with
   // the wheel's dropped-stale accounting applied.
-  bool raw_pop_due_locked(TimePoint limit, internal::QueueEntry* out);
+  bool raw_pop_due(TimePoint limit, internal::QueueEntry* out);
 
   // Re-inserts an entry popped by the strategy path, preserving its
   // original (time, seq, token) so delivery order is untouched.
-  void repush_entry_locked(const internal::QueueEntry& entry);
+  void repush_entry(const internal::QueueEntry& entry);
 
-  void drain_locked(TimePoint limit);
+  void drain(TimePoint limit);
 
   // Fiber plumbing.
   // Switches into `next` (materializing its fiber on first dispatch) and
   // parks the jumper's continuation in *park; returns when control comes
   // back.  asan_fake_save is the jumper's ASan fake-stack handle.
-  void jump_into_locked(Process* next, internal::fcontext_t* park,
-                        void** asan_fake_save);
+  void jump_into(Process* next, internal::fcontext_t* park,
+                 void** asan_fake_save);
   // Parks p and switches into the scheduler frame; returns when p is
   // resumed.  A null asan_fake_save marks p's final departure.
-  void jump_to_scheduler_locked(Process* p, void** asan_fake_save);
+  void jump_to_scheduler(Process* p, void** asan_fake_save);
   // Debug/audit builds: aborts, naming the process, unless the calling
   // thread is the one that materialized p's fiber (shard.hpp, "Thread
   // affinity").  Release builds compile it away.
-  void check_fiber_thread_locked(const Process* p) const;
-  internal::FiberStack obtain_stack_locked();
-  void recycle_stack_locked(Process* p);
-  void release_stacks_locked();
+  void check_fiber_thread(const Process* p) const;
+  internal::FiberStack obtain_stack();
+  void recycle_stack(Process* p);
+  void release_stacks();
 
   const std::size_t fiber_stack_bytes_;
   const std::size_t fiber_stack_slab_;  // stacks per slab; 0 = guard-paged
   const bool debug_kill_skips_invalidate_;
 
-  mutable std::mutex mu_;
   Process* current_ = nullptr;  // whose turn it is; nullptr => kernel's
+#ifdef ETHERGRID_QUEUE_AUDIT_ON
+  // The thread inside run / run_until / shutdown, or a default id when no
+  // drain is active (check_owner).  Atomic because the check reads it from
+  // the very threads that break the rule.
+  std::atomic<std::thread::id> drain_thread_{};
+#endif
 
   TimePoint now_{};
-  // Lock-free mirror of now_ for Context::now() / Kernel::now(), the
-  // hottest reads in the observers-on interpreter path.  Written (release)
-  // under mu_ wherever virtual time advances; the scheduler handoff that
-  // resumes a process happens-after the advance, so an acquire load in the
-  // process always sees its own wake time or later.
-  std::atomic<Duration::rep> now_fast_{0};
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_processed_ = 0;
@@ -657,10 +646,10 @@ class Kernel {
   static constexpr std::size_t kMaxPooledProcesses = 1024;
   std::vector<ProcessHandle> free_processes_;
   // Processes whose last queue entry drained while pending_retire_; emptied
-  // by flush_retirable_locked at the pop sites.
+  // by flush_retirable at the pop sites.
   std::vector<Process*> retirable_;
   // Model-checking seam (null in normal operation; the strategy branch in
-  // pop_runnable_locked is a single predicted-not-taken test).
+  // pop_runnable is a single predicted-not-taken test).
   mc::Strategy* strategy_ = nullptr;
   bool strategy_halt_ = false;  // on_transition() returned false; stop popping
   // Scratch for the strategy pop (member, not stack, so repeated choice
@@ -705,14 +694,14 @@ class Kernel {
 };
 
 // Hot methods defined here, below Kernel, so callers in any translation
-// unit inline them: on the drain fast path Event::set() is a TLS compare
-// plus the waiter walk and a queue push, reset() a TLS compare and a store.
+// unit inline them: Event::set() is the waiter walk and a queue push,
+// reset() a store.
 
 inline bool Kernel::entry_stale(const internal::QueueEntry& e) {
   return e.token != e.process->wake_token_;
 }
 
-inline void Kernel::schedule_locked(TimePoint t, Process* p) {
+inline void Kernel::schedule(TimePoint t, Process* p) {
   assert(p->state_ != Process::State::kFinished);
   const internal::QueueEntry entry{std::max(t, now_), next_seq_++, p,
                                    p->wake_token_};
@@ -723,53 +712,41 @@ inline void Kernel::schedule_locked(TimePoint t, Process* p) {
   // process cycling through wait_for timeouts strands one stale entry per
   // cycle and the queue grows for the whole run.
   if (stale_wakeups_ != 0) {
-    const std::size_t size = queue_size_locked();
+    const std::size_t size = queue_.size();
     if (size >= 64 && stale_wakeups_ > size / 2) {
-      compact_queue_locked();
+      compact_queue();
     }
   }
-  audit_accounting_locked();
+  audit_accounting();
 }
 
 inline void Event::set() {
-  const auto lock = kernel_->lock_self();
-  set_locked();
-}
-
-inline void Event::set_locked() {
   set_ = true;
-  pulse_locked();
+  pulse();
 }
 
 inline void Event::pulse() {
-  const auto lock = kernel_->lock_self();
-  pulse_locked();
-}
-
-inline void Event::pulse_locked() {
+  kernel_->check_owner();
   // FIFO wake order (registration order) for deterministic seq assignment.
   Waiter* w = head_;
   head_ = tail_ = nullptr;
   while (w) {
     Waiter* next = w->next;
-    // linked=false is the whole detach: every consumer (unlink_locked, the
+    // linked=false is the whole detach: every consumer (unlink, the
     // ~Event safety net, waiter cleanup in Context) checks it before
     // touching prev/next, so the stale pointers are never followed.
     w->linked = false;
     w->granted = true;
-    kernel_->schedule_locked(kernel_->now_, w->process);
+    kernel_->schedule(kernel_->now_, w->process);
     w = next;
   }
 }
 
 inline void Event::reset() {
-  const auto lock = kernel_->lock_self();
+  kernel_->check_owner();
   set_ = false;
 }
 
-inline bool Event::is_set() const {
-  const auto lock = kernel_->lock_self();
-  return set_;
-}
+inline bool Event::is_set() const { return set_; }
 
 }  // namespace ethergrid::sim

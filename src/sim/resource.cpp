@@ -12,27 +12,20 @@ Resource::Resource(Kernel& kernel, std::int64_t capacity)
 
 void Resource::acquire(Context& ctx, std::int64_t n) {
   assert(n >= 0 && n <= capacity_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty() && available_ >= n) {
-      available_ -= n;
-      return;
-    }
+  if (queue_.empty() && available_ >= n) {
+    available_ -= n;
+    return;
   }
   Event event(*kernel_);
   Waiter waiter{n, false, &event};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(&waiter);
-  }
+  queue_.push_back(&waiter);
   try {
     ctx.wait(event);
   } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (waiter.granted) {
       // Units were granted while we were being cancelled; hand them on.
       available_ += n;
-      grant_locked();
+      grant();
     } else {
       queue_.erase(std::remove(queue_.begin(), queue_.end(), &waiter),
                    queue_.end());
@@ -42,7 +35,6 @@ void Resource::acquire(Context& ctx, std::int64_t n) {
 }
 
 bool Resource::try_acquire(std::int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (queue_.empty() && available_ >= n) {
     available_ -= n;
     return true;
@@ -51,13 +43,12 @@ bool Resource::try_acquire(std::int64_t n) {
 }
 
 void Resource::release(std::int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   available_ += n;
   assert(available_ <= capacity_ && "released more than acquired");
-  grant_locked();
+  grant();
 }
 
-void Resource::grant_locked() {
+void Resource::grant() {
   while (!queue_.empty() && queue_.front()->count <= available_) {
     Waiter* waiter = queue_.front();
     queue_.pop_front();
@@ -65,16 +56,6 @@ void Resource::grant_locked() {
     waiter->granted = true;
     waiter->event->set();
   }
-}
-
-std::int64_t Resource::available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return available_;
-}
-
-std::size_t Resource::queue_length() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace ethergrid::sim

@@ -32,9 +32,9 @@ class Resource {
   void release(std::int64_t n = 1);
 
   std::int64_t capacity() const { return capacity_; }
-  std::int64_t available() const;
-  std::int64_t in_use() const { return capacity_ - available(); }
-  std::size_t queue_length() const;
+  std::int64_t available() const { return available_; }
+  std::int64_t in_use() const { return capacity_ - available_; }
+  std::size_t queue_length() const { return queue_.size(); }
 
  private:
   // Lives on the acquiring process's stack for the duration of acquire():
@@ -48,13 +48,12 @@ class Resource {
   };
 
   // Grants from the queue head while units suffice.
-  void grant_locked();
+  void grant();
 
   Kernel* kernel_;
   const std::int64_t capacity_;
   std::int64_t available_;
   std::deque<Waiter*> queue_;
-  mutable std::mutex mu_;  // protects available_ and queue_
 };
 
 // RAII guard for Resource units.

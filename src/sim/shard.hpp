@@ -52,10 +52,13 @@
 //
 // Thread affinity: shard i is pinned to worker (i % threads), worker 0
 // being the caller, because a fiber must resume on the OS thread that
-// materialized it: the compiler may keep a thread-local's address (the
-// kernel's tls_running_context, tls_mu_holder) live across a switch, each
-// TSan fiber belongs to one thread, and jump_fcontext is sound only
-// between contexts of one thread (fcontext.hpp).  So at every thread count
+// materialized it: the compiler may keep a thread-local's address (errno,
+// the C++ runtime's exception globals) live across a switch, each TSan
+// fiber belongs to one thread, and jump_fcontext is sound only between
+// contexts of one thread (fcontext.hpp).  A shard kernel has no lock
+// (kernel.hpp, "Ownership"): its worker owns it during a window, and the
+// phase barrier's release/acquire hands it to whichever thread closes the
+// window (flush_mail spawns into it) and back.  So at every thread count
 // all ShardedKernel calls must come from one thread, the one the first
 // run_until/run/shutdown records; debug and audit builds abort, naming it,
 // on a call from another (and, naming the process, on a stray resume).

@@ -2,15 +2,16 @@
 //
 // put() blocks while full, get() blocks while empty; both are deadline- and
 // kill-aware via the caller's Context.  Wakeups use Event::pulse and a
-// re-check loop; the single-runner discipline of the kernel means the
-// classic missed-wakeup race cannot occur (no other process runs between a
-// state check and the wait registration).
+// re-check loop.  Like every kernel-bound object a Store has no lock: only
+// the thread draining its kernel touches it (kernel.hpp, "Ownership"), and
+// exactly one process runs at a time, so the classic missed-wakeup race
+// cannot occur (no other process runs between a state check and the wait
+// registration).
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "sim/kernel.hpp"
@@ -26,20 +27,16 @@ class Store {
 
   void put(Context& ctx, T item) {
     while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (items_.size() < capacity_) {
-          items_.push_back(std::move(item));
-          not_empty_.pulse();
-          return;
-        }
+      if (items_.size() < capacity_) {
+        items_.push_back(std::move(item));
+        not_empty_.pulse();
+        return;
       }
       ctx.wait(not_full_waiting());
     }
   }
 
   bool try_put(T item) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (items_.size() >= capacity_) return false;
     items_.push_back(std::move(item));
     not_empty_.pulse();
@@ -48,21 +45,17 @@ class Store {
 
   T get(Context& ctx) {
     while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!items_.empty()) {
-          T value = std::move(items_.front());
-          items_.pop_front();
-          not_full_.pulse();
-          return value;
-        }
+      if (!items_.empty()) {
+        T value = std::move(items_.front());
+        items_.pop_front();
+        not_full_.pulse();
+        return value;
       }
       ctx.wait(not_empty_waiting());
     }
   }
 
   bool try_get(T* out) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) return false;
     *out = std::move(items_.front());
     items_.pop_front();
@@ -70,14 +63,11 @@ class Store {
     return true;
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
+  std::size_t size() const { return items_.size(); }
 
   std::size_t capacity() const { return capacity_; }
 
-  bool empty() const { return size() == 0; }
+  bool empty() const { return items_.empty(); }
 
  private:
   // The Events are pulse-only; reset them before waiting so a stale latched
@@ -93,7 +83,6 @@ class Store {
   }
 
   const std::size_t capacity_;
-  mutable std::mutex mu_;
   std::deque<T> items_;
   Event not_empty_;
   Event not_full_;

@@ -18,16 +18,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "exp/scenarios.hpp"
+#include "grid/fsbuffer.hpp"
 #include "obs/trace.hpp"
 #include "shell/session.hpp"
 #include "shell/sim_executor.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/kernel.hpp"
+#include "sim/resource.hpp"
+#include "sim/shard.hpp"
+#include "sim/store.hpp"
 #include "util/rng.hpp"
 
 namespace ethergrid {
@@ -383,6 +389,138 @@ TEST(ShardedEquivalence, MergedTraceBytesMatchAcrossThreadCounts) {
   const auto got = run_sharded(42, kShardPlanCrashStall, "ethernet", 4, 4,
                                /*record_trace=*/true);
   EXPECT_EQ(ref.trace_json, got.trace_json);
+}
+
+// The kernel-bound objects have no lock: a shard's worker owns them during
+// a window, and the phase barrier hands them to the thread that closes it.
+// One world per shard exercises each of them -- a Store producer/consumer
+// pair, two FsBuffer writers gated by a one-unit Resource, and a
+// SimExecutor running an ftsh loop -- and every consumed item is posted to
+// the neighbouring shard, whose delivery process puts it into that shard's
+// Store.  Each shard's transcript and event count must be byte-identical at
+// threads=1 and threads=4 (and TSan, which runs every 'Shard' test, checks
+// the threads=4 leg for races on the unlocked state).
+struct ShardTranscript {
+  std::vector<std::string> logs;
+  std::vector<std::uint64_t> events;
+  std::uint64_t windows = 0;
+  std::uint64_t messages = 0;
+};
+
+ShardTranscript run_kernel_bound_world(std::size_t threads) {
+  constexpr std::size_t kShards = 4;
+  constexpr int kItems = 6;
+  sim::ShardedKernelOptions options;
+  options.shards = kShards;
+  options.threads = threads;
+  options.lookahead = msec(50);
+  sim::ShardedKernel sk(11, options);
+
+  struct World {
+    explicit World(sim::Kernel& k)
+        : store(k, 2), gate(k, 1), buffer(k, 8 << 20), executor(k),
+          session(executor, shell::SessionOptions{}) {}
+    sim::Store<int> store;
+    sim::Resource gate;
+    grid::FsBuffer buffer;
+    shell::SimExecutor executor;
+    shell::Session session;
+    std::string log;  // written only by processes of this world's shard
+  };
+  std::vector<std::unique_ptr<World>> worlds;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    worlds.push_back(std::make_unique<World>(sk.shard(s)));
+  }
+  const auto stamp = [](sim::Context& ctx) {
+    return std::to_string(ctx.now().time_since_epoch().count()) + "us ";
+  };
+
+  for (std::size_t s = 0; s < kShards; ++s) {
+    World* w = worlds[s].get();
+    World* next = worlds[(s + 1) % kShards].get();
+    const std::size_t dst = (s + 1) % kShards;
+    sk.spawn(s, "producer", [w, s](sim::Context& ctx) {
+      for (int i = 0; i < kItems; ++i) {
+        ctx.sleep(msec(70 + 10 * int(s)));
+        w->store.put(ctx, i * 10 + int(s));
+      }
+    });
+    // Consumes its own producer's items and the neighbour's mail.
+    sk.spawn(s, "consumer", [&sk, &stamp, w, next, s, dst](sim::Context& ctx) {
+      for (int i = 0; i < 2 * kItems; ++i) {
+        const int v = w->store.get(ctx);
+        w->log += stamp(ctx) + "got " + std::to_string(v) + "\n";
+        if (v % 10 != int(s)) continue;  // mail: do not forward again
+        sk.post(s, s, dst, msec(50), "mail", [next, v](sim::Context& mail) {
+          next->store.put(mail, v);
+        });
+      }
+    });
+    for (int writer = 0; writer < 2; ++writer) {
+      sk.spawn(s, "writer" + std::to_string(writer),
+               [&stamp, w, writer](sim::Context& ctx) {
+                 for (int file = 0; file < 3; ++file) {
+                   sim::ResourceLease lease(ctx, w->gate);
+                   const std::string name = "f" + std::to_string(writer) +
+                                            "_" + std::to_string(file);
+                   Status st = w->buffer.create(name);
+                   for (int chunk = 0; st.ok() && chunk < 4; ++chunk) {
+                     ctx.sleep(msec(20));
+                     st = w->buffer.append(name, 1 << 20);
+                   }
+                   if (st.ok()) st = w->buffer.rename_done(name);
+                   w->log += stamp(ctx) + name + " " +
+                             std::string(status_code_name(st.code())) +
+                             " free=" +
+                             std::to_string(w->buffer.free_bytes()) + "\n";
+                   if (!st.ok()) w->buffer.remove(name);
+                 }
+               });
+    }
+    sk.spawn(s, "ftsh", [&stamp, w](sim::Context& ctx) {
+      shell::SimExecutor::ContextBinding binding(w->executor, ctx);
+      for (int round = 0; round < 3; ++round) {
+        const Status st = w->session.run_source(
+            "try 4 times\n"
+            "  flaky 50\n"
+            "end\n"
+            "forall x in 1 2\n"
+            "  sleep ${x} seconds\n"
+            "end\n"
+            "echo round\n");
+        w->log += stamp(ctx) + "ftsh " +
+                  std::string(status_code_name(st.code())) + "\n";
+      }
+    });
+  }
+  sk.run();
+
+  ShardTranscript out;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    out.logs.push_back(worlds[s]->log + worlds[s]->session.output());
+    out.events.push_back(sk.shard(s).events_processed());
+  }
+  out.windows = sk.windows_run();
+  out.messages = sk.messages_delivered();
+  sk.shutdown();
+  return out;
+}
+
+TEST(ShardedEquivalence, KernelBoundObjectsMatchAcrossThreadCounts) {
+  const ShardTranscript ref = run_kernel_bound_world(1);
+  EXPECT_EQ(ref.messages, 4u * 6u);  // every shard forwards its 6 items
+  for (const std::string& log : ref.logs) {
+    EXPECT_NE(log.find("got"), std::string::npos);
+    EXPECT_NE(log.find("f1_2"), std::string::npos);
+    EXPECT_NE(log.find("ftsh"), std::string::npos);
+  }
+  const ShardTranscript got = run_kernel_bound_world(4);
+  for (std::size_t s = 0; s < ref.logs.size(); ++s) {
+    EXPECT_EQ(ref.logs[s], got.logs[s]) << "shard " << s;
+    EXPECT_EQ(ref.events[s], got.events[s]) << "shard " << s;
+  }
+  EXPECT_EQ(ref.windows, got.windows);
+  EXPECT_EQ(ref.messages, got.messages);
 }
 
 }  // namespace

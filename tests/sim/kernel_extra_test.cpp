@@ -1,5 +1,5 @@
-// Additional kernel edges: shutdown semantics, cross-thread event pokes,
-// time-limit boundary conditions.
+// Additional kernel edges: shutdown semantics, event pokes between runs,
+// nested kernels, thread ownership, time-limit boundary conditions.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -154,6 +154,43 @@ TEST(KernelExtraTest, SameInstantYieldIsFifoFair) {
   EXPECT_EQ(transcript, "abcabcabc");
 }
 
+// One thread owns a kernel while it drains, and that covers nesting: a
+// process of the outer kernel drives an inner kernel's run(), and a
+// process of the inner kernel calls back into the outer one -- sets an
+// outer Event, spawns into the outer kernel and reads its process count.
+// The outer waiter then wakes and both kernels drain.
+TEST(KernelExtraTest, NestedKernelCallsBackIntoOuterKernel) {
+  Kernel outer;
+  Event outer_event(outer);
+  TimePoint waiter_woke{};
+  bool spawned_ran = false;
+  std::size_t live_seen = 0;
+  outer.spawn("waiter", [&](Context& ctx) {
+    ctx.wait(outer_event);
+    waiter_woke = ctx.now();
+  });
+  outer.spawn("host", [&](Context& ctx) {
+    ctx.sleep(sec(1));
+    Kernel inner;
+    inner.spawn("inner", [&](Context& inner_ctx) {
+      inner_ctx.sleep(sec(5));  // inner virtual time only
+      outer_event.set();
+      outer.spawn("spawned", [&](Context&) { spawned_ran = true; });
+      live_seen = outer.live_process_count();
+    });
+    inner.run();
+    EXPECT_EQ(inner.now(), kEpoch + sec(5));
+    EXPECT_EQ(inner.live_process_count(), 0u);
+    ctx.sleep(sec(1));
+  });
+  outer.run();
+  EXPECT_EQ(live_seen, 3u);  // waiter (woken, not yet run), host, spawned
+  EXPECT_EQ(waiter_woke, kEpoch + sec(1));
+  EXPECT_TRUE(spawned_ran);
+  EXPECT_EQ(outer.now(), kEpoch + sec(2));
+  EXPECT_EQ(outer.live_process_count(), 0u);
+}
+
 // A parked fiber must resume on the OS thread that materialized it
 // (shard.hpp, "Thread affinity").  Debug and audit builds check it and
 // abort, naming the process; release builds carry no check.
@@ -186,6 +223,36 @@ TEST(KernelExtraDeathTest, ResumeOnAnotherThreadAborts) {
         a.join();
       },
       "process 'sleeper' resumed on a different OS thread");
+#endif
+}
+
+// A kernel belongs to the thread draining it (kernel.hpp, "Ownership").
+// Debug and audit builds abort, naming both threads, when another thread
+// calls in while the drain runs; release builds carry no check.
+TEST(KernelExtraDeathTest, SpawnFromAnotherThreadMidDrainAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the owner check is compiled out under NDEBUG";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // Thread A drains k; its process parks A's OS thread mid-body.
+        // Thread B spawns into k meanwhile.
+        Kernel k;
+        std::promise<void> draining;
+        std::promise<void> release;
+        k.spawn("parker", [&](Context&) {
+          draining.set_value();
+          release.get_future().wait();
+        });
+        std::thread a([&] { k.run(); });
+        draining.get_future().wait();
+        std::thread b([&] { k.spawn("intruder", [](Context&) {}); });
+        b.join();
+        release.set_value();
+        a.join();
+      },
+      "sim kernel: called from thread .* while thread .* is draining it");
 #endif
 }
 

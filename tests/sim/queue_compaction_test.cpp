@@ -132,7 +132,7 @@ TEST(QueueCompaction, FinishedProcessesWithStrandedEntriesDrainExactly) {
   EXPECT_EQ(kernel.live_process_count(), 0u);
 }
 
-// Kill-the-running-process regression: kill_locked must invalidate the
+// Kill-the-running-process regression: Kernel::kill must invalidate the
 // current process's wake token too.  A self-killed process that then
 // blocks must unwind promptly (Interrupted at the next yield point), not
 // strand a live-counted entry until its full timeout elapses.

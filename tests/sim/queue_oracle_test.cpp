@@ -282,7 +282,7 @@ TEST(QueueOracleMinLive, FindsALiveEntryOnlyInTheOverflowBag) {
 // the binary heap and the kernel on the timer wheel produced identical
 // traces, so a wheel change that reorders kernel events fails here.  Debug
 // builds also abort on any out-of-order delivery
-// (Kernel::audit_delivery_order_locked).
+// (Kernel::audit_delivery_order).
 std::vector<std::string> run_kernel_trace(std::uint64_t seed) {
   Kernel kernel(seed);
   std::vector<std::string> trace;

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -136,11 +138,10 @@ TEST(ShardedKernel, SameShardPostTakesTheBatchedPath) {
   sk.shutdown();
 }
 
-// Satellite regression: PR 5's lock-free clock mirror and thread-local
-// current-context fast path must be PER SHARD.  A process's Context::now()
-// reads its own kernel's clock, and mid-window the other shard's clock is
-// observably elsewhere -- with a process-global mirror both reads would
-// alias.
+// Clocks are per shard: a process's Context::now() reads its own kernel's
+// clock, and mid-window the other shard's clock is observably elsewhere.
+// Any process-global clock or current-context cache would make the two
+// reads alias.
 TEST(ShardedKernel, ClockReadsAreShardLocalInsideAWindow) {
   ShardedKernelOptions opt;
   opt.shards = 2;
@@ -342,6 +343,11 @@ TEST(ShardedKernel, ThreadCountIncludesTheCaller) {
     }
     return n;
   };
+  // ThreadSanitizer starts a helper thread at the process's first thread
+  // creation.  Create one first, parked until the end, so that the helper
+  // is already running when `before` is counted.
+  std::promise<void> done;
+  std::thread parked([&done] { done.get_future().wait(); });
   // threads=4 last: a joined worker's task can outlive its join briefly.
   for (std::size_t threads : {1, 4}) {
     const std::size_t before = os_threads();
@@ -352,6 +358,8 @@ TEST(ShardedKernel, ThreadCountIncludesTheCaller) {
     EXPECT_EQ(sk.thread_count(), threads);
     EXPECT_EQ(os_threads() - before, threads - 1);
   }
+  done.set_value();
+  parked.join();
 }
 
 // Barrier lifetime: many short-lived 4-thread kernels, each torn down at a
