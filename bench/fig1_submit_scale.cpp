@@ -100,9 +100,6 @@ int run_sharded_scale() {
   config.sites = sites;
   config.submitters_per_site = int(std::max(1l, clients / long(sites)));
   config.remote_per_site = 2;  // keep the cross-shard mailbox path hot
-  // Slab-allocated fiber stacks: the mega run (10^5+ clients) would
-  // otherwise exhaust vm.max_map_count with one guard mapping per fiber.
-  config.sharded.kernel.fiber_stack_slab = 64;
 
   std::vector<std::size_t> shard_counts;
   for (std::size_t n : {std::size_t(1), std::size_t(2), std::size_t(4),

@@ -111,10 +111,7 @@ BENCHMARK(BM_PingStorm)->Arg(10000)->Iterations(1);
 void BM_HorizonScan(benchmark::State& state) {
   const int n = int(state.range(0));
   sim::KernelOptions options;
-  // 32768 guard-paged stacks would need two mappings each; carve them from
-  // slabs instead (see KernelOptions::fiber_stack_slab).
   options.fiber_stack_bytes = 64 << 10;
-  options.fiber_stack_slab = 256;
   sim::Kernel kernel(1, options);
   std::vector<sim::ProcessHandle> sleepers;
   sleepers.reserve(std::size_t(n));

@@ -321,7 +321,10 @@ std::string describe_try(const TryStmt& t) {
   std::string out = "try";
   if (!t.time_words.empty()) {
     out += " for";
-    for (const Word& w : t.time_words) out += " " + w.describe();
+    for (const Word& w : t.time_words) {
+      out += ' ';
+      out += w.describe();
+    }
   }
   if (t.attempts_word) {
     out += (t.time_words.empty() ? " " : " or ") +

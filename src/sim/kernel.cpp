@@ -5,12 +5,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
-#include <mutex>
-#include <new>
-#include <unordered_map>
 
 // Sanitizer feature detection.  Both sanitizers need the fiber-switch
 // annotations: ASan so its shadow stack follows each switch, TSan so its
@@ -34,6 +33,9 @@
 #ifdef ETHERGRID_ASAN
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
+#define ETHERGRID_NO_ASAN __attribute__((no_sanitize_address))
+#else
+#define ETHERGRID_NO_ASAN
 #endif
 #ifdef ETHERGRID_TSAN
 #include <sanitizer/tsan_interface.h>
@@ -66,11 +68,27 @@ inline void asan_finish_switch(void* fake_stack_save, const void** bottom_old,
 #endif
 }
 
-inline void asan_unpoison_stack(const internal::FiberStack& stack) {
+// Pooled stacks are poisoned wholesale so a dangling pointer into a dead
+// fiber's frame (use-after-return across the pool) faults loudly under
+// ASan instead of silently reading the next tenant's frames.  Unpoisoned
+// again, all but the canary band, when the stack leaves the pool; whole
+// arenas are unpoisoned before they are unmapped, so stale shadow never
+// outlives the kernel.
+inline void asan_poison(const void* lo, std::size_t size) {
 #ifdef ETHERGRID_ASAN
-  __asan_unpoison_memory_region(stack.usable_lo, stack.usable_size);
+  __asan_poison_memory_region(lo, size);
 #else
-  (void)stack;
+  (void)lo;
+  (void)size;
+#endif
+}
+
+inline void asan_unpoison(const void* lo, std::size_t size) {
+#ifdef ETHERGRID_ASAN
+  __asan_unpoison_memory_region(lo, size);
+#else
+  (void)lo;
+  (void)size;
 #endif
 }
 
@@ -111,69 +129,41 @@ inline void tsan_destroy_fiber(void* fiber) {
 #endif
 }
 
-// Pooled stacks are poisoned wholesale so a dangling pointer into a dead
-// fiber's frame (use-after-return across the pool) faults loudly under
-// ASan instead of silently reading the next tenant's frames.  Unpoisoned
-// again when the stack leaves the pool (obtain) or the process
-// (release/destructor) -- stale shadow must never outlive the pool.
-inline void asan_poison_stack(const internal::FiberStack& stack) {
-#ifdef ETHERGRID_ASAN
-  __asan_poison_memory_region(stack.usable_lo, stack.usable_size);
-#else
-  (void)stack;
-#endif
-}
-
 std::size_t page_size() {
   static const std::size_t page = std::size_t(::sysconf(_SC_PAGESIZE));
   return page;
 }
 
-// Process-wide cache of fiber stacks, shared across Kernel instances (and
-// so across the threads that drive them: the one lock in the sim kernel).
-// Within one kernel stacks already recycle through free_stacks_, but
-// short-lived kernels (one per benchmark iteration, one per test case)
-// used to pay mmap + guard mprotect + first-touch page faults + munmap
-// with TLB shootdown for every stack -- ~5us apiece, dwarfing the
-// simulation itself.  Stacks parked here keep their pages mapped and
-// warm.  Bounded, so a burst of wide kernels cannot pin memory forever.
-class StackCache {
- public:
-  bool take(std::size_t usable_size, internal::FiberStack* out) {
-    std::lock_guard<std::mutex> guard(mu_);
-    for (std::size_t i = stacks_.size(); i-- > 0;) {
-      if (stacks_[i].usable_size == usable_size) {
-        *out = stacks_[i];
-        stacks_[i] = stacks_.back();
-        stacks_.pop_back();
-        return true;
-      }
-    }
-    return false;
+// Overflow canary.  The lowest kCanaryBytes of every stack are a band that
+// must stay zero.  Fresh arena memory is zero and the band is never
+// painted: painting would fault in every stack's bottom page (on
+// perfbench's grid_sharded world, +42% peak RSS), while reading an
+// untouched page maps the shared zero page and costs no memory.  An
+// overflow that reaches the band leaves frame bytes in it, and the fiber's
+// next switch-out aborts, naming the process, before anything else runs on
+// a corrupted neighbour.  The trade-off: a single frame larger than the
+// band can jump it, so the band guards C++ clients, and deeply nested ftsh
+// scripts need a stack budget in the interpreter instead.  ASan builds
+// also poison the band, so the check reads it unsanitized.
+constexpr std::size_t kCanaryBytes = 64;
+
+[[noreturn, gnu::noinline, gnu::cold]] void canary_tripped(
+    const std::string& name) {
+  std::fprintf(stderr, "sim kernel: fiber stack overflow in process '%s'\n",
+               name.c_str());
+  std::abort();
+}
+
+ETHERGRID_NO_ASAN inline void check_canary(const internal::FiberStack& stack,
+                                           const std::string& name) {
+  // The band holds whatever an overflowing frame stored there.
+  typedef std::uint64_t __attribute__((__may_alias__)) Word;
+  const auto* band = static_cast<const Word*>(stack.lo);
+  Word bits = 0;
+  for (std::size_t i = 0; i < kCanaryBytes / sizeof(bits); ++i) {
+    bits |= band[i];
   }
-
-  void put(const internal::FiberStack& stack) {
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      if (stacks_.size() < kMaxStacks) {
-        stacks_.push_back(stack);
-        return;
-      }
-    }
-    ::munmap(stack.map_base, stack.map_size);
-  }
-
- private:
-  static constexpr std::size_t kMaxStacks = 64;
-  std::mutex mu_;
-  std::vector<internal::FiberStack> stacks_;
-};
-
-StackCache& stack_cache() {
-  // Intentionally leaked: kernels destroyed during static teardown may
-  // still return stacks, and the OS reclaims the mappings at exit anyway.
-  static StackCache* cache = new StackCache;
-  return *cache;
+  if (bits != 0) canary_tripped(name);
 }
 
 std::size_t resolve_stack_bytes(std::size_t requested) {
@@ -227,20 +217,17 @@ Process::Process(Kernel* kernel, std::uint64_t id, std::string name,
     : kernel_(kernel), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 Process::~Process() {
-  // A finished process's stack (and TSan context) was recycled into the
-  // kernel's free list; this path only fires if the kernel died with the
-  // process unfinished (which shutdown() asserts against).
+  // A finished process's TSan context was destroyed with its stack's
+  // recycling; this only fires if the kernel died with the process
+  // unfinished (which shutdown() asserts against).  The stack itself
+  // belongs to the kernel's arenas.
   tsan_destroy_fiber(tsan_fiber_);
-  if (stack_.map_base) {
-    asan_unpoison_stack(stack_);
-    stack_cache().put(stack_);
-  }
 }
 
 void Process::recycle() {
   assert(state_ == State::kFinished);
   assert(queue_entries_ == 0 && live_wakeups_ == 0);
-  assert(!stack_.usable_lo && "finished fiber's stack was not recycled");
+  assert(!stack_.lo && "finished fiber's stack was not recycled");
   state_ = State::kNew;
   killed_ = false;
   kill_reason_.clear();
@@ -323,6 +310,7 @@ void Process::fcontext_entry(internal::transfer_t t) {
                      &kernel->sched_stack_size_);
   *boot.slot = t.fctx;  // park the jumper
   self->run_body();
+  check_canary(self->stack_, self->name_);
   kernel->current_ = nullptr;
   kernel->last_finished_ = self;  // scheduler recycles stack + object
   // Final departure, always into the scheduler frame.  A null save handle
@@ -538,16 +526,17 @@ DeadlineScope::~DeadlineScope() { ctx_.pop_deadline(); }
 
 Kernel::Kernel(std::uint64_t seed, KernelOptions options)
     : fiber_stack_bytes_(resolve_stack_bytes(options.fiber_stack_bytes)),
-      fiber_stack_slab_(options.fiber_stack_slab),
       debug_kill_skips_invalidate_(options.debug_kill_skips_invalidate),
       rng_(seed),
       logger_(LogLevel::kWarn) {}
 
 Kernel::~Kernel() {
   shutdown();
-  release_stacks();
-  for (const auto& [base, size] : slab_maps_) ::munmap(base, size);
-  slab_maps_.clear();
+  const std::size_t arena_bytes = fiber_stack_bytes_ * kArenaStacks;
+  for (void* arena : arenas_) {
+    asan_unpoison(arena, arena_bytes);
+    ::munmap(arena, arena_bytes);
+  }
 }
 
 void Kernel::shutdown() {
@@ -638,11 +627,11 @@ void Kernel::invalidate_wakeups(Process* p) {
   p->live_wakeups_ = 0;
 }
 
-void Kernel::finish_killed_at_birth(Process* p) {
-  assert(p->state_ == Process::State::kNew && p->killed_);
+void Kernel::finish_unrun(Process* p, Status result) {
+  assert(p->state_ == Process::State::kNew && !p->stack_.lo);
   // Observably identical to run_body's killed-at-birth arm, without
   // ever materializing a stack or context.
-  p->result_ = Status::killed(p->kill_reason_);
+  p->result_ = std::move(result);
   p->state_ = Process::State::kFinished;
   --live_processes_;
   invalidate_wakeups(p);
@@ -715,17 +704,27 @@ std::size_t Kernel::pooled_stack_count() const {
 Status Kernel::verify_queue_accounting() const {
   std::size_t stale = 0;
   std::size_t depth = 0;
-  std::unordered_map<const Process*, std::size_t> live_by_process;
-  std::unordered_map<const Process*, std::size_t> total_by_process;
+  // Tallies indexed by pindex_: no hashing and one allocation each, so the
+  // debug audit stays affordable at tens of thousands of live processes.
+  std::vector<std::size_t> live_by_process(processes_.size());
+  std::vector<std::size_t> total_by_process(processes_.size());
+  const Process* retired = nullptr;
   const Process* finished_with_live = nullptr;
   auto count = [&](const internal::QueueEntry& e) {
     ++depth;
-    ++total_by_process[e.process];
+    // Retirement safety: every queue entry's process must still be in
+    // processes_ (a retired process would be a dangling pointer).
+    const std::size_t i = e.process->pindex_;
+    if (i >= processes_.size() || processes_[i].get() != e.process) {
+      retired = e.process;
+      return;
+    }
+    ++total_by_process[i];
     if (entry_stale(e)) {
       ++stale;
       return;
     }
-    ++live_by_process[e.process];
+    ++live_by_process[i];
     // Token-uniform staleness invariant: finishing bumps the wake token, so
     // no entry may reach a finished process through a matching token.
     if (e.process->state_ == Process::State::kFinished) {
@@ -733,31 +732,20 @@ Status Kernel::verify_queue_accounting() const {
     }
   };
   queue_.for_each(count);
-  // Retirement safety: every queue entry's process must still be in
-  // processes_ (a retired process would be a dangling pointer), and each
-  // process's queue_entries_ must match its actual entry total -- that
+  if (retired != nullptr) {
+    return Status::failure(
+        "queue accounting: entry references retired process " +
+        std::to_string(retired->id_));
+  }
+  // Each process's queue_entries_ must match its actual entry total: that
   // counter is the only thing standing between retirement and the dangle.
-  {
-    std::unordered_map<const Process*, bool> known;
-    known.reserve(processes_.size());
-    for (const ProcessHandle& p : processes_) known[p.get()] = true;
-    for (const auto& [proc, total] : total_by_process) {
-      if (!known.count(proc)) {
-        return Status::failure(
-            "queue accounting: entry references retired process " +
-            std::to_string(proc->id_));
-      }
-      (void)total;
-    }
-    for (const ProcessHandle& p : processes_) {
-      const auto it = total_by_process.find(p.get());
-      const std::size_t total = it == total_by_process.end() ? 0 : it->second;
-      if (total != p->queue_entries_) {
-        return Status::failure(
-            "queue accounting: process " + std::to_string(p->id_) + " (" +
-            p->name_ + ") queue_entries_=" + std::to_string(p->queue_entries_) +
-            " actual=" + std::to_string(total));
-      }
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    const Process& p = *processes_[i];
+    if (total_by_process[i] != p.queue_entries_) {
+      return Status::failure(
+          "queue accounting: process " + std::to_string(p.id_) + " (" +
+          p.name_ + ") queue_entries_=" + std::to_string(p.queue_entries_) +
+          " actual=" + std::to_string(total_by_process[i]));
     }
   }
   if (finished_with_live != nullptr) {
@@ -771,15 +759,13 @@ Status Kernel::verify_queue_accounting() const {
         " actual=" + std::to_string(stale) +
         " depth=" + std::to_string(depth));
   }
-  for (const ProcessHandle& p : processes_) {
-    const auto it = live_by_process.find(p.get());
-    const std::size_t live =
-        it == live_by_process.end() ? 0 : it->second;
-    if (live != p->live_wakeups_) {
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    const Process& p = *processes_[i];
+    if (live_by_process[i] != p.live_wakeups_) {
       return Status::failure(
-          "queue accounting: process " + std::to_string(p->id_) + " (" +
-          p->name_ + ") live_wakeups_=" + std::to_string(p->live_wakeups_) +
-          " actual=" + std::to_string(live));
+          "queue accounting: process " + std::to_string(p.id_) + " (" +
+          p.name_ + ") live_wakeups_=" + std::to_string(p.live_wakeups_) +
+          " actual=" + std::to_string(live_by_process[i]));
     }
   }
   return Status::success();
@@ -867,34 +853,34 @@ inline void Kernel::check_fiber_thread(
 #endif
 }
 
-inline void Kernel::jump_into(Process* next, internal::fcontext_t* park,
+inline bool Kernel::jump_into(Process* next, internal::fcontext_t* park,
                               void** asan_fake_save) {
   FcxBootstrap boot{park, next};
   void* data = park;
   if (next->state_ == Process::State::kNew) {
     // Materialize.  No bootstrap entry: the fresh continuation enters
     // fcontext_entry on this very jump, the first dispatch itself.
-    next->stack_ = obtain_stack();
+    if (!obtain_stack(next)) return false;
     next->tsan_fiber_ = tsan_create_fiber();
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
     next->fiber_thread_ = std::this_thread::get_id();
 #endif
     next->fiber_ctx_ = internal::make_fcontext(
-        static_cast<char*>(next->stack_.usable_lo) + next->stack_.usable_size,
-        next->stack_.usable_size, &Process::fcontext_entry);
+        static_cast<char*>(next->stack_.lo) + next->stack_.size,
+        next->stack_.size, &Process::fcontext_entry);
     data = &boot;
   } else {
     check_fiber_thread(next);
   }
   current_ = next;
-  asan_start_switch(asan_fake_save, next->stack_.usable_lo,
-                    next->stack_.usable_size);
+  asan_start_switch(asan_fake_save, next->stack_.lo, next->stack_.size);
   tsan_switch_to_fiber(next->tsan_fiber_);
   const internal::transfer_t t =
       internal::jump_fcontext(next->fiber_ctx_, data);
   // Receive: park whoever jumped here (a yielding fiber's park, or a
   // finishing fiber's dead continuation) into the slot it named.
   *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
+  return true;
 }
 
 inline void Kernel::jump_to_scheduler(Process* p, void** asan_fake_save) {
@@ -905,81 +891,53 @@ inline void Kernel::jump_to_scheduler(Process* p, void** asan_fake_save) {
   *static_cast<internal::fcontext_t*>(t.data) = t.fctx;
 }
 
-internal::FiberStack Kernel::obtain_stack() {
+bool Kernel::obtain_stack(Process* p) {
+  internal::FiberStack& stack = p->stack_;
   if (!free_stacks_.empty()) {
-    internal::FiberStack stack = free_stacks_.back();
+    stack = free_stacks_.back();
     free_stacks_.pop_back();
-    asan_unpoison_stack(stack);  // poisoned while pooled
-    return stack;
+    // Poisoned wholesale while pooled; the canary band stays poisoned.
+    asan_unpoison(static_cast<char*>(stack.lo) + kCanaryBytes,
+                  stack.size - kCanaryBytes);
+    return true;
   }
-  if (fiber_stack_slab_ > 0) {
-    // Carve from the current slab; map a fresh one when it is exhausted.
-    // No guard pages: one VMA covers fiber_stack_slab_ stacks, so the
-    // concurrent-fiber ceiling is vm.max_map_count * slab instead of
-    // vm.max_map_count / 2 (see KernelOptions::fiber_stack_slab).
-    if (slab_cursor_ == slab_end_) {
-      const std::size_t slab_bytes = fiber_stack_bytes_ * fiber_stack_slab_;
-      void* base = ::mmap(nullptr, slab_bytes, PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      if (base == MAP_FAILED) throw std::bad_alloc();
-      slab_maps_.emplace_back(base, slab_bytes);
-      slab_cursor_ = static_cast<char*>(base);
-      slab_end_ = slab_cursor_ + slab_bytes;
+  const std::size_t arena_bytes = fiber_stack_bytes_ * kArenaStacks;
+  if (arena_free_slots_ == 0) {
+    void* arena = ::mmap(nullptr, arena_bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (arena == MAP_FAILED) {
+      const int err = errno;
+      finish_unrun(p, Status::resource_exhausted(
+                          std::string("fiber stack arena: mmap failed: ") +
+                          std::strerror(err)));
+      return false;
     }
-    internal::FiberStack stack;
-    stack.map_base = nullptr;  // slab-owned: never individually unmapped
-    stack.map_size = 0;
-    stack.usable_lo = slab_cursor_;
-    stack.usable_size = fiber_stack_bytes_;
-    slab_cursor_ += fiber_stack_bytes_;
-    return stack;
+    // Where transparent huge pages are "always", one 2 MiB page would back
+    // the tops of ~8 stacks at once and keep them all resident.
+    (void)::madvise(arena, arena_bytes, MADV_NOHUGEPAGE);  // advisory
+    arenas_.push_back(arena);
+    arena_free_slots_ = kArenaStacks;
   }
-  internal::FiberStack cached;
-  if (stack_cache().take(fiber_stack_bytes_, &cached)) return cached;
-  const std::size_t page = page_size();
-  internal::FiberStack stack;
-  stack.usable_size = fiber_stack_bytes_;
-  stack.map_size = stack.usable_size + page;  // + low guard page
-#ifndef MAP_STACK
-#define MAP_STACK 0
-#endif
-  void* base = ::mmap(nullptr, stack.map_size, PROT_NONE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (base == MAP_FAILED) throw std::bad_alloc();
-  stack.map_base = base;
-  stack.usable_lo = static_cast<char*>(base) + page;
-  if (::mprotect(stack.usable_lo, stack.usable_size,
-                 PROT_READ | PROT_WRITE) != 0) {
-    ::munmap(base, stack.map_size);
-    throw std::bad_alloc();
-  }
-  return stack;
+  // Top slot first, so the newest stack overflows into uncarved memory.
+  --arena_free_slots_;
+  stack.lo = static_cast<char*>(arenas_.back()) +
+             arena_free_slots_ * fiber_stack_bytes_;
+  stack.size = fiber_stack_bytes_;
+  asan_poison(stack.lo, kCanaryBytes);
+  return true;
 }
 
 void Kernel::recycle_stack(Process* p) {
-  if (!p->stack_.usable_lo) return;  // slab-carved stacks recycle too
+  assert(p->stack_.lo);
   // Poisoned for the whole pooled interval: under ASan, any read through a
   // pointer that escaped the dead fiber's frames faults immediately
   // instead of silently observing the next tenant.  obtain_stack
   // unpoisons on the way out.
-  asan_poison_stack(p->stack_);
+  asan_poison(p->stack_.lo, p->stack_.size);
   free_stacks_.push_back(p->stack_);
   p->stack_ = internal::FiberStack{};
   tsan_destroy_fiber(p->tsan_fiber_);
   p->tsan_fiber_ = nullptr;
-}
-
-void Kernel::release_stacks() {
-  for (const internal::FiberStack& stack : free_stacks_) {
-    // Pool poisoning must not outlive the pool: the cache hands stacks to
-    // other kernels, and slab memory is about to be munmapped (a later
-    // mapping at the same address must not inherit stale shadow).
-    asan_unpoison_stack(stack);
-    // Slab-carved stacks (map_base == nullptr) are not individually
-    // unmappable; their memory goes with the slabs in the destructor.
-    if (stack.map_base) stack_cache().put(stack);
-  }
-  free_stacks_.clear();
 }
 
 void Kernel::resume(Process* p) {
@@ -988,10 +946,10 @@ void Kernel::resume(Process* p) {
   // materializing anything.  The non-strategy pop already short-circuits
   // this case before it reaches resume.
   if (p->state_ == Process::State::kNew && p->killed_) {
-    finish_killed_at_birth(p);
+    finish_unrun(p, Status::killed(p->kill_reason_));
     return;
   }
-  jump_into(p, &sched_ctx_, &sched_asan_fake_stack_);
+  if (!jump_into(p, &sched_ctx_, &sched_asan_fake_stack_)) return;
   asan_finish_switch(sched_asan_fake_stack_, nullptr, nullptr);
   // With direct switching the fiber that finished is not necessarily the
   // one this frame resumed (control may have chained through several
@@ -1005,6 +963,7 @@ void Kernel::resume(Process* p) {
 }
 
 void Kernel::yield_from_process(Process* p) {
+  check_canary(p->stack_, p->name_);
   // While control is away the thread belongs to the scheduler (possibly
   // resuming a *different* process before us); whoever resumes us sets
   // current_ back.
@@ -1030,13 +989,14 @@ void Kernel::yield_from_process(Process* p) {
   // still bounces, since the scheduler's resume finishes it stackless.
   if (next != nullptr &&
       (next->state_ != Process::State::kNew || !next->killed_)) {
-    jump_into(next, &p->fiber_ctx_, &p->asan_fake_stack_);
-    return;
+    if (jump_into(next, &p->fiber_ctx_, &p->asan_fake_stack_)) return;
+    next = nullptr;  // finished unrun, without a stack: the scheduler pops on
   }
 #endif
   // Scheduler-only cases: nothing runnable (end of drain), a killed
-  // never-dispatched strategy pick, or any hop under ASan.  The popped
-  // entry was consumed, so park it for the scheduler loop to resume.
+  // never-dispatched strategy pick, a process left without a stack, or any
+  // hop under ASan.  A popped entry was consumed, so park it for the
+  // scheduler loop to resume.
   pending_next_ = next;
   jump_to_scheduler(p, &p->asan_fake_stack_);
   // Re-learn the scheduler's stack bounds on every entry: run() may be
@@ -1077,7 +1037,7 @@ inline Process* Kernel::pop_runnable(TimePoint limit) {
       // Killed before first dispatch: finish right here, no stack, no
       // thread.  The wake delivery above counted toward events_processed_
       // exactly as the old materialize-then-unwind route did.
-      finish_killed_at_birth(p);
+      finish_unrun(p, Status::killed(p->kill_reason_));
       continue;
     }
     return p;

@@ -1,7 +1,8 @@
 // Discrete-event simulation kernel with cooperative processes.
 //
-// Each sim::Process runs ordinary blocking C++ on a stackful fiber with an
-// mmap'd, guard-paged (or slab-carved) stack.  Materialization is lazy:
+// Each sim::Process runs ordinary blocking C++ on a stackful fiber whose
+// stack is carved from a per-kernel arena (one mmap per kArenaStacks
+// stacks) with a zero canary band at its low end.  Materialization is lazy:
 // spawn() allocates no stack and builds no context -- the fiber comes into
 // existence when the process is first dispatched, so a world of 10^6
 // mostly-idle clients holds stacks only for its live working set, and a
@@ -85,9 +86,9 @@ struct DeadlineExceeded {
 inline constexpr TimePoint kNoDeadline = TimePoint::max();
 
 struct KernelOptions {
-  // Usable fiber stack bytes (excludes the guard page).  0 means the
-  // default: 256 KiB, or 1 MiB under AddressSanitizer, whose redzones
-  // inflate frames.  Rounded up to the page size.
+  // Fiber stack bytes, the canary band included.  0 means the default:
+  // 256 KiB, or 1 MiB under AddressSanitizer, whose redzones inflate
+  // frames.  Rounded up to the page size.
   std::size_t fiber_stack_bytes = 0;
   // Model-checker self-test ONLY: reintroduces the pre-PR-6 stale-accounting
   // underflow by making kill skip the invalidate step (the token still
@@ -96,16 +97,6 @@ struct KernelOptions {
   // checker catches a real, historical bug.  Also suppresses the debug
   // audit's abort (the drift is the point) and the underflow asserts.
   bool debug_kill_skips_invalidate = false;
-  // When > 0, fiber stacks are carved out of shared slab mappings of this
-  // many stacks each, WITHOUT per-stack guard pages.  A guard-paged stack
-  // costs two VMAs (the PROT_NONE hole splits the mapping), so vm.max_map_count
-  // (typically 65530) caps concurrent fibers near 32k; slab mode costs one
-  // VMA per `fiber_stack_slab` stacks and reaches 10^5-10^6 concurrent
-  // processes.  Trade-off: a stack overflow corrupts the neighboring stack
-  // instead of faulting -- use for mega-scale benches, not debugging.
-  // Slabs live until kernel destruction (stacks recycle within the kernel
-  // but are not returned to the process-wide cache).
-  std::size_t fiber_stack_slab = 0;
 };
 
 namespace internal {
@@ -117,13 +108,11 @@ namespace internal {
 // can no longer fire and compacts when they outnumber live ones, so long
 // runs with heavy wait_for timeout churn stay O(live) in memory.
 
-// A recyclable fiber stack: one mmap'd region, PROT_NONE guard page at the
-// low end (stacks grow down), usable pages above it.
+// A recyclable fiber stack: one slot of a kernel's stack arena.  Stacks
+// grow down, so the canary band is the slot's lowest kCanaryBytes.
 struct FiberStack {
-  void* map_base = nullptr;
-  std::size_t map_size = 0;
-  void* usable_lo = nullptr;   // first byte above the guard page
-  std::size_t usable_size = 0;
+  void* lo = nullptr;  // lowest byte, the canary band's start
+  std::size_t size = 0;
 };
 
 }  // namespace internal
@@ -245,7 +234,7 @@ class Event {
  private:
   friend class Context;
   friend class Process;
-  friend class Kernel;  // finish_killed_at_birth signals done_
+  friend class Kernel;  // finish_unrun signals done_
 
   void link(Waiter* w);
   void unlink(Waiter* w);
@@ -539,10 +528,11 @@ class Kernel {
   // is resumed.
   void yield_from_process(Process* p);
 
-  // Finishes a killed, never-dispatched process without materializing a
-  // stack: the observable sequence (result, wake invalidation,
-  // done signal) is identical to run_body's killed-at-birth arm.
-  void finish_killed_at_birth(Process* p);
+  // Finishes a never-dispatched process without running its body: killed
+  // at birth, or left without a stack when no arena could be mapped.  The
+  // observable sequence (result, wake invalidation, done signal) is
+  // identical to run_body's killed-at-birth arm.
+  void finish_unrun(Process* p, Status result);
 
   // Retirement: a finished process leaves processes_ once no queue entry
   // references it, and its object goes to the pool when the kernel holds
@@ -596,10 +586,13 @@ class Kernel {
 
   // Fiber plumbing.
   // Switches into `next` (materializing its fiber on first dispatch) and
-  // parks the jumper's continuation in *park; returns when control comes
-  // back.  asan_fake_save is the jumper's ASan fake-stack handle.
-  void jump_into(Process* next, internal::fcontext_t* park,
-                 void** asan_fake_save);
+  // parks the jumper's continuation in *park; returns true when control
+  // comes back.  Returns false at once, without switching, when `next`
+  // needed a stack and no arena could be mapped: `next` is then finished
+  // (finish_unrun, resource_exhausted).  asan_fake_save is the jumper's
+  // ASan fake-stack handle.
+  [[nodiscard]] bool jump_into(Process* next, internal::fcontext_t* park,
+                               void** asan_fake_save);
   // Parks p and switches into the scheduler frame; returns when p is
   // resumed.  A null asan_fake_save marks p's final departure.
   void jump_to_scheduler(Process* p, void** asan_fake_save);
@@ -607,12 +600,13 @@ class Kernel {
   // thread is the one that materialized p's fiber (shard.hpp, "Thread
   // affinity").  Release builds compile it away.
   void check_fiber_thread(const Process* p) const;
-  internal::FiberStack obtain_stack();
+  // Gives p a pooled stack or the next arena slot.  When a fresh arena
+  // cannot be mapped, finishes p unrun (resource_exhausted) and returns
+  // false.
+  bool obtain_stack(Process* p);
   void recycle_stack(Process* p);
-  void release_stacks();
 
   const std::size_t fiber_stack_bytes_;
-  const std::size_t fiber_stack_slab_;  // stacks per slab; 0 = guard-paged
   const bool debug_kill_skips_invalidate_;
 
   Process* current_ = nullptr;  // whose turn it is; nullptr => kernel's
@@ -673,21 +667,20 @@ class Kernel {
 
   // Scheduler-frame state.  The scheduler's frame is parked in sched_ctx_
   // across each switch into a fiber; finished fibers' stacks go to the
-  // free list for reuse (peak-live-bounded, ASan-poisoned while pooled, and
-  // kind to vm.max_map_count at 50k spawns).
+  // free list for reuse (peak-live-bounded, ASan-poisoned while pooled).
   internal::fcontext_t sched_ctx_ = nullptr;
   void* sched_asan_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;  // learned at fiber entry
   std::size_t sched_stack_size_ = 0;
   void* sched_tsan_fiber_ = nullptr;  // re-read at every drain entry
   std::vector<internal::FiberStack> free_stacks_;
-  // Slab mode (fiber_stack_slab > 0): the live slab mappings, munmapped in
-  // the destructor, and the carve frontier within the newest slab.  Carved
-  // stacks have map_base == nullptr so every individual-ownership path
-  // (process destructor, stack cache, release) skips them.
-  std::vector<std::pair<void*, std::size_t>> slab_maps_;
-  char* slab_cursor_ = nullptr;
-  char* slab_end_ = nullptr;
+  // Stack arenas: one mmap of kArenaStacks stacks each, carved top slot
+  // first, unmapped only by the destructor.  Stacks never leave their
+  // kernel, so no lock guards them and no mapping call sits on the spawn
+  // path in steady state; a world of 10^5 fibers costs ~1.6k mappings.
+  static constexpr std::size_t kArenaStacks = 64;
+  std::vector<void*> arenas_;
+  std::size_t arena_free_slots_ = 0;  // uncarved slots in arenas_.back()
 
   Rng rng_;
   Logger logger_;

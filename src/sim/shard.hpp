@@ -92,7 +92,7 @@ struct ShardedKernelOptions {
   // pending event.  Larger = fewer barriers but coarser cross-shard
   // timing; must be >= 1us.
   Duration lookahead = msec(50);
-  // Per-shard kernel options (stacks, slabs).  Every shard
+  // Per-shard kernel options (fiber stack size).  Every shard
   // kernel is constructed with the same seed so name-derived RNG streams
   // are partition-independent.
   KernelOptions kernel;

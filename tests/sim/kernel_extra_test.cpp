@@ -1,10 +1,19 @@
 // Additional kernel edges: shutdown semantics, event pokes between runs,
-// nested kernels, thread ownership, time-limit boundary conditions.
+// nested kernels, thread ownership, time-limit boundary conditions, fiber
+// stack overflow and arena exhaustion.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/shard.hpp"
@@ -292,6 +301,114 @@ TEST(KernelExtraDeathTest, ShardedKernelCallFromAnotherThreadAborts) {
       },
       "sim sharded kernel: called from thread .*, but thread .* owns it");
 #endif
+}
+
+// Recurses through frames holding a 256-byte buffer until a frame lies at
+// or below `floor`.  The work after each call keeps every frame live (no
+// tail call), and the filled buffers leave non-zero bytes wherever the
+// frames were.
+[[gnu::noinline]] int descend(std::uintptr_t floor) {
+  volatile unsigned char buffer[256];
+  for (std::size_t i = 0; i < sizeof(buffer); ++i) {
+    buffer[i] = static_cast<unsigned char>(i | 1);
+  }
+  const auto here =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  int sum = buffer[0];
+  if (here > floor) sum += descend(floor);
+  return sum + buffer[sizeof(buffer) - 1];
+}
+
+// Runs fiber "deep" on a 64 KiB stack: it recurses down to `offset` bytes
+// above its stack's low end (below it, if negative) and then runs `then`.
+// Stacks are page-aligned and the body's frame lies in the top page, so
+// rounding that frame up to a page finds the stack's top.
+void run_descent(std::ptrdiff_t offset, void (*then)(Context&)) {
+  constexpr std::uintptr_t kStackBytes = 64 << 10;
+  KernelOptions opt;
+  opt.fiber_stack_bytes = kStackBytes;
+  Kernel k(1, opt);
+  k.spawn("deep", [offset, then](Context& ctx) {
+    const auto page = std::uintptr_t(::sysconf(_SC_PAGESIZE));
+    const auto frame =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    const std::uintptr_t lo = (frame + page - 1) / page * page - kStackBytes;
+    EXPECT_GT(descend(lo + offset), 0);
+    then(ctx);
+  });
+  k.run();
+}
+
+// An overflow past the stack's low end leaves frame bytes in the zero
+// canary band (its lowest 64 bytes).  The fiber's next switch-out aborts,
+// naming the process, in every build: a yield (the exit after it must
+// never run) or its final departure.
+TEST(FiberStackDeathTest, OverflowIntoCanaryAbortsAtYield) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_descent(-(1 << 10),
+                           [](Context& ctx) {
+                             ctx.yield();
+                             std::_Exit(0);
+                           }),
+               "sim kernel: fiber stack overflow in process 'deep'");
+}
+
+TEST(FiberStackDeathTest, OverflowIntoCanaryAbortsAtFinish) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_descent(-(1 << 10), [](Context&) {}),
+               "sim kernel: fiber stack overflow in process 'deep'");
+}
+
+// A recursion whose frames stop 1 KiB short of the band runs clean.
+TEST(FiberStack, RecursionShortOfCanaryRuns) {
+  run_descent(64 + (1 << 10), [](Context& ctx) { ctx.yield(); });
+}
+
+std::size_t address_space_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  statm >> pages;
+  return pages * std::size_t(::sysconf(_SC_PAGESIZE));
+}
+
+// When a stack arena cannot be mapped, the processes left without a stack
+// finish unrun with the mmap reason, and run() returns normally.  The
+// address-space limit is set inside the death-test child only.
+TEST(FiberStackDeathTest, ArenaMapFailureFinishesProcesses) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // Room for one arena of 64 four-MiB stacks, not for two, with
+        // 192 MiB to spare for the heap (and a sanitizer's own state).
+        KernelOptions opt;
+        opt.fiber_stack_bytes = 4 << 20;
+        Kernel k(1, opt);
+        std::vector<ProcessHandle> procs;
+        for (int i = 0; i < 100; ++i) {
+          procs.push_back(k.spawn("p" + std::to_string(i), [](Context& ctx) {
+            ctx.sleep(sec(1));
+          }));
+        }
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = address_space_bytes() + (448 << 20);
+        if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+        k.run();
+        int ran = 0;
+        int exhausted = 0;
+        for (const ProcessHandle& p : procs) {
+          if (!p->finished()) std::_Exit(3);
+          const Status result = p->result();
+          if (result.ok()) {
+            ++ran;
+          } else if (result.code() == StatusCode::kResourceExhausted &&
+                     result.message().rfind(
+                         "fiber stack arena: mmap failed: ", 0) == 0) {
+            ++exhausted;
+          }
+        }
+        std::_Exit(ran == 64 && exhausted == 36 ? 0 : 4);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -12,10 +12,13 @@
 //   - recycled process objects and stacks are actually reused (the pools
 //     plateau instead of growing with every wave);
 //   - under AddressSanitizer, pooled stacks are poisoned so a dangling
-//     pointer into a dead process's frames faults loudly.
+//     pointer into a dead process's frames faults loudly, and every
+//     stack's canary band stays poisoned while the stack is in use.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -208,6 +211,37 @@ TEST(LazyLifecycleTest, PooledStackIsPoisonedUnderAsan) {
   ASSERT_NE(frame_addr, nullptr);
   EXPECT_TRUE(__asan_address_is_poisoned(
       const_cast<const char*>(frame_addr)));
+}
+
+// The canary band (a stack's lowest 64 bytes) is poisoned from carving on
+// and stays poisoned when a pooled stack is handed out again, while the
+// bytes above it are usable.  Stacks are page-aligned and the body's frame
+// lies in the top page, so rounding it up to a page finds the stack's top.
+TEST(LazyLifecycleTest, CanaryBandStaysPoisonedUnderAsan) {
+  constexpr std::uintptr_t kStackBytes = 64 << 10;
+  KernelOptions opt;
+  opt.fiber_stack_bytes = kStackBytes;
+  Kernel k(1, opt);
+  int probes = 0;
+  const auto probe = [&](Context&) {
+    const auto page = std::uintptr_t(::sysconf(_SC_PAGESIZE));
+    const auto frame =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    const auto* lo = reinterpret_cast<const char*>(
+        (frame + page - 1) / page * page - kStackBytes);
+    EXPECT_TRUE(__asan_address_is_poisoned(lo));
+    EXPECT_TRUE(__asan_address_is_poisoned(lo + 63));
+    EXPECT_EQ(__asan_region_is_poisoned(const_cast<char*>(lo) + 64, 64),
+              nullptr);
+    ++probes;
+  };
+  k.spawn("fresh", probe);
+  k.run();
+  ASSERT_EQ(k.pooled_stack_count(), 1u);
+  k.spawn("pooled", probe);
+  k.run();
+  EXPECT_EQ(k.pooled_stack_count(), 1u);  // the same stack, reused
+  EXPECT_EQ(probes, 2);
 }
 #endif
 
