@@ -6,6 +6,7 @@
 // the event-queue hot paths against the committed baseline.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <csetjmp>
 #include <cstdio>
 #include <map>
@@ -233,6 +234,49 @@ void BM_StoreThroughput(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * items);
 }
 BENCHMARK(BM_StoreThroughput)->Arg(1000);
+
+// Teardown cost: shutdown() of a kernel holding n fibers parked under a
+// ten-frame chain with a cleanup in every frame, timed alone.  Each killed
+// fiber unwinds through the whole chain, so this is the per-client price of
+// abandoning a world mid-run (the sharded grid bench ends every repetition
+// this way).  Reports ns per killed fiber.
+[[gnu::noinline]] int park_chain(sim::Context& ctx, sim::Event& never,
+                                 int depth) {
+  const std::string cleanup(32, 'x');  // a landing pad in every frame
+  if (depth == 0) {
+    ctx.wait(never);
+  } else {
+    benchmark::DoNotOptimize(park_chain(ctx, never, depth - 1));
+  }
+  return int(cleanup.size());
+}
+
+void BM_ShutdownParked(benchmark::State& state) {
+  const int n = int(state.range(0));
+  sim::KernelOptions options;
+  options.fiber_stack_bytes = 64 << 10;
+  double shutdown_ns = 0;
+  for (auto _ : state) {
+    sim::Kernel kernel(1, options);
+    sim::Event never(kernel);
+    for (int i = 0; i < n; ++i) {
+      kernel.spawn("parked", [&never](sim::Context& ctx) {
+        park_chain(ctx, never, 10);
+      });
+    }
+    kernel.run();
+    const auto start = std::chrono::steady_clock::now();
+    kernel.shutdown();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    shutdown_ns += took.count() * 1e9;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * n);
+  state.counters["ns_per_fiber"] =
+      shutdown_ns / double(state.iterations()) / double(n);
+}
+BENCHMARK(BM_ShutdownParked)->Arg(1024)->Arg(4096)->UseManualTime();
 
 // Console reporter that also captures each run's items/sec so main can
 // feed the headline numbers (and the switch ratios) to the report.

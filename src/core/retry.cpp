@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/scope_guard.hpp"
+
 namespace ethergrid::core {
 
 void TryMetrics::merge(const TryMetrics& other) {
@@ -71,13 +73,9 @@ Status run_try(Clock& clock, Rng& rng, const TryOptions& options,
         // abort (or an unwinding deadline) can cut the sleep short, and the
         // back channel must not overstate time spent backing off.
         const TimePoint sleep_start = clock.now();
-        try {
-          clock.sleep(delay);
-        } catch (...) {
-          local.backoff_total += clock.now() - sleep_start;
-          throw;
-        }
-        local.backoff_total += clock.now() - sleep_start;
+        const ScopeGuard tally(
+            [&] { local.backoff_total += clock.now() - sleep_start; });
+        clock.sleep(delay);
       }
     }
   });

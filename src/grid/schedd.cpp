@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/scope_guard.hpp"
+
 namespace ethergrid::grid {
 
 ServiceQueue::ServiceQueue(sim::Kernel& kernel, int capacity)
@@ -17,9 +19,9 @@ Status ServiceQueue::acquire(sim::Context& ctx) {
   Waiter waiter;
   waiter.event = &event;
   queue_.push_back(&waiter);
-  try {
-    ctx.wait(event);
-  } catch (...) {
+  // Killed or deadline-unwound while queued: hand a grant onward, or leave
+  // the queue.
+  ScopeGuard cancel([&] {
     if (waiter.granted) {
       ++available_;
       grant_head();
@@ -31,8 +33,9 @@ Status ServiceQueue::acquire(sim::Context& ctx) {
         }
       }
     }
-    throw;
-  }
+  });
+  ctx.wait(event);
+  cancel.dismiss();
   if (waiter.aborted) {
     return Status::unavailable("connection reset: daemon died");
   }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/scope_guard.hpp"
+
 namespace ethergrid::sim {
 
 namespace {
@@ -140,29 +142,28 @@ Status FluidResource::transfer(Context& ctx, double work,
   flows_.push_back(&flow);
   reshare(ctx.now(), &flow);
 
-  try {
-    while (flow.remaining > kWorkEpsilon) {
-      // Cooperative invariant: nothing runs between this plan and the
-      // wait, so the rate cannot change before the waiter is registered.
-      const bool reshared = ctx.wait_for(change, eta_for(flow.remaining,
-                                                         flow.rate));
-      settle(flow, ctx.now());
-      if (!reshared && flow.remaining > kWorkEpsilon) {
-        // Timeout arithmetic rounds *up*, so an expired plan means the
-        // work is done up to float residue; anything more is a logic bug.
-        assert(flow.remaining <= work * 1e-9 + kWorkEpsilon);
-        break;
-      }
-    }
-  } catch (...) {
-    // Killed or deadline-unwound mid-transfer: the flow leaves and the
-    // survivors speed up at this instant.
+  // Killed or deadline-unwound mid-transfer: the flow leaves and the
+  // survivors speed up at this instant.
+  ScopeGuard abort([&] {
     units_moved_ += work - flow.remaining;
     ++aborted_;
     flows_.erase(std::find(flows_.begin(), flows_.end(), &flow));
     reshare(ctx.now(), nullptr);
-    throw;
+  });
+  while (flow.remaining > kWorkEpsilon) {
+    // Cooperative invariant: nothing runs between this plan and the
+    // wait, so the rate cannot change before the waiter is registered.
+    const bool reshared = ctx.wait_for(change, eta_for(flow.remaining,
+                                                       flow.rate));
+    settle(flow, ctx.now());
+    if (!reshared && flow.remaining > kWorkEpsilon) {
+      // Timeout arithmetic rounds *up*, so an expired plan means the
+      // work is done up to float residue; anything more is a logic bug.
+      assert(flow.remaining <= work * 1e-9 + kWorkEpsilon);
+      break;
+    }
   }
+  abort.dismiss();
 
   units_moved_ += work;
   ++completed_;

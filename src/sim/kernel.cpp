@@ -73,7 +73,7 @@ inline void asan_finish_switch(void* fake_stack_save, const void** bottom_old,
 // ASan instead of silently reading the next tenant's frames.  Unpoisoned
 // again, all but the canary band, when the stack leaves the pool; whole
 // arenas are unpoisoned before they are unmapped, so stale shadow never
-// outlives the kernel.
+// outlives the mapping.
 inline void asan_poison(const void* lo, std::size_t size) {
 #ifdef ETHERGRID_ASAN
   __asan_poison_memory_region(lo, size);
@@ -530,14 +530,7 @@ Kernel::Kernel(std::uint64_t seed, KernelOptions options)
       rng_(seed),
       logger_(LogLevel::kWarn) {}
 
-Kernel::~Kernel() {
-  shutdown();
-  const std::size_t arena_bytes = fiber_stack_bytes_ * kArenaStacks;
-  for (void* arena : arenas_) {
-    asan_unpoison(arena, arena_bytes);
-    ::munmap(arena, arena_bytes);
-  }
-}
+Kernel::~Kernel() { shutdown(); }
 
 void Kernel::shutdown() {
   const DrainScope scope(this);
@@ -550,6 +543,15 @@ void Kernel::shutdown() {
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   last_delivered_time_ = TimePoint::min();
 #endif
+  // No fiber is materialized from here on: spawns are born killed and a
+  // never-dispatched process finishes unrun.  Pooled stacks have no future,
+  // and neither has an arena with no live fiber; the rest are unmapped by
+  // recycle_stack as they drain.
+  std::vector<internal::FiberStack>().swap(free_stacks_);
+  arena_free_slots_ = 0;
+  for (Arena& arena : arenas_) {
+    if (arena.base != nullptr && arena.live == 0) unmap_arena(arena);
+  }
   // Repeatedly kill everything alive and drain; unwinding bodies might
   // spawn (spawns during shutdown start pre-killed, see spawn()).
   for (int rounds = 0; live_processes_ > 0 && rounds < 64; ++rounds) {
@@ -560,6 +562,9 @@ void Kernel::shutdown() {
     }
     drain(TimePoint::max());
   }
+  // Every fiber has finished, so every arena is unmapped.  (A release-build
+  // process that survives the kill rounds keeps its arena mapped: its
+  // parked frames are leaked with everything else they own.)
   assert(live_processes_ == 0 && "process survived kernel shutdown");
   // The full drain popped every queue entry, so every finished process
   // has retired; the pool has no future (spawns stay pre-killed).
@@ -777,11 +782,17 @@ void Kernel::audit_accounting_slow() const {
   // would kill the run before the accounting invariant gets to observe it.
   if (debug_kill_skips_invalidate_) return;
   // Counter drift is persistent -- once stale_wakeups_ or a live_wakeups_
-  // is wrong it stays wrong -- so on large queues sampling every 64th call
-  // still catches it, just a bounded number of events later.  Small queues
-  // (every unit test) stay exact on every call; without the throttle the
-  // big scenario suites go O(events x queue) under sanitizers.
-  if (queue_.size() > 128 && (++audit_tick_ & 63) != 0) return;
+  // is wrong it stays wrong -- so on large queues a sampled recount still
+  // catches it, just a bounded number of events later.  The period grows
+  // with the recount's own cost, O(queue + processes), so the audit adds
+  // O(1) amortized per call and debug runs stay linear in world size.
+  // Small queues (every unit test) stay exact on every call.
+  if (queue_.size() > 128) {
+    const std::size_t period =
+        std::max<std::size_t>(64, (queue_.size() + processes_.size()) / 8);
+    if (++audit_tick_ < period) return;
+    audit_tick_ = 0;
+  }
   const Status status = verify_queue_accounting();
   if (!status.ok()) {
     std::fprintf(stderr, "queue audit: %s\n", status.message().c_str());
@@ -892,6 +903,7 @@ inline void Kernel::jump_to_scheduler(Process* p, void** asan_fake_save) {
 }
 
 bool Kernel::obtain_stack(Process* p) {
+  assert(!shutting_down_ && "shutdown materializes no fiber");
   internal::FiberStack& stack = p->stack_;
   if (!free_stacks_.empty()) {
     stack = free_stacks_.back();
@@ -899,6 +911,7 @@ bool Kernel::obtain_stack(Process* p) {
     // Poisoned wholesale while pooled; the canary band stays poisoned.
     asan_unpoison(static_cast<char*>(stack.lo) + kCanaryBytes,
                   stack.size - kCanaryBytes);
+    ++arenas_[stack.arena].live;
     return true;
   }
   const std::size_t arena_bytes = fiber_stack_bytes_ * kArenaStacks;
@@ -915,14 +928,17 @@ bool Kernel::obtain_stack(Process* p) {
     // Where transparent huge pages are "always", one 2 MiB page would back
     // the tops of ~8 stacks at once and keep them all resident.
     (void)::madvise(arena, arena_bytes, MADV_NOHUGEPAGE);  // advisory
-    arenas_.push_back(arena);
+    assert(arenas_.size() < UINT32_MAX);
+    arenas_.push_back(Arena{arena, 0});
     arena_free_slots_ = kArenaStacks;
   }
   // Top slot first, so the newest stack overflows into uncarved memory.
   --arena_free_slots_;
-  stack.lo = static_cast<char*>(arenas_.back()) +
+  stack.lo = static_cast<char*>(arenas_.back().base) +
              arena_free_slots_ * fiber_stack_bytes_;
   stack.size = fiber_stack_bytes_;
+  stack.arena = static_cast<std::uint32_t>(arenas_.size() - 1);
+  ++arenas_.back().live;
   asan_poison(stack.lo, kCanaryBytes);
   return true;
 }
@@ -934,10 +950,24 @@ void Kernel::recycle_stack(Process* p) {
   // instead of silently observing the next tenant.  obtain_stack
   // unpoisons on the way out.
   asan_poison(p->stack_.lo, p->stack_.size);
-  free_stacks_.push_back(p->stack_);
+  Arena& arena = arenas_[p->stack_.arena];
+  assert(arena.live > 0);
+  --arena.live;
+  if (!shutting_down_) free_stacks_.push_back(p->stack_);
   p->stack_ = internal::FiberStack{};
   tsan_destroy_fiber(p->tsan_fiber_);
   p->tsan_fiber_ = nullptr;
+  if (shutting_down_ && arena.live == 0) unmap_arena(arena);
+}
+
+void Kernel::unmap_arena(Arena& arena) {
+  // Runs on the scheduler frame (or before shutdown's drain): no fiber of
+  // this arena is live, and every finished one's TSan context is gone.
+  // Stale ASan shadow must not outlive the mapping.
+  const std::size_t arena_bytes = fiber_stack_bytes_ * kArenaStacks;
+  asan_unpoison(arena.base, arena_bytes);
+  ::munmap(arena.base, arena_bytes);
+  arena.base = nullptr;
 }
 
 void Kernel::resume(Process* p) {

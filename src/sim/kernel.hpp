@@ -113,6 +113,7 @@ namespace internal {
 struct FiberStack {
   void* lo = nullptr;  // lowest byte, the canary band's start
   std::size_t size = 0;
+  std::uint32_t arena = 0;  // index of the owning arena in Kernel::arenas_
 };
 
 }  // namespace internal
@@ -354,9 +355,10 @@ class Kernel {
   explicit Kernel(std::uint64_t seed = 1, KernelOptions options = {});
   ~Kernel();
 
-  // Kills every live process, drains their unwinding, and reclaims their
-  // fiber stacks.  After shutdown the kernel accepts no further
-  // work (spawns create already-killed processes).  Idempotent.
+  // Kills every live process, drains their unwinding, and unmaps every
+  // fiber-stack arena, each as soon as its last fiber has unwound.  After
+  // shutdown the kernel accepts no further work (spawns create
+  // already-killed processes).  Idempotent.
   void shutdown();
 
   Kernel(const Kernel&) = delete;
@@ -604,6 +606,8 @@ class Kernel {
   // cannot be mapped, finishes p unrun (resource_exhausted) and returns
   // false.
   bool obtain_stack(Process* p);
+  // Takes a finished fiber's stack back: to the pool while the kernel runs,
+  // or, once shutdown has begun, toward its arena's unmapping.
   void recycle_stack(Process* p);
 
   const std::size_t fiber_stack_bytes_;
@@ -675,11 +679,21 @@ class Kernel {
   void* sched_tsan_fiber_ = nullptr;  // re-read at every drain entry
   std::vector<internal::FiberStack> free_stacks_;
   // Stack arenas: one mmap of kArenaStacks stacks each, carved top slot
-  // first, unmapped only by the destructor.  Stacks never leave their
-  // kernel, so no lock guards them and no mapping call sits on the spawn
-  // path in steady state; a world of 10^5 fibers costs ~1.6k mappings.
+  // first.  Stacks never leave their kernel, so no lock guards them and no
+  // mapping call sits on the spawn path in steady state; a world of 10^5
+  // fibers costs ~1.6k mappings.  Shutdown materializes no fiber, so from
+  // its start an arena with no live fiber has no future: shutdown unmaps
+  // the idle ones at once and recycle_stack each of the others as its last
+  // fiber finishes unwinding.  Unwinding a parked fiber faults in pages
+  // below its frames; handing arenas back as they drain keeps those pages
+  // from piling up across the whole teardown.
   static constexpr std::size_t kArenaStacks = 64;
-  std::vector<void*> arenas_;
+  struct Arena {
+    void* base = nullptr;    // nullptr once unmapped
+    std::uint32_t live = 0;  // slots holding a materialized fiber's stack
+  };
+  void unmap_arena(Arena& arena);
+  std::vector<Arena> arenas_;
   std::size_t arena_free_slots_ = 0;  // uncarved slots in arenas_.back()
 
   Rng rng_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/scope_guard.hpp"
+
 namespace ethergrid::sim {
 
 Resource::Resource(Kernel& kernel, std::int64_t capacity)
@@ -19,9 +21,8 @@ void Resource::acquire(Context& ctx, std::int64_t n) {
   Event event(*kernel_);
   Waiter waiter{n, false, &event};
   queue_.push_back(&waiter);
-  try {
-    ctx.wait(event);
-  } catch (...) {
+  // Killed or deadline-unwound while queued: leave the queue.
+  ScopeGuard cancel([&] {
     if (waiter.granted) {
       // Units were granted while we were being cancelled; hand them on.
       available_ += n;
@@ -30,8 +31,9 @@ void Resource::acquire(Context& ctx, std::int64_t n) {
       queue_.erase(std::remove(queue_.begin(), queue_.end(), &waiter),
                    queue_.end());
     }
-    throw;
-  }
+  });
+  ctx.wait(event);
+  cancel.dismiss();
 }
 
 bool Resource::try_acquire(std::int64_t n) {

@@ -325,6 +325,39 @@ TEST(TryMetricsTest, TruncatedBackoffRecordsSleptNotRequested) {
   EXPECT_EQ(metrics.backoff_total, msec(5));
 }
 
+// A clock whose sleeps advance a little and then unwind, the way a kill or
+// an enclosing deadline ends a backoff sleep in the simulator.
+class UnwindingClock final : public Clock {
+ public:
+  TimePoint now() override { return now_; }
+  void sleep(Duration) override {
+    now_ += msec(5);
+    throw sim::Interrupted{"killed mid-backoff"};
+  }
+  Status with_deadline(TimePoint,
+                       const std::function<Status()>& fn) override {
+    return fn();
+  }
+
+ private:
+  TimePoint now_ = kEpoch;
+};
+
+TEST(TryMetricsTest, UnwoundBackoffRecordsSleptTime) {
+  UnwindingClock clock;
+  Rng rng(1);
+  TryMetrics metrics;
+  TryOptions options = TryOptions::times(2);
+  options.backoff = BackoffPolicy::fixed(msec(100));
+  options.metrics = &metrics;
+  EXPECT_THROW(run_try(clock, rng, options,
+                       [](TimePoint) { return Status::failure("nope"); }),
+               sim::Interrupted);
+  EXPECT_EQ(metrics.attempts, 1);
+  EXPECT_EQ(metrics.backoff_total, msec(5));
+  EXPECT_EQ(metrics.elapsed, msec(5));
+}
+
 TEST(TryMetricsTest, MergeAccumulates) {
   TryMetrics a, b;
   a.attempts = 2;

@@ -165,6 +165,39 @@ TEST(ScheddTest, LoadSlowdownStretchesService) {
   EXPECT_EQ(done[1], kEpoch + msec(3100));
 }
 
+TEST(ServiceQueueTest, KillAfterGrantHandsSlotOnward) {
+  // Granted at t=10 and killed at the same instant before it runs: the
+  // victim's slot goes to the next waiter at once.
+  sim::Kernel k;
+  ServiceQueue queue(k, 1);
+  TimePoint got{};
+  k.spawn("holder", [&](sim::Context& ctx) {
+    ASSERT_TRUE(queue.acquire(ctx).ok());
+    ctx.sleep(sec(10));
+    queue.release();  // grants the victim
+  });
+  auto victim = k.spawn("victim", [&](sim::Context& ctx) {
+    ctx.sleep(sec(1));
+    (void)queue.acquire(ctx);
+    ADD_FAILURE() << "victim ran after its kill";
+  });
+  k.spawn("killer", [&](sim::Context& ctx) {
+    ctx.sleep(sec(10));  // wakes after the holder's release
+    ctx.kill(victim);
+  });
+  k.spawn("waiter", [&](sim::Context& ctx) {
+    ctx.sleep(sec(2));
+    ASSERT_TRUE(queue.acquire(ctx).ok());
+    got = ctx.now();
+    queue.release();
+  });
+  k.run();
+  EXPECT_EQ(victim->result().code(), StatusCode::kKilled);
+  EXPECT_EQ(got, kEpoch + sec(10));
+  EXPECT_EQ(queue.available(), 1);
+  EXPECT_EQ(queue.queue_length(), 0u);
+}
+
 TEST(ScheddTest, AbortedSubmitterReleasesEverything) {
   // A client killed mid-queue or mid-service must not leak descriptors or
   // connections -- the cancellation-cleanliness property of section 6.

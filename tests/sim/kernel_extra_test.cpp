@@ -2,9 +2,11 @@
 // nested kernels, thread ownership, time-limit boundary conditions, fiber
 // stack overflow and arena exhaustion.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -409,6 +411,88 @@ TEST(FiberStackDeathTest, ArenaMapFailureFinishesProcesses) {
         std::_Exit(ran == 64 && exhausted == 36 ? 0 : 4);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+// True when the page holding `addr` is mapped: mincore fails with ENOMEM
+// exactly when it is not.
+bool page_mapped(std::uintptr_t addr) {
+  const auto page = std::uintptr_t(::sysconf(_SC_PAGESIZE));
+  unsigned char resident = 0;
+  if (::mincore(reinterpret_cast<void*>(addr / page * page), page,
+                &resident) == 0) {
+    return true;
+  }
+  EXPECT_EQ(errno, ENOMEM);
+  return false;
+}
+
+// Parks on `never` under `depth` frames of 256-byte buffers, each with a
+// cleanup, so a kill's unwinding runs below the parked frames on a page
+// the fiber had not touched before -- as a parked grid client's does.
+[[gnu::noinline]] int park_deep(Context& ctx, Event& never, int depth) {
+  volatile unsigned char buffer[256];
+  for (std::size_t i = 0; i < sizeof(buffer); ++i) {
+    buffer[i] = static_cast<unsigned char>(i | 1);
+  }
+  const std::string cleanup(32, 'x');  // a landing pad in every frame
+  if (depth == 0) {
+    ctx.wait(never);
+  } else {
+    (void)park_deep(ctx, never, depth - 1);
+  }
+  return buffer[0] + int(cleanup.size());
+}
+
+// Shutdown hands each stack arena back as soon as its last fiber has
+// unwound: while the fiber in the third arena unwinds, the first arena is
+// already unmapped, and after shutdown no arena or pooled stack is left.
+TEST(FiberStack, ShutdownUnmapsEachArenaAsItDrains) {
+  constexpr int kArenaStacks = 64;  // stacks per arena (kernel.hpp)
+  constexpr int kParked = 2 * kArenaStacks + 1;
+  Kernel k;
+  Event never(k);
+  // One stack address per arena: fibers materialize in spawn order, so
+  // fiber i lives in arena i / kArenaStacks.
+  std::vector<std::uintptr_t> stack_in_arena(3, 0);
+  int first_arena_mapped_at_last_unwind = -1;
+  // Runs in the last fiber, the only one in the third arena, as it unwinds.
+  struct ProbeOnUnwind {
+    bool armed;
+    const std::uintptr_t& probed;
+    int& mapped;
+    ~ProbeOnUnwind() {
+      if (armed) mapped = page_mapped(probed) ? 1 : 0;
+    }
+  };
+  for (int i = 0; i < kParked; ++i) {
+    k.spawn("parked", [&, i](Context& ctx) {
+      if (i % kArenaStacks == 0) {
+        stack_in_arena[std::size_t(i / kArenaStacks)] =
+            reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      }
+      const ProbeOnUnwind probe{i == kParked - 1, stack_in_arena[0],
+                                first_arena_mapped_at_last_unwind};
+      (void)park_deep(ctx, never, 8);
+    });
+  }
+  k.run();
+  ASSERT_EQ(k.live_process_count(), std::size_t(kParked));
+  // One more fiber runs to completion, so the pool holds a stack too.
+  k.spawn("done", [](Context&) {});
+  k.run();
+  EXPECT_EQ(k.pooled_stack_count(), 1u);
+  for (const std::uintptr_t addr : stack_in_arena) {
+    ASSERT_NE(addr, 0u);
+    EXPECT_TRUE(page_mapped(addr));
+  }
+
+  k.shutdown();
+  EXPECT_EQ(first_arena_mapped_at_last_unwind, 0);
+  for (const std::uintptr_t addr : stack_in_arena) {
+    EXPECT_FALSE(page_mapped(addr));
+  }
+  EXPECT_EQ(k.pooled_stack_count(), 0u);
+  EXPECT_EQ(k.live_process_count(), 0u);
 }
 
 }  // namespace

@@ -170,6 +170,39 @@ TEST(ResourceTest, KillWhileQueuedHandsGrantOnward) {
   EXPECT_EQ(r.available(), 1);
 }
 
+TEST(ResourceTest, KillAfterGrantHandsUnitsOnward) {
+  // Granted at t=10 and killed at the same instant before it runs: the
+  // victim's units go to the next waiter at once.
+  Kernel k;
+  Resource r(k, 1);
+  TimePoint got{};
+  k.spawn("holder", [&](Context& ctx) {
+    r.acquire(ctx);
+    ctx.sleep(sec(10));
+    r.release();  // grants the victim
+  });
+  auto victim = k.spawn("victim", [&](Context& ctx) {
+    ctx.sleep(sec(1));
+    r.acquire(ctx);
+    ADD_FAILURE() << "victim ran after its kill";
+  });
+  k.spawn("killer", [&](Context& ctx) {
+    ctx.sleep(sec(10));  // wakes after the holder's release
+    ctx.kill(victim);
+  });
+  k.spawn("waiter", [&](Context& ctx) {
+    ctx.sleep(sec(2));
+    r.acquire(ctx);
+    got = ctx.now();
+    r.release();
+  });
+  k.run();
+  EXPECT_EQ(victim->result().code(), StatusCode::kKilled);
+  EXPECT_EQ(got, kEpoch + sec(10));
+  EXPECT_EQ(r.available(), 1);
+  EXPECT_EQ(r.queue_length(), 0u);
+}
+
 TEST(ResourceTest, LeaseReleasesOnScopeExit) {
   Kernel k;
   Resource r(k, 1);
