@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/discipline.hpp"
+#include "core/sim_clock.hpp"
 #include "report.hpp"
 #include "sim/fcontext.hpp"
 #include "sim/kernel.hpp"
@@ -277,6 +279,92 @@ void BM_ShutdownParked(benchmark::State& state) {
       shutdown_ns / double(state.iterations()) / double(n);
 }
 BENCHMARK(BM_ShutdownParked)->Arg(1024)->Arg(4096)->UseManualTime();
+
+// -------------------------------------------------- the retry path
+
+// Fixed clients' try loops: n fibers, each running run_with_discipline
+// over a SimClock with no backoff and an attempt that fails at once, so
+// every cycle is one attempt and one min_cycle sleep.  Times kernel.run()
+// alone and reports ns per failed attempt, the sleep's event and switch
+// included.  With many fibers each attempt runs on a cold stack, as in
+// fig1_sweep.
+void BM_TryAttempt(benchmark::State& state) {
+  const int n = int(state.range(0));
+  const int attempts = 65536 / n;  // per client
+  core::TryOptions options = core::TryOptions::times(attempts);
+  options.backoff = core::BackoffPolicy::none();
+  const core::Discipline fixed{"fixed", options, nullptr};
+  double run_ns = 0;
+  for (auto _ : state) {
+    sim::Kernel kernel(1);
+    for (int i = 0; i < n; ++i) {
+      kernel.spawn("fixed", [&fixed](sim::Context& ctx) {
+        core::SimClock clock(ctx);
+        Rng rng = ctx.rng();
+        core::DisciplineMetrics metrics;
+        (void)core::run_with_discipline(
+            clock, rng, fixed,
+            [](TimePoint) { return Status::unavailable("schedd busy"); },
+            &metrics);
+      });
+    }
+    const auto start = std::chrono::steady_clock::now();
+    kernel.run();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    run_ns += took.count() * 1e9;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * n * attempts);
+  state.counters["ns_per_attempt"] =
+      run_ns / double(state.iterations()) / double(n * attempts);
+}
+BENCHMARK(BM_TryAttempt)->Arg(1)->Arg(256)->UseManualTime();
+
+// Teardown of real retrying clients: n fibers, each parked inside the
+// attempt of a time-limited run_with_discipline over a SimClock, so a kill
+// unwinds the discipline, run_try and its deadline scope -- the chain a
+// parked grid client sits under.  Times shutdown() alone and reports ns
+// per killed fiber (compare BM_ShutdownParked's synthetic chain).
+void BM_ShutdownRetrying(benchmark::State& state) {
+  const int n = int(state.range(0));
+  sim::KernelOptions options;
+  options.fiber_stack_bytes = 64 << 10;
+  const core::Discipline aloha{
+      "aloha", core::TryOptions::for_time(hours(1)), nullptr};
+  double shutdown_ns = 0;
+  for (auto _ : state) {
+    sim::Kernel kernel(1, options);
+    sim::Event never(kernel);
+    for (int i = 0; i < n; ++i) {
+      kernel.spawn("retrying", [&never, &aloha](sim::Context& ctx) {
+        core::SimClock clock(ctx);
+        Rng rng = ctx.rng();
+        core::DisciplineMetrics metrics;
+        (void)core::run_with_discipline(
+            clock, rng, aloha,
+            [&](TimePoint) {
+              ctx.wait(never);
+              return Status::success();
+            },
+            &metrics);
+      });
+    }
+    // Stop well before the one-hour deadlines: every client stays parked
+    // under a live deadline scope, as a grid client is at the window end.
+    kernel.run_for(sec(1));
+    const auto start = std::chrono::steady_clock::now();
+    kernel.shutdown();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    shutdown_ns += took.count() * 1e9;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * n);
+  state.counters["ns_per_fiber"] =
+      shutdown_ns / double(state.iterations()) / double(n);
+}
+BENCHMARK(BM_ShutdownRetrying)->Arg(1024)->Arg(4096)->UseManualTime();
 
 // Console reporter that also captures each run's items/sec so main can
 // feed the headline numbers (and the switch ratios) to the report.

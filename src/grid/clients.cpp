@@ -357,11 +357,12 @@ sim::ProcessBody make_bulk_sender(Substrate& link, ReservationBook* book,
     while (true) {
       ctx.sleep(sec(rng.uniform(to_seconds(config.think_min),
                                 to_seconds(config.think_max))));
-      Status s = core::run_with_discipline(
-          clock, rng, discipline,
-          traits.reservation ? core::AttemptFn(reserved)
-                             : core::AttemptFn(best_effort),
-          &stats->discipline);
+      Status s = traits.reservation
+                     ? core::run_with_discipline(clock, rng, discipline,
+                                                 reserved, &stats->discipline)
+                     : core::run_with_discipline(clock, rng, discipline,
+                                                 best_effort,
+                                                 &stats->discipline);
       if (s.ok()) {
         ++stats->files_sent;
         stats->bytes_sent += config.file_bytes;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "both_clocks.hpp"
 #include "core/sim_clock.hpp"
 #include "sim/kernel.hpp"
 
@@ -9,21 +12,11 @@ namespace ethergrid::core {
 namespace {
 
 using sim::Context;
-using sim::Kernel;
 
-void run_in_sim(const std::function<void(Context&, SimClock&, Rng&)>& body,
-                std::uint64_t seed = 1) {
-  Kernel kernel(seed);
-  kernel.spawn("test", [&](Context& ctx) {
-    SimClock clock(ctx);
-    Rng rng = ctx.rng();
-    body(ctx, clock, rng);
-  });
-  kernel.run();
-}
+using harness::run_on_both_clocks;
 
 TEST(DisciplineTest, FixedRetriesWithoutDelay) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     DisciplineMetrics m;
     TryOptions options = TryOptions::times(5);
@@ -45,7 +38,7 @@ TEST(DisciplineTest, FixedRetriesWithoutDelay) {
 }
 
 TEST(DisciplineTest, AlohaBacksOffBetweenCollisions) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     DisciplineMetrics m;
     (void)run_with_discipline(
         clock, rng, Discipline{"aloha", TryOptions::times(4), nullptr},
@@ -56,7 +49,7 @@ TEST(DisciplineTest, AlohaBacksOffBetweenCollisions) {
 }
 
 TEST(DisciplineTest, EthernetDefersWithoutConsuming) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int medium_busy = 3;  // carrier clears after 3 probes
     int work_runs = 0;
     DisciplineMetrics m;
@@ -81,7 +74,7 @@ TEST(DisciplineTest, EthernetDefersWithoutConsuming) {
 }
 
 TEST(DisciplineTest, DeferralsApplyBackoff) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     const Discipline d{
         "ethernet", TryOptions::times(3),
         [](TimePoint) { return Status::unavailable("always busy"); }};
@@ -100,7 +93,7 @@ TEST(DisciplineTest, DeferralsApplyBackoff) {
 }
 
 TEST(DisciplineTest, CollisionsCountedOnWorkFailure) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     DisciplineMetrics m;
     const Discipline d{"ethernet", TryOptions::times(5),
@@ -120,7 +113,7 @@ TEST(DisciplineTest, CollisionsCountedOnWorkFailure) {
 }
 
 TEST(DisciplineTest, CarrierSenseReceivesDeadline) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TimePoint seen{};
     const Discipline d{"ethernet", TryOptions::for_time(minutes(5)),
                        [&](TimePoint deadline) {
@@ -134,7 +127,7 @@ TEST(DisciplineTest, CarrierSenseReceivesDeadline) {
 }
 
 TEST(DisciplineTest, NullMetricsIsSafe) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     Status s = run_with_discipline(
         clock, rng, Discipline{"aloha", TryOptions::times(2), nullptr},
         [](TimePoint) { return Status::failure("x"); }, nullptr);
@@ -143,7 +136,7 @@ TEST(DisciplineTest, NullMetricsIsSafe) {
 }
 
 TEST(DisciplineTest, TimeBudgetAppliesAcrossDeferrals) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     const Discipline d{
         "ethernet", TryOptions::for_time(sec(30)),
         [](TimePoint) { return Status::unavailable("busy forever"); }};
@@ -153,6 +146,24 @@ TEST(DisciplineTest, TimeBudgetAppliesAcrossDeferrals) {
     EXPECT_EQ(s.code(), StatusCode::kTimeout);
     EXPECT_EQ(clock.now(), kEpoch + sec(30));
     EXPECT_GT(m.deferrals, 1);
+  });
+}
+
+TEST(DisciplineTest, MoveOnlyWorkIsNeverCopied) {
+  // A std::function cannot hold this work, so this only compiles while no
+  // layer of run_with_discipline wraps it in one.
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
+    auto left = std::make_unique<int>(2);
+    DisciplineMetrics m;
+    Status s = run_with_discipline(
+        clock, rng, Discipline{"aloha", TryOptions::times(4), nullptr},
+        [left = std::move(left)](TimePoint) {
+          return --*left > 0 ? Status::failure("busy") : Status::success();
+        },
+        &m);
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(m.collisions, 1);
+    EXPECT_EQ(m.try_metrics.attempts, 2);
   });
 }
 

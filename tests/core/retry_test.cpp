@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
+#include "both_clocks.hpp"
 #include "core/sim_clock.hpp"
 #include "sim/kernel.hpp"
+#include "util/scope_guard.hpp"
 
 namespace ethergrid::core {
 namespace {
@@ -14,21 +18,73 @@ namespace {
 using sim::Context;
 using sim::Kernel;
 
-// Runs `body` inside a fresh simulated process and returns after the kernel
-// drains.  Shared harness for all core-over-sim tests.
-void run_in_sim(const std::function<void(Context&, SimClock&, Rng&)>& body,
-                std::uint64_t seed = 1) {
-  Kernel kernel(seed);
-  kernel.spawn("test", [&](Context& ctx) {
+using harness::ClockPath;
+using harness::run_on_both_clocks;
+
+// What one run of a scenario leaves behind; compared across clock paths.
+struct Outcome {
+  Status status;     // the scenario's result, or the process's if killed
+  TryMetrics outer;  // the scenario's try
+  TryMetrics inner;  // a nested try's, when the scenario has one
+  TimePoint end{};   // when the worker returned or finished unwinding
+};
+
+// Runs scenario(ctx, clock, rng, outcome) -> Status in a worker process
+// through `path`.  With `kill_at`, a second process kills the worker then.
+template <class Scenario>
+Outcome run_scenario(ClockPath path, const Scenario& scenario,
+                     std::optional<Duration> kill_at = std::nullopt) {
+  SCOPED_TRACE(harness::path_name(path));
+  Outcome out;
+  Kernel kernel(1);
+  sim::ProcessHandle worker = kernel.spawn("worker", [&](Context& ctx) {
+    const ScopeGuard stamp([&] { out.end = ctx.now(); });
     SimClock clock(ctx);
     Rng rng = ctx.rng();
-    body(ctx, clock, rng);
+    if (path == ClockPath::kSimClock) {
+      out.status = scenario(ctx, clock, rng, out);
+    } else {
+      Clock& base = clock;
+      out.status = scenario(ctx, base, rng, out);
+    }
   });
+  if (kill_at) {
+    kernel.spawn("killer", [&](Context& ctx) {
+      ctx.sleep(*kill_at);
+      ctx.kill(worker);
+    });
+  }
   kernel.run();
+  if (kill_at) out.status = worker->result();
+  return out;
+}
+
+void expect_same(const TryMetrics& a, const TryMetrics& b) {
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.backoff_total, b.backoff_total);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.succeeded, b.succeeded);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  EXPECT_EQ(a.attempts_exhausted, b.attempts_exhausted);
+}
+
+// Runs `scenario` through both clock paths, expects the same status,
+// metrics and end time from each, and returns the SimClock path's outcome.
+template <class Scenario>
+Outcome expect_paths_agree(const Scenario& scenario,
+                           std::optional<Duration> kill_at = std::nullopt) {
+  const Outcome a = run_scenario(ClockPath::kSimClock, scenario, kill_at);
+  const Outcome b = run_scenario(ClockPath::kVirtualClock, scenario, kill_at);
+  EXPECT_EQ(a.status, b.status);
+  expect_same(a.outer, b.outer);
+  expect_same(a.inner, b.inner);
+  EXPECT_EQ(a.end, b.end);
+  return a;
 }
 
 TEST(RunTryTest, SucceedsFirstAttempt) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     Status s = run_try(clock, rng, TryOptions::times(5), [&](TimePoint) {
       ++calls;
@@ -41,7 +97,7 @@ TEST(RunTryTest, SucceedsFirstAttempt) {
 }
 
 TEST(RunTryTest, RetriesUntilSuccess) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     Status s = run_try(clock, rng, TryOptions::times(10), [&](TimePoint) {
       ++calls;
@@ -56,7 +112,7 @@ TEST(RunTryTest, RetriesUntilSuccess) {
 }
 
 TEST(RunTryTest, AttemptBudgetExhaustedReturnsLastFailure) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     TryMetrics metrics;
     TryOptions options = TryOptions::times(3);
@@ -76,7 +132,7 @@ TEST(RunTryTest, AttemptBudgetExhaustedReturnsLastFailure) {
 }
 
 TEST(RunTryTest, TimeBudgetExpiresBetweenAttempts) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TryMetrics metrics;
     TryOptions options = TryOptions::for_time(sec(10));
     options.metrics = &metrics;
@@ -93,22 +149,27 @@ TEST(RunTryTest, TimeBudgetExpiresBetweenAttempts) {
 TEST(RunTryTest, TimeBudgetAbortsRunningAttempt) {
   // The paper: "If the limit should expire during the execution of a
   // procedure, then that procedure is forcibly terminated."
-  run_in_sim([](Context& ctx, SimClock& clock, Rng& rng) {
-    bool attempt_completed = false;
-    Status s = run_try(clock, rng, TryOptions::for_time(sec(5)),
-                       [&](TimePoint) {
-                         ctx.sleep(hours(1));  // wedged operation
-                         attempt_completed = true;
-                         return Status::success();
-                       });
-    EXPECT_EQ(s.code(), StatusCode::kTimeout);
-    EXPECT_FALSE(attempt_completed);
-    EXPECT_EQ(clock.now(), kEpoch + sec(5));
-  });
+  bool attempt_completed = false;
+  const Outcome out =
+      expect_paths_agree([&](Context& ctx, auto& clock, Rng& rng, Outcome& o) {
+        TryOptions options = TryOptions::for_time(sec(5));
+        options.metrics = &o.outer;
+        return run_try(clock, rng, options, [&](TimePoint) {
+          ctx.sleep(hours(1));  // wedged operation
+          attempt_completed = true;
+          return Status::success();
+        });
+      });
+  EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
+  EXPECT_FALSE(attempt_completed);
+  EXPECT_EQ(out.outer.attempts, 1);
+  EXPECT_TRUE(out.outer.timed_out);
+  EXPECT_EQ(out.outer.elapsed, sec(5));
+  EXPECT_EQ(out.end, kEpoch + sec(5));
 }
 
 TEST(RunTryTest, CombinedBudgetWhicheverFirst_TimeWins) {
-  run_in_sim([](Context& ctx, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context& ctx, auto& clock, Rng& rng) {
     TryOptions options = TryOptions::for_time_or_times(sec(3), 100);
     Status s = run_try(clock, rng, options, [&](TimePoint) {
       ctx.sleep(sec(1));
@@ -120,7 +181,7 @@ TEST(RunTryTest, CombinedBudgetWhicheverFirst_TimeWins) {
 }
 
 TEST(RunTryTest, CombinedBudgetWhicheverFirst_AttemptsWin) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TryOptions options = TryOptions::for_time_or_times(hours(10), 2);
     int calls = 0;
     Status s = run_try(clock, rng, options, [&](TimePoint) {
@@ -134,7 +195,7 @@ TEST(RunTryTest, CombinedBudgetWhicheverFirst_AttemptsWin) {
 }
 
 TEST(RunTryTest, ZeroAttemptLimitFailsWithoutRunning) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int calls = 0;
     Status s = run_try(clock, rng, TryOptions::times(0), [&](TimePoint) {
       ++calls;
@@ -146,7 +207,7 @@ TEST(RunTryTest, ZeroAttemptLimitFailsWithoutRunning) {
 }
 
 TEST(RunTryTest, AttemptReceivesOverallDeadline) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TimePoint seen{};
     (void)run_try(clock, rng, TryOptions::for_time(minutes(5)),
                   [&](TimePoint deadline) {
@@ -158,7 +219,7 @@ TEST(RunTryTest, AttemptReceivesOverallDeadline) {
 }
 
 TEST(RunTryTest, NoTimeLimitPassesMaxDeadline) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TimePoint seen{};
     (void)run_try(clock, rng, TryOptions::times(1), [&](TimePoint deadline) {
       seen = deadline;
@@ -171,7 +232,7 @@ TEST(RunTryTest, NoTimeLimitPassesMaxDeadline) {
 TEST(RunTryTest, NestedTriesInnerTimeoutIsOuterFailure) {
   // try for 30s { try for 2s { always-fail } } -- the inner try times out,
   // the outer retries it, and eventually the outer times out too.
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     int inner_runs = 0;
     TryMetrics outer_metrics;
     TryOptions outer = TryOptions::for_time(sec(30));
@@ -192,41 +253,51 @@ TEST(RunTryTest, NestedTriesInnerTimeoutIsOuterFailure) {
 
 TEST(RunTryTest, OuterDeadlineCutsInnerTryMidFlight) {
   // Outer limit shorter than inner: the outer deadline must preempt the
-  // inner try's attempt and surface as the OUTER timeout.
-  run_in_sim([](Context& ctx, SimClock& clock, Rng& rng) {
-    Status s = run_try(clock, rng, TryOptions::for_time(sec(5)),
-                       [&](TimePoint) {
-                         return run_try(clock, rng,
-                                        TryOptions::for_time(hours(1)),
-                                        [&](TimePoint) {
-                                          ctx.sleep(minutes(10));
-                                          return Status::success();
-                                        });
-                       });
-    EXPECT_EQ(s.code(), StatusCode::kTimeout);
-    EXPECT_EQ(clock.now(), kEpoch + sec(5));
-  });
+  // inner try's attempt and surface as the OUTER timeout.  The inner try
+  // lets the enclosing deadline through instead of timing out itself.
+  const Outcome out =
+      expect_paths_agree([](Context& ctx, auto& clock, Rng& rng, Outcome& o) {
+        TryOptions outer = TryOptions::for_time(sec(5));
+        outer.metrics = &o.outer;
+        TryOptions inner = TryOptions::for_time(hours(1));
+        inner.metrics = &o.inner;
+        return run_try(clock, rng, outer, [&](TimePoint) {
+          return run_try(clock, rng, inner, [&](TimePoint) {
+            ctx.sleep(minutes(10));
+            return Status::success();
+          });
+        });
+      });
+  EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
+  EXPECT_TRUE(out.outer.timed_out);
+  EXPECT_FALSE(out.inner.timed_out);
+  EXPECT_EQ(out.inner.attempts, 1);
+  EXPECT_EQ(out.inner.elapsed, sec(5));
+  EXPECT_EQ(out.end, kEpoch + sec(5));
 }
 
 TEST(RunTryTest, MetricsFlushedEvenWhenOuterDeadlineUnwinds) {
-  run_in_sim([](Context& ctx, SimClock& clock, Rng& rng) {
-    TryMetrics metrics;
-    TryOptions inner = TryOptions::for_time(hours(1));
-    inner.metrics = &metrics;
-    Status outer =
-        run_try(clock, rng, TryOptions::for_time(sec(3)), [&](TimePoint) {
-          return run_try(clock, rng, inner, [&](TimePoint) {
-            ctx.sleep(sec(1));
-            return Status::failure("slow");
-          });
-        });
-    EXPECT_EQ(outer.code(), StatusCode::kTimeout);
-    EXPECT_GE(metrics.attempts, 1);  // recorded despite forcible unwind
-  });
+  const Outcome out =
+      expect_paths_agree([](Context& ctx, auto& clock, Rng& rng, Outcome& o) {
+        TryOptions inner = TryOptions::for_time(hours(1));
+        inner.metrics = &o.inner;
+        return run_try(clock, rng, TryOptions::for_time(sec(3)),
+                       [&](TimePoint) {
+                         return run_try(clock, rng, inner, [&](TimePoint) {
+                           ctx.sleep(sec(1));
+                           return Status::failure("slow");
+                         });
+                       });
+      });
+  EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
+  // Recorded despite the forcible unwind.
+  EXPECT_GE(out.inner.attempts, 1);
+  EXPECT_GT(out.inner.backoff_total, Duration(0));
+  EXPECT_EQ(out.inner.elapsed, sec(3));
 }
 
 TEST(RunTryTest, BackoffDelaysAreCappedByRemainingBudget) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TryOptions options = TryOptions::for_time(sec(100));
     options.backoff = BackoffPolicy::fixed(hours(5));  // absurd delay
     Status s = run_try(clock, rng, options,
@@ -239,7 +310,7 @@ TEST(RunTryTest, BackoffDelaysAreCappedByRemainingBudget) {
 TEST(RunTryTest, ZeroCostFailingAttemptCannotLivelock) {
   // A Fixed client (no backoff) retrying an instantaneous failure must still
   // advance virtual time via the min_cycle floor and hit the time budget.
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     TryOptions options = TryOptions::for_time(sec(1));
     options.backoff = BackoffPolicy::none();
     TryMetrics metrics;
@@ -255,7 +326,7 @@ TEST(RunTryTest, ZeroCostFailingAttemptCannotLivelock) {
 }
 
 TEST(RunTryTest, MinCycleDoesNotInflateSlowAttempts) {
-  run_in_sim([](Context& ctx, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context& ctx, auto& clock, Rng& rng) {
     TryOptions options = TryOptions::times(3);
     options.backoff = BackoffPolicy::none();
     Status s = run_try(clock, rng, options, [&](TimePoint) {
@@ -268,24 +339,41 @@ TEST(RunTryTest, MinCycleDoesNotInflateSlowAttempts) {
 }
 
 TEST(RunTryTest, KillDuringTryPropagatesInterrupted) {
-  Kernel kernel;
-  sim::ProcessHandle worker = kernel.spawn("worker", [&](Context& ctx) {
-    SimClock clock(ctx);
-    Rng rng = ctx.rng();
-    (void)run_try(clock, rng, TryOptions::for_time(hours(5)),
-                  [&](TimePoint) { return Status::failure("always"); });
-    ADD_FAILURE() << "run_try returned after kill";
+  // Attempts fail at once, so the kill lands in a backoff sleep and every
+  // virtual second until it was spent backing off.
+  const Outcome out = expect_paths_agree(
+      [](Context&, auto& clock, Rng& rng, Outcome& o) {
+        TryOptions options = TryOptions::for_time(hours(5));
+        options.metrics = &o.outer;
+        (void)run_try(clock, rng, options,
+                      [](TimePoint) { return Status::failure("always"); });
+        ADD_FAILURE() << "run_try returned after kill";
+        return Status::success();
+      },
+      sec(30));
+  EXPECT_EQ(out.status.code(), StatusCode::kKilled);
+  EXPECT_GE(out.outer.attempts, 2);
+  EXPECT_EQ(out.outer.backoff_total, sec(30));
+  EXPECT_EQ(out.outer.elapsed, sec(30));
+  EXPECT_EQ(out.end, kEpoch + sec(30));
+}
+
+TEST(RunTryTest, MoveOnlyAttemptIsNeverCopied) {
+  // A std::function cannot hold this attempt, so this only compiles while
+  // no layer of run_try wraps the attempt in one.
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
+    auto left = std::make_unique<int>(3);
+    Status s = run_try(clock, rng, TryOptions::times(5),
+                       [left = std::move(left)](TimePoint) {
+                         return --*left > 0 ? Status::failure("not yet")
+                                            : Status::success();
+                       });
+    EXPECT_TRUE(s.ok());
   });
-  kernel.spawn("killer", [&](Context& ctx) {
-    ctx.sleep(sec(30));
-    ctx.kill(worker);
-  });
-  kernel.run();
-  EXPECT_EQ(worker->result().code(), StatusCode::kKilled);
 }
 
 TEST(RunTryTest, SuccessStatusIsReturnedVerbatim) {
-  run_in_sim([](Context&, SimClock& clock, Rng& rng) {
+  run_on_both_clocks([](Context&, auto& clock, Rng& rng) {
     Status s = run_try(clock, rng, TryOptions::times(1),
                        [&](TimePoint) { return Status::success(); });
     EXPECT_EQ(s, Status::success());
