@@ -39,6 +39,8 @@ void on_sigterm(int) {
   g_terminated = 1;
   // "ftsh handles this gracefully by trapping the warning SIGTERMs from its
   //  parent and then reacting by killing its own children."
+  // terminate_all is async-signal-safe: it flags the executor and wakes its
+  // driver, which kills every session and stops the script.
   if (g_executor) g_executor->terminate_all(SIGTERM);
 }
 

@@ -1,5 +1,7 @@
 // Clock: the seam that lets the Ethernet machinery run identically in
 // virtual time (experiments) and wall-clock time (the real ftsh tool).
+// Implementations: core::SimClock over a simulated process, and the two
+// shell executors.
 #pragma once
 
 #include <functional>
@@ -15,36 +17,21 @@ class Clock {
 
   virtual TimePoint now() = 0;
 
-  // Blocks for d.  Virtual-time implementations may throw (sim::Interrupted,
-  // sim::DeadlineExceeded from an *enclosing* scope); callers let those
-  // propagate.
+  // Blocks for d.  Implementations over kernel fibers may throw
+  // (sim::Interrupted, sim::DeadlineExceeded from an *enclosing* scope);
+  // callers let those propagate.
   virtual void sleep(Duration d) = 0;
 
   // Runs fn under a hard deadline.  Returns fn's status, or a kTimeout
   // status if *this* deadline cut fn short.  An enclosing deadline firing
   // inside fn still propagates as an exception (it is not ours to absorb).
   //
-  // The virtual-time implementation enforces the deadline preemptively (fn
-  // is forcibly unwound at the deadline, the paper's SIGTERM analogue); the
-  // wall-clock implementation is cooperative -- fn receives the deadline and
-  // is responsible for honoring it (the POSIX executor does so by killing
-  // process sessions).
+  // SimClock and both executors enforce the deadline preemptively: fn runs
+  // on a kernel fiber under a deadline scope and is forcibly unwound at the
+  // deadline, the paper's SIGTERM analogue (in virtual time, or in wall
+  // time under PosixExecutor).
   virtual Status with_deadline(TimePoint deadline,
                                const std::function<Status()>& fn) = 0;
-};
-
-// Wall-clock implementation over std::chrono::steady_clock.  now() is the
-// elapsed time since construction, mapped onto the ethergrid epoch.
-class WallClock final : public Clock {
- public:
-  WallClock();
-  TimePoint now() override;
-  void sleep(Duration d) override;
-  Status with_deadline(TimePoint deadline,
-                       const std::function<Status()>& fn) override;
-
- private:
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ethergrid::core

@@ -15,9 +15,9 @@
 // with_deadline and the attempt compile into the caller's frame: no
 // std::function and no virtual call per attempt, and a killed client
 // unwinds through one frame for the try instead of a chain of thunks.
-// Called with a Clock& (the interpreter's Executor, WallClock, test
-// clocks), the same loop goes through the virtual with_deadline, which
-// wraps the loop in a std::function.
+// Called with a Clock& (the interpreter's Executor, test clocks), the same
+// loop goes through the virtual with_deadline, which wraps the loop in a
+// std::function.
 #pragma once
 
 #include <algorithm>
@@ -85,8 +85,8 @@ struct TryOptions {
 
 // Executes `attempt` under the try discipline.  `attempt` is called as
 // `Status(TimePoint deadline)`: it receives the overall deadline
-// (TimePoint::max when the try has no time limit) so cooperative
-// implementations can bound internal waits.  It must be idempotent-safe: it
+// (TimePoint::max when the try has no time limit) so an attempt can bound
+// its own waits.  It must be idempotent-safe: it
 // may run many times and may be unwound mid-flight.  It is only ever called
 // through a reference, never copied, so it may be move-only.  Returns:
 //  - the first successful status;

@@ -131,9 +131,9 @@ struct ObsLogLine {
 
 // The single-sink interface.  All callbacks default to no-ops so observers
 // implement only what they consume.  Callbacks are invoked synchronously on
-// the emitting thread; implementations must do their own locking (the sim
-// kernel serializes processes, but the POSIX executor emits from forall
-// branch threads concurrently).
+// the emitting thread.  Both shell executors emit from the one thread that
+// drives their kernel; an observer shared across threads (sharded worlds)
+// does its own locking.
 class Observer {
  public:
   virtual ~Observer() = default;

@@ -9,10 +9,8 @@
 //                     hard errors (the latter must also end supervision);
 //  * kill_session  -- session kill with a pre-setsid fallback so an early
 //                     kill is never silently lost to ESRCH;
-//  * ChildExitWatch-- a pollable fd that becomes readable when the child
-//                     exits (pidfd on modern kernels);
-//  * SigchldSelfPipe-- process-wide fallback wake source when pidfd is
-//                     unavailable.
+//  * open_pidfd    -- a pollable fd that becomes readable when the child
+//                     exits (pidfd, Linux 5.3 and later).
 #pragma once
 
 #include <string>
@@ -40,34 +38,9 @@ PumpResult pump_fd(int fd, std::string* sink);
 // pid-reuse hazard.)
 void kill_session(long pid, int signo);
 
-// Pollable child-exit notification.  fd() is a pidfd (readable once the
-// child is a zombie) or -1 when the kernel lacks pidfd_open -- then the
-// caller must combine SigchldSelfPipe::fd() with a bounded poll timeout.
-class ChildExitWatch {
- public:
-  explicit ChildExitWatch(long pid);
-  ~ChildExitWatch();
-  ChildExitWatch(const ChildExitWatch&) = delete;
-  ChildExitWatch& operator=(const ChildExitWatch&) = delete;
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-};
-
-// Process-wide SIGCHLD self-pipe.  install() is idempotent and chains the
-// previous handler; fd() is the nonblocking read end.  The pipe is shared
-// by every concurrent supervision loop, so a reader may consume a byte
-// meant for a sibling: treat readability as a hint and keep a bounded poll
-// timeout as backstop.  Only used when pidfd is unavailable.
-class SigchldSelfPipe {
- public:
-  // Returns the read end, installing the handler on first use; -1 if the
-  // pipe or handler could not be installed.
-  static int fd();
-  // Drains any pending wake bytes (nonblocking).
-  static void drain();
-};
+// Pollable child-exit notification: a pidfd (readable once the child is a
+// zombie; the caller closes it), or -1 when the kernel lacks pidfd_open --
+// then the caller re-checks waitpid on a bounded timer instead.
+int open_pidfd(long pid);
 
 }  // namespace ethergrid::posix

@@ -25,7 +25,6 @@ std::string_view audit_kind_name(AuditEntry::Kind kind) {
 void AuditLog::record(AuditEntry::Kind kind, int line,
                       const std::string& label, const Status& status,
                       Duration elapsed, Duration backoff) {
-  std::lock_guard<std::mutex> lock(mu_);
   AuditEntry& entry = entries_[Key{kind, line, label}];
   entry.kind = kind;
   entry.line = line;
@@ -72,7 +71,6 @@ void AuditLog::on_event(const obs::ObsEvent& event) {
 }
 
 std::vector<AuditEntry> AuditLog::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<AuditEntry> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) out.push_back(entry);
@@ -80,14 +78,12 @@ std::vector<AuditEntry> AuditLog::entries() const {
 }
 
 std::int64_t AuditLog::total_executions() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::int64_t total = 0;
   for (const auto& [key, entry] : entries_) total += entry.executions;
   return total;
 }
 
 std::int64_t AuditLog::total_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::int64_t total = 0;
   for (const auto& [key, entry] : entries_) total += entry.failures;
   return total;
@@ -119,7 +115,6 @@ std::string AuditLog::report() const {
 }
 
 void AuditLog::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
 }
 

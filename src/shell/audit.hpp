@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,7 +82,6 @@ class AuditLog : public obs::Observer {
     }
   };
 
-  mutable std::mutex mu_;
   std::map<Key, AuditEntry> entries_;
 };
 

@@ -7,13 +7,13 @@ Environment::Environment() : parent_(nullptr), root_(this) {}
 Environment::Environment(Environment* parent)
     : parent_(parent), root_(parent->root_) {}
 
-std::uint32_t Environment::find_name_locked(std::string_view name) const {
+std::uint32_t Environment::find_name(std::string_view name) const {
   const auto& ids = root_->name_ids_;
   auto it = ids.find(name);
   return it == ids.end() ? 0 : it->second;
 }
 
-std::uint32_t Environment::intern_name_locked(std::string_view name) {
+std::uint32_t Environment::intern_name(std::string_view name) {
   auto it = root_->name_ids_.find(name);
   if (it != root_->name_ids_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(root_->name_ids_.size() + 1);
@@ -21,7 +21,7 @@ std::uint32_t Environment::intern_name_locked(std::string_view name) {
   return id;
 }
 
-Environment::Var* Environment::find_var_locked(std::uint32_t id) {
+Environment::Var* Environment::find_var(std::uint32_t id) {
   for (Var& var : vars_) {
     if (var.name == id) return &var;
   }
@@ -29,8 +29,7 @@ Environment::Var* Environment::find_var_locked(std::uint32_t id) {
 }
 
 std::optional<std::string> Environment::get(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(root_->mu_);
-  const std::uint32_t id = find_name_locked(name);
+  const std::uint32_t id = find_name(name);
   if (id == 0) return std::nullopt;  // never interned => defined nowhere
   for (const Environment* env = this; env; env = env->parent_) {
     for (const Var& var : env->vars_) {
@@ -41,10 +40,9 @@ std::optional<std::string> Environment::get(const std::string& name) const {
 }
 
 void Environment::assign(const std::string& name, std::string value) {
-  std::lock_guard<std::mutex> lock(root_->mu_);
-  const std::uint32_t id = intern_name_locked(name);
+  const std::uint32_t id = intern_name(name);
   for (Environment* env = this; env; env = env->parent_) {
-    if (Var* var = env->find_var_locked(id)) {
+    if (Var* var = env->find_var(id)) {
       // assign() re-targets loop counters every iteration; moving into the
       // existing slot keeps its heap capacity when `value` fits in SSO.
       var->value = std::move(value);
@@ -55,9 +53,8 @@ void Environment::assign(const std::string& name, std::string value) {
 }
 
 void Environment::define(const std::string& name, std::string value) {
-  std::lock_guard<std::mutex> lock(root_->mu_);
-  const std::uint32_t id = intern_name_locked(name);
-  if (Var* var = find_var_locked(id)) {
+  const std::uint32_t id = intern_name(name);
+  if (Var* var = find_var(id)) {
     var->value = std::move(value);
     return;
   }
@@ -69,13 +66,11 @@ bool Environment::defined(const std::string& name) const {
 }
 
 void Environment::define_function(const FunctionDef& def) {
-  std::lock_guard<std::mutex> lock(root_->mu_);
   root_->functions_[def.name] = std::make_shared<FunctionDef>(def);
 }
 
 std::shared_ptr<const FunctionDef> Environment::find_function(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(root_->mu_);
   auto it = root_->functions_.find(name);
   return it == root_->functions_.end() ? nullptr : it->second;
 }

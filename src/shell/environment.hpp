@@ -12,16 +12,13 @@
 // compare is an integer test and the value write reuses the slot's string
 // capacity.
 //
-// All operations are serialized through the root-owned mutex so that
-// `forall` branches running on real threads (the POSIX executor) may touch
-// shared scopes safely.  Branch-local scopes make most accesses
-// uncontended.
+// No lock: forall branches are kernel processes under both executors, so
+// every scope of a script is touched by the one thread running it.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,17 +62,16 @@ class Environment {
     std::string value;
   };
 
-  // Id for `name` if it was ever interned, 0 otherwise.  Caller holds mu_.
-  std::uint32_t find_name_locked(std::string_view name) const;
-  // Id for `name`, interning it on first use.  Caller holds mu_.
-  std::uint32_t intern_name_locked(std::string_view name);
-  Var* find_var_locked(std::uint32_t id);
+  // Id for `name` if it was ever interned, 0 otherwise.
+  std::uint32_t find_name(std::string_view name) const;
+  // Id for `name`, interning it on first use.
+  std::uint32_t intern_name(std::string_view name);
+  Var* find_var(std::uint32_t id);
 
   Environment* parent_;
   Environment* root_;
   std::vector<Var> vars_;
   // Root-only state (accessed through root_):
-  mutable std::mutex mu_;  // serializes the whole chain
   std::map<std::string, std::uint32_t, std::less<>> name_ids_;  // id = order
   std::map<std::string, std::shared_ptr<FunctionDef>> functions_;
 };

@@ -9,11 +9,15 @@
 //
 // Implementations: shell::SimExecutor (commands are registered handlers
 // running in simulated time) and posix::PosixExecutor (real processes in
-// their own POSIX sessions).
+// their own POSIX sessions).  Both run a script's forall branches, try
+// bodies and backoff sleeps as processes of a sim::Kernel -- virtual time
+// for the one, wall-clock time for the other -- so kills, deadlines and the
+// forall governor below are one implementation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +25,8 @@
 #include "core/backoff.hpp"
 #include "core/clock.hpp"
 #include "obs/observer.hpp"
+#include "sim/kernel.hpp"
+#include "sim/resource.hpp"
 #include "util/status.hpp"
 
 namespace ethergrid::shell {
@@ -64,9 +70,10 @@ struct CommandInvocation {
   bool stdout_append = false;
   bool capture_stdout = false;  // -> var: return out instead of printing
   bool merge_stderr = false;    // >& / ->&
-  // Earliest enclosing try deadline; cooperative executors must ensure the
-  // command is dead by this time (virtual-time executors get preemption from
-  // the kernel's ambient deadline stack and may ignore it).
+  // Earliest enclosing try deadline.  Inside a try, the kernel's deadline
+  // stack already preempts the command; PosixExecutor also enforces this
+  // field itself, so a direct caller with no enclosing try gets its command
+  // killed (TERM, then KILL after the grace) and a kTimeout result.
   TimePoint deadline = TimePoint::max();
   // Observability: the interpreter's command span, so executor-emitted
   // process spans and kill events attach under it.  0 = no enclosing span.
@@ -84,19 +91,22 @@ class Executor : public core::Clock {
   virtual CommandResult run(const CommandInvocation& invocation) = 0;
 
   // Runs the branch thunks concurrently; returns each branch's status in
-  // order.  If any branch fails, the remaining branches are aborted (killed
-  // in simulation, session-killed under POSIX) -- the forall contract.
+  // order.  If any branch fails, the remaining branches are killed (under
+  // POSIX their sessions are TERMed, then KILLed) -- the forall contract.
   virtual std::vector<Status> run_parallel(
       std::vector<std::function<Status()>> branches) = 0;
 
-  // True when the ambient forall group (if any) has aborted because a
-  // sibling branch failed.  The interpreter polls this between statements
-  // so even branches that never block -- pure arithmetic loops -- honor the
-  // abort promptly.  Executors whose branches are preempted externally
-  // (virtual time kills the process outright) keep the default.
-  virtual bool abort_requested() { return false; }
+  // The interpreter's between-statement preemption point; true when the
+  // script must stop.  PosixExecutor yields a fiber to its wall-clock
+  // driver here, so a kill or deadline reaches command-free loops.  In
+  // virtual time nothing is due: time passes only in waits.
+  virtual bool checkpoint() { return false; }
 
   virtual bool file_exists(const std::string& path) = 0;
+
+  // Installs the forall branch-creation governor (see ParallelPolicy).
+  // Call before running scripts; replaces any previous policy.
+  void set_parallel_policy(const ParallelPolicy& policy);
 
   // Observability sink for executor-level emissions: process spans, kill
   // latency, process-table carrier-sense/backoff events, forall occupancy.
@@ -106,7 +116,18 @@ class Executor : public core::Clock {
   obs::ObserverSet* observers() const { return observers_; }
 
  protected:
+  // The forall governor of both executors: runs each branch as a child
+  // process of `parent` under the ParallelPolicy, and kills the branches
+  // still running when one fails or when `parent` unwinds.
+  std::vector<Status> forall(sim::Context& parent,
+                             std::vector<std::function<Status()>>& branches);
+
   obs::ObserverSet* observers_ = nullptr;
+
+ private:
+  ParallelPolicy parallel_policy_;
+  // Built on the first forall that needs it, on that forall's kernel.
+  std::unique_ptr<sim::Resource> process_table_;
 };
 
 }  // namespace ethergrid::shell

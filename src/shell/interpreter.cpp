@@ -79,15 +79,9 @@ Status Interpreter::run_source(std::string_view source, Environment& env) {
   return run(*parsed.script, env);
 }
 
-std::string Interpreter::output() const {
-  std::lock_guard<std::mutex> lock(output_mu_);
-  return output_;
-}
+std::string Interpreter::output() const { return output_; }
 
-std::string Interpreter::diagnostics() const {
-  std::lock_guard<std::mutex> lock(output_mu_);
-  return diagnostics_;
-}
+std::string Interpreter::diagnostics() const { return diagnostics_; }
 
 // Output routing discipline: a chunk reaches the observers (when any are
 // installed) and is accumulated only while the matching capture flag is on.
@@ -97,14 +91,12 @@ std::string Interpreter::diagnostics() const {
 void Interpreter::emit_stdout(std::string_view text) {
   if (observers_) observers_->on_output(obs::StreamKind::kStdout, text);
   if (!options_.capture_stdout) return;
-  std::lock_guard<std::mutex> lock(output_mu_);
   output_ += text;
 }
 
 void Interpreter::emit_stderr(std::string_view text) {
   if (observers_) observers_->on_output(obs::StreamKind::kStderr, text);
   if (!options_.capture_stderr) return;
-  std::lock_guard<std::mutex> lock(output_mu_);
   diagnostics_ += text;
 }
 
@@ -125,10 +117,10 @@ void Interpreter::log(LogLevel level, const std::string& message) {
 Interpreter::EvalResult Interpreter::eval_group(const Group& group,
                                                 EvalCtx& ctx) {
   for (const StatementPtr& stmt : group.statements) {
-    // A sibling forall branch failed: stop this branch between statements
-    // instead of letting command-free stretches (arithmetic loops) run on.
-    if (executor_->abort_requested()) {
-      return EvalResult::from(Status::killed("forall branch aborted"));
+    // Preemption point: lets a kill or a deadline reach command-free
+    // stretches (arithmetic loops), and stops a terminated script.
+    if (executor_->checkpoint()) {
+      return EvalResult::from(Status::killed("ftsh terminated"));
     }
     EvalResult result = eval_statement(*stmt, ctx);
     if (result.flow == Flow::kReturn || result.status.failed()) {

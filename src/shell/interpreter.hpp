@@ -13,10 +13,8 @@
 //    something failed, but logs the details to the back channel.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,8 +119,7 @@ class Interpreter {
   // Render-lane allocator for forall branches: each branch gets a fresh
   // lane so concurrent spans draw as parallel rows.  Allocation follows
   // branch creation order, which the sim kernel makes deterministic.
-  std::atomic<std::uint64_t> next_track_{0};
-  mutable std::mutex output_mu_;
+  std::uint64_t next_track_ = 0;
   std::string output_;
   std::string diagnostics_;
 };

@@ -5,8 +5,9 @@
 // knows which simulated process is executing at any instant (exactly one
 // is), so the executor asks it for the current Context.  A thread_local
 // cannot express this, because every process shares the scheduler's OS
-// thread.  `forall` branches become child simulated
-// processes, giving real parallelism in virtual time with kill-on-failure.
+// thread.  `forall` branches become child simulated processes through the
+// shared governor (Executor::forall), giving real parallelism in virtual
+// time with kill-on-failure.
 //
 // A small in-memory file namespace backs file redirections and `.exists.`.
 // Like the objects of its kernel, the executor has no lock: only the thread
@@ -15,13 +16,11 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "shell/executor.hpp"
 #include "sim/kernel.hpp"
-#include "sim/resource.hpp"
 
 namespace ethergrid::shell {
 
@@ -38,10 +37,6 @@ class SimExecutor final : public Executor {
   // Registers/overrides a command.  Built-ins provided out of the box:
   // echo, true, false, sleep, fail, flaky, cat, exists, append-file.
   void register_command(const std::string& name, Handler handler);
-
-  // Installs the forall branch-creation governor (see ParallelPolicy).
-  // Call before running scripts; replaces any previous policy.
-  void set_parallel_policy(const ParallelPolicy& policy);
 
   // In-memory file namespace (file redirections, `.exists.`, `cat`).
   void write_file(const std::string& path, std::string contents);
@@ -79,8 +74,6 @@ class SimExecutor final : public Executor {
   sim::Kernel* kernel_;
   std::map<std::string, Handler> commands_;
   std::map<std::string, std::string> files_;
-  ParallelPolicy parallel_policy_;
-  std::unique_ptr<sim::Resource> process_table_;  // when slots are limited
 };
 
 }  // namespace ethergrid::shell

@@ -54,23 +54,21 @@ TEST(ForallAbortTest, StalledCommandBranchIsKilledWhenSiblingFails) {
 }
 
 TEST(ForallAbortTest, ComputeBranchObservesAbortRequested) {
-  // A branch that never blocks in run() must still see the abort through
-  // Executor::abort_requested -- the hook the interpreter polls between
-  // statements.
+  // A branch that never runs a command or sleeps -- it only passes the
+  // interpreter's between-statement checkpoint -- must still be killed
+  // promptly when its sibling fails: the checkpoint yields to the driver,
+  // and the kill unwinds the branch from there.
   PosixExecutor executor;
   const auto start = WallClock::now();
-  bool observed_abort = false;
+  bool ran_to_completion = false;
 
   std::vector<std::function<Status()>> branches;
-  branches.push_back([&executor, &observed_abort, start] {
-    while (!executor.abort_requested()) {
-      if (elapsed_seconds(start) > 20.0) {
-        return Status::failure("abort never observed");
-      }
-      executor.sleep(msec(5));  // group-aware sleep: wakes on abort
+  branches.push_back([&executor, &ran_to_completion, start] {
+    while (elapsed_seconds(start) < 20.0) {
+      if (executor.checkpoint()) return Status::killed("stopped");
     }
-    observed_abort = true;
-    return Status::killed("saw sibling abort");
+    ran_to_completion = true;
+    return Status::failure("never killed");
   });
   branches.push_back([&executor] {
     executor.sleep(msec(100));
@@ -80,17 +78,22 @@ TEST(ForallAbortTest, ComputeBranchObservesAbortRequested) {
   std::vector<Status> statuses = executor.run_parallel(std::move(branches));
 
   ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_TRUE(observed_abort);
+  EXPECT_FALSE(ran_to_completion);
+  EXPECT_EQ(statuses[0].code(), StatusCode::kKilled);
+  EXPECT_EQ(statuses[1].code(), StatusCode::kFailure);
   EXPECT_LT(elapsed_seconds(start), 10.0);
 }
 
 TEST(ForallAbortTest, NoFailureMeansNoAbort) {
+  // Without a failure no branch is killed: each passes checkpoints while a
+  // sibling runs, and each completes with its own command's status.
   PosixExecutor executor;
   std::vector<std::function<Status()>> branches;
   for (int i = 0; i < 3; ++i) {
     branches.push_back([&executor] {
-      if (executor.abort_requested()) {
-        return Status::failure("spurious abort");
+      const auto start = WallClock::now();
+      while (elapsed_seconds(start) < 0.05) {
+        if (executor.checkpoint()) return Status::failure("spurious stop");
       }
       return executor.run(command({"/bin/sh", "-c", "true"})).status;
     });

@@ -9,44 +9,6 @@
 namespace ethergrid::core {
 namespace {
 
-TEST(WallClockTest, StartsNearEpochAndAdvances) {
-  WallClock clock;
-  TimePoint a = clock.now();
-  EXPECT_LT(a - kEpoch, sec(1));
-  clock.sleep(msec(20));
-  TimePoint b = clock.now();
-  EXPECT_GE(b - a, msec(15));  // scheduler slop tolerated downward slightly
-}
-
-TEST(WallClockTest, NegativeSleepReturnsImmediately) {
-  WallClock clock;
-  TimePoint a = clock.now();
-  clock.sleep(Duration(-5));
-  EXPECT_LT(clock.now() - a, msec(50));
-}
-
-TEST(WallClockTest, WithDeadlinePassesThroughStatus) {
-  WallClock clock;
-  Status ok = clock.with_deadline(TimePoint::max(),
-                                  [] { return Status::success(); });
-  EXPECT_TRUE(ok.ok());
-  Status fail = clock.with_deadline(TimePoint::max(),
-                                    [] { return Status::failure("x"); });
-  EXPECT_EQ(fail.code(), StatusCode::kFailure);
-}
-
-TEST(WallClockTest, WithDeadlineConvertsLateFailureToTimeout) {
-  WallClock clock;
-  // Deadline already passed; a failing fn is reported as timeout.
-  Status s = clock.with_deadline(clock.now() - sec(1),
-                                 [] { return Status::failure("late"); });
-  EXPECT_EQ(s.code(), StatusCode::kTimeout);
-  // ... but a *successful* fn is still a success.
-  Status ok = clock.with_deadline(clock.now() - sec(1),
-                                  [] { return Status::success(); });
-  EXPECT_TRUE(ok.ok());
-}
-
 TEST(SimClockTest, TracksKernelTime) {
   sim::Kernel kernel;
   kernel.spawn("p", [](sim::Context& ctx) {

@@ -180,6 +180,51 @@ TEST(PosixExecutorTest, RunParallelAbortsSiblings) {
   EXPECT_LT(ex.now() - start, sec(5));  // the sleep was killed, not awaited
 }
 
+// ---- the executor's clock (wall time since construction) ----
+
+TEST(PosixExecutorTest, ClockStartsNearEpochAndAdvances) {
+  PosixExecutor ex(fast_options());
+  const TimePoint a = ex.now();
+  EXPECT_LT(a - kEpoch, sec(1));
+  ex.sleep(msec(20));
+  EXPECT_GE(ex.now() - a, msec(20));
+}
+
+TEST(PosixExecutorTest, NegativeSleepReturnsImmediately) {
+  PosixExecutor ex(fast_options());
+  const TimePoint a = ex.now();
+  ex.sleep(Duration(-5));
+  EXPECT_LT(ex.now() - a, msec(50));
+}
+
+TEST(PosixExecutorTest, WithDeadlinePassesThroughStatus) {
+  PosixExecutor ex(fast_options());
+  EXPECT_TRUE(ex.with_deadline(TimePoint::max(), [] {
+                  return Status::success();
+                }).ok());
+  EXPECT_EQ(ex.with_deadline(TimePoint::max(),
+                             [] { return Status::failure("x"); })
+                .code(),
+            StatusCode::kFailure);
+}
+
+TEST(PosixExecutorTest, WithDeadlinePreemptsBodyAtItsDeadline) {
+  // The deadline is preemptive, not a relabelled late failure: the body is
+  // unwound out of its sleep at the deadline.
+  PosixExecutor ex(fast_options());
+  bool completed = false;
+  const TimePoint start = ex.now();
+  Status s = ex.with_deadline(start + msec(100), [&] {
+    ex.sleep(sec(30));
+    completed = true;
+    return Status::success();
+  });
+  EXPECT_EQ(s.code(), StatusCode::kTimeout);
+  EXPECT_FALSE(completed);
+  EXPECT_GE(ex.now() - start, msec(100));
+  EXPECT_LT(ex.now() - start, sec(2));
+}
+
 // ---- full interpreter over real processes ----
 
 TEST(PosixIntegrationTest, ScriptWithRealCommands) {
