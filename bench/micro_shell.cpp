@@ -75,10 +75,14 @@ void BM_Lex(benchmark::State& state) {
 BENCHMARK(BM_Lex);
 
 void BM_Parse(benchmark::State& state) {
+  const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     auto result = shell::parse_script(kScript);
     benchmark::DoNotOptimize(result.script.get());
   }
+  state.counters["parse_allocs_per_parse"] =
+      double(g_alloc_count.load(std::memory_order_relaxed) - before) /
+      double(state.iterations());
   state.SetBytesProcessed(int64_t(state.iterations()) *
                           int64_t(std::string(kScript).size()));
 }
@@ -379,6 +383,14 @@ SteadySplit measure_steady_state(bool observed) {
   return split;
 }
 
+// Heap allocations of one parse of kScript, after a settling parse.
+double measure_parse_allocs() {
+  (void)shell::parse_script(kScript);
+  const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  (void)shell::parse_script(kScript);
+  return double(g_alloc_count.load(std::memory_order_relaxed) - before);
+}
+
 // Gate helper: `value` must not exceed the baseline's `key`.  A baseline
 // without the key reads 0, which holds the quantity at 0.
 bool within_baseline(bench::Report& report, const char* baseline_path,
@@ -411,6 +423,7 @@ int main(int argc, char** argv) {
   const double on = measure_interpret_per_sec(&set);
   const SteadySplit steady_off = measure_steady_state(/*observed=*/false);
   const SteadySplit steady_on = measure_steady_state(/*observed=*/true);
+  const double parse_allocs = measure_parse_allocs();
   report.metric("interpret_per_sec_observers_off", off);
   report.metric("interpret_per_sec_observers_on", on);
   report.metric("steady_allocs_per_command", steady_off.allocs_per_command);
@@ -418,6 +431,7 @@ int main(int argc, char** argv) {
   report.metric("observed_allocs_per_command", steady_on.allocs_per_command);
   report.metric("observer_callbacks_per_command",
                 steady_on.callbacks_per_command);
+  report.metric("parse_allocs_per_parse", parse_allocs);
   // Reported, not gated: a wall-clock ratio of two short windows on a
   // shared machine, which swings by more than its own size run to run.
   if (off > 0) {
@@ -467,7 +481,11 @@ int main(int argc, char** argv) {
     const bool allocs_ok =
         within_baseline(report, baseline_path, "observed_allocs_per_command",
                         steady_on.allocs_per_command);
-    if (!callbacks_ok || !allocs_ok) return 1;
+    // A parse costs the Script and its arena's blocks; a per-token or
+    // per-node allocation creeping back in trips this exact count.
+    const bool parse_ok = within_baseline(
+        report, baseline_path, "parse_allocs_per_parse", parse_allocs);
+    if (!callbacks_ok || !allocs_ok || !parse_ok) return 1;
   }
   return 0;
 }

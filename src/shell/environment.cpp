@@ -28,7 +28,7 @@ Environment::Var* Environment::find_var(std::uint32_t id) {
   return nullptr;
 }
 
-std::optional<std::string> Environment::get(const std::string& name) const {
+std::optional<std::string> Environment::get(std::string_view name) const {
   const std::uint32_t id = find_name(name);
   if (id == 0) return std::nullopt;  // never interned => defined nowhere
   for (const Environment* env = this; env; env = env->parent_) {
@@ -39,7 +39,7 @@ std::optional<std::string> Environment::get(const std::string& name) const {
   return std::nullopt;
 }
 
-void Environment::assign(const std::string& name, std::string value) {
+void Environment::assign(std::string_view name, std::string value) {
   const std::uint32_t id = intern_name(name);
   for (Environment* env = this; env; env = env->parent_) {
     if (Var* var = env->find_var(id)) {
@@ -52,7 +52,7 @@ void Environment::assign(const std::string& name, std::string value) {
   vars_.push_back(Var{id, std::move(value)});
 }
 
-void Environment::define(const std::string& name, std::string value) {
+void Environment::define(std::string_view name, std::string value) {
   const std::uint32_t id = intern_name(name);
   if (Var* var = find_var(id)) {
     var->value = std::move(value);
@@ -61,16 +61,17 @@ void Environment::define(const std::string& name, std::string value) {
   vars_.push_back(Var{id, std::move(value)});
 }
 
-bool Environment::defined(const std::string& name) const {
+bool Environment::defined(std::string_view name) const {
   return get(name).has_value();
 }
 
-void Environment::define_function(const FunctionDef& def) {
-  root_->functions_[def.name] = std::make_shared<FunctionDef>(def);
+void Environment::define_function(std::shared_ptr<const FunctionDef> def) {
+  std::string name(def->name);
+  root_->functions_.insert_or_assign(std::move(name), std::move(def));
 }
 
 std::shared_ptr<const FunctionDef> Environment::find_function(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = root_->functions_.find(name);
   return it == root_->functions_.end() ? nullptr : it->second;
 }

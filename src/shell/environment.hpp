@@ -39,22 +39,22 @@ class Environment {
   Environment& operator=(const Environment&) = delete;
 
   // Innermost-out lookup.
-  std::optional<std::string> get(const std::string& name) const;
+  std::optional<std::string> get(std::string_view name) const;
 
   // Updates where defined; defines here if nowhere.
-  void assign(const std::string& name, std::string value);
+  void assign(std::string_view name, std::string value);
 
   // Defines/overwrites in this scope only.
-  void define(const std::string& name, std::string value);
+  void define(std::string_view name, std::string value);
 
-  bool defined(const std::string& name) const;
+  bool defined(std::string_view name) const;
 
-  // Function table (root-global).
-  void define_function(const FunctionDef& def);
-  // Returns nullptr if unknown.  The returned pointer stays valid while the
-  // root environment lives (bodies are shared_ptr-owned).
-  std::shared_ptr<const FunctionDef> find_function(
-      const std::string& name) const;
+  // Function table (root-global).  A parsed definition's pointer shares
+  // ownership of its Script (an aliasing shared_ptr), so the body stays
+  // valid after the script's ParseResult is dropped.
+  void define_function(std::shared_ptr<const FunctionDef> def);
+  // Returns nullptr if unknown.
+  std::shared_ptr<const FunctionDef> find_function(std::string_view name) const;
 
  private:
   struct Var {
@@ -73,7 +73,8 @@ class Environment {
   std::vector<Var> vars_;
   // Root-only state (accessed through root_):
   std::map<std::string, std::uint32_t, std::less<>> name_ids_;  // id = order
-  std::map<std::string, std::shared_ptr<FunctionDef>> functions_;
+  std::map<std::string, std::shared_ptr<const FunctionDef>, std::less<>>
+      functions_;
 };
 
 }  // namespace ethergrid::shell

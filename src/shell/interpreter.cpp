@@ -116,7 +116,7 @@ void Interpreter::log(LogLevel level, const std::string& message) {
 
 Interpreter::EvalResult Interpreter::eval_group(const Group& group,
                                                 EvalCtx& ctx) {
-  for (const StatementPtr& stmt : group.statements) {
+  for (const Statement* stmt : group.statements) {
     // Preemption point: lets a kill or a deadline reach command-free
     // stretches (arithmetic loops), and stops a terminated script.
     if (executor_->checkpoint()) {
@@ -135,20 +135,25 @@ Interpreter::EvalResult Interpreter::eval_statement(const Statement& stmt,
   try {
     switch (stmt.kind) {
       case Statement::Kind::kCommand:
-        return eval_command(stmt, ctx);
+        return eval_command(stmt.as<CommandStmt>(), ctx);
       case Statement::Kind::kTry:
-        return eval_try(stmt, ctx);
+        return eval_try(stmt.as<TryStmt>(), ctx);
       case Statement::Kind::kFor:
-        return eval_for(stmt, ctx);
+        return eval_for(stmt.as<ForStmt>(), ctx);
       case Statement::Kind::kIf:
-        return eval_if(stmt, ctx);
+        return eval_if(stmt.as<IfStmt>(), ctx);
       case Statement::Kind::kWhile:
-        return eval_while(stmt, ctx);
-      case Statement::Kind::kFunction:
-        ctx.env->define_function(stmt.function);
+        return eval_while(stmt.as<WhileStmt>(), ctx);
+      case Statement::Kind::kFunction: {
+        // The table entry shares ownership of the defining script: the
+        // function outlives this run and its ParseResult.
+        const FunctionDef& def = stmt.as<FunctionDef>();
+        ctx.env->define_function(std::shared_ptr<const FunctionDef>(
+            def.script->shared_from_this(), &def));
         return EvalResult::ok();
+      }
       case Statement::Kind::kAssignment:
-        return eval_assignment(stmt, ctx);
+        return eval_assignment(stmt.as<AssignmentStmt>(), ctx);
       case Statement::Kind::kFailure:
         return EvalResult::from(Status::failure(
             strprintf("failure at line %d", stmt.line)));
@@ -167,9 +172,8 @@ Interpreter::EvalResult Interpreter::eval_statement(const Statement& stmt,
 
 // --------------------------------------------------------------- commands
 
-Interpreter::EvalResult Interpreter::eval_command(const Statement& stmt,
+Interpreter::EvalResult Interpreter::eval_command(const CommandStmt& cmd,
                                                   EvalCtx& ctx) {
-  const CommandStmt& cmd = stmt.command;
   CommandInvocation& invocation = ctx.scratch->inv;
   expand_words_into(cmd.argv, ctx, invocation.argv);
   if (invocation.argv.empty()) {
@@ -184,7 +188,7 @@ Interpreter::EvalResult Interpreter::eval_command(const Statement& stmt,
       return EvalResult::from(Status::invalid_argument(
           "redirections are not supported on function calls"));
     }
-    return eval_function_call(stmt, *function, invocation.argv, ctx);
+    return eval_function_call(cmd, *function, invocation.argv, ctx);
   }
 
   // Reset the reused invocation's non-argv state.
@@ -229,7 +233,7 @@ Interpreter::EvalResult Interpreter::eval_command(const Statement& stmt,
     span.parent = ctx.span;
     span.name = invocation.argv[0];
     span.detail = detail;
-    span.line = stmt.line;
+    span.line = cmd.line;
     span.track = ctx.track;
     span.start = executor_->now();
     observers_->begin_span(span);
@@ -263,16 +267,17 @@ Interpreter::EvalResult Interpreter::eval_command(const Statement& stmt,
 }
 
 Interpreter::EvalResult Interpreter::eval_function_call(
-    const Statement& stmt, const FunctionDef& function,
+    const CommandStmt& cmd, const FunctionDef& function,
     const std::vector<std::string>& argv, EvalCtx& ctx) {
   if (ctx.function_depth > 64) {
-    return EvalResult::from(
-        Status::failure("function recursion too deep: " + function.name));
+    return EvalResult::from(Status::failure(
+        "function recursion too deep: " + std::string(function.name)));
   }
   if (argv.size() - 1 != function.parameters.size()) {
     return EvalResult::from(Status::invalid_argument(strprintf(
-        "line %d: function %s expects %zu argument(s), got %zu", stmt.line,
-        function.name.c_str(), function.parameters.size(), argv.size() - 1)));
+        "line %d: function %s expects %zu argument(s), got %zu", cmd.line,
+        std::string(function.name).c_str(), function.parameters.size(),
+        argv.size() - 1)));
   }
   Environment frame(ctx.env);
   // `argv` aliases the shared scratch; it must not be read past this
@@ -288,13 +293,13 @@ Interpreter::EvalResult Interpreter::eval_function_call(
     span.kind = obs::SpanKind::kFunction;
     span.parent = ctx.span;
     span.name = function.name;
-    span.line = stmt.line;
+    span.line = cmd.line;
     span.track = ctx.track;
     span.start = executor_->now();
     observers_->begin_span(span);
     call_ctx.span = span.id;
   }
-  EvalResult result = eval_group(*function.body, call_ctx);
+  EvalResult result = eval_group(function.body, call_ctx);
   if (observers_) {
     span.end = executor_->now();
     span.status = result.status;
@@ -326,10 +331,8 @@ std::string describe_try(const TryStmt& t) {
 }
 }  // namespace
 
-Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
+Interpreter::EvalResult Interpreter::eval_try(const TryStmt& t,
                                               EvalCtx& ctx) {
-  const TryStmt& t = stmt.try_stmt;
-
   core::TryOptions options;
   options.backoff = options_.backoff;
   if (!t.time_words.empty()) {
@@ -337,7 +340,7 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
     Duration limit{};
     if (!parse_duration(text, &limit)) {
       return EvalResult::from(Status::invalid_argument(
-          strprintf("line %d: bad try duration '%s'", stmt.line,
+          strprintf("line %d: bad try duration '%s'", t.line,
                     text.c_str())));
     }
     options.time_limit = limit;
@@ -347,7 +350,7 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
     long long n = 0;
     if (!parse_int(text, &n) || n < 0) {
       return EvalResult::from(Status::invalid_argument(strprintf(
-          "line %d: bad try attempt count '%s'", stmt.line, text.c_str())));
+          "line %d: bad try attempt count '%s'", t.line, text.c_str())));
     }
     options.attempt_limit = int(n);
   }
@@ -369,13 +372,13 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
     try_span.kind = obs::SpanKind::kTry;
     try_span.parent = ctx.span;
     try_span.name = try_name;
-    try_span.line = stmt.line;
+    try_span.line = t.line;
     try_span.track = ctx.track;
     try_span.start = executor_->now();
     observers_->begin_span(try_span);
     options.on_backoff = [&](Duration delay) {
       char site[32];
-      std::snprintf(site, sizeof(site), "try:%d", stmt.line);
+      std::snprintf(site, sizeof(site), "try:%d", t.line);
       obs::ObsEvent event;
       event.kind = obs::ObsEvent::Kind::kBackoff;
       event.time = executor_->now();
@@ -400,7 +403,7 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
           attempt_span.kind = obs::SpanKind::kTryAttempt;
           attempt_span.parent = try_span.id;
           attempt_span.name = attempt_name;
-          attempt_span.line = stmt.line;
+          attempt_span.line = t.line;
           attempt_span.track = ctx.track;
           attempt_span.start = executor_->now();
           observers_->begin_span(attempt_span);
@@ -425,7 +428,7 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
     observers_->end_span(try_span);
     log(LogLevel::kDebug,
         strprintf("try at line %d: %s after %d attempt(s), %s backing off",
-                  stmt.line, status.ok() ? "success" : "failure",
+                  t.line, status.ok() ? "success" : "failure",
                   metrics.attempts,
                   format_duration(metrics.backoff_total).c_str()));
   }
@@ -436,7 +439,7 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
   if (status.failed() && t.catch_body) {
     if (observers_) {
       log(LogLevel::kDebug, strprintf("try at line %d: entering catch block",
-                                      stmt.line));
+                                      t.line));
     }
     return eval_group(*t.catch_body, ctx);
   }
@@ -445,26 +448,26 @@ Interpreter::EvalResult Interpreter::eval_try(const Statement& stmt,
 
 // ---------------------------------------------------------- forany/forall
 
-Interpreter::EvalResult Interpreter::eval_for(const Statement& stmt,
+Interpreter::EvalResult Interpreter::eval_for(const ForStmt& f,
                                               EvalCtx& ctx) {
-  const ForStmt& f = stmt.for_stmt;
   const std::vector<std::string> items = expand_words(f.list, ctx);
   if (items.empty()) {
     return EvalResult::from(Status::invalid_argument(
-        strprintf("line %d: %s list expanded to nothing", stmt.line,
-                  f.kind == ForStmt::Kind::kAny ? "forany" : "forall")));
+        strprintf("line %d: %s list expanded to nothing", f.line,
+                  f.mode == ForStmt::Mode::kAny ? "forany" : "forall")));
   }
 
-  if (f.kind == ForStmt::Kind::kAny) {
+  if (f.mode == ForStmt::Mode::kAny) {
     obs::Span span;
     std::string forany_name;  // backs the span's name view begin -> end
     const std::uint64_t saved_span = ctx.span;
     if (observers_) {
-      forany_name = "forany " + f.variable;
+      forany_name = "forany ";
+      forany_name += f.variable;
       span.kind = obs::SpanKind::kForany;
       span.parent = ctx.span;
       span.name = forany_name;
-      span.line = stmt.line;
+      span.line = f.line;
       span.track = ctx.track;
       span.start = executor_->now();
       observers_->begin_span(span);
@@ -491,7 +494,7 @@ Interpreter::EvalResult Interpreter::eval_for(const Statement& stmt,
       last = std::move(result.status);
       if (observers_) {
         log(LogLevel::kDebug,
-            strprintf("forany at line %d: alternative '%s' failed", stmt.line,
+            strprintf("forany at line %d: alternative '%s' failed", f.line,
                       item.c_str()));
       }
     }
@@ -505,14 +508,15 @@ Interpreter::EvalResult Interpreter::eval_for(const Statement& stmt,
   std::string forall_name;   // back the span's views begin -> end
   char forall_detail[32];
   if (observers_) {
-    forall_name = "forall " + f.variable;
+    forall_name = "forall ";
+    forall_name += f.variable;
     std::snprintf(forall_detail, sizeof(forall_detail), "%d branches",
                   int(items.size()));
     span.kind = obs::SpanKind::kForall;
     span.parent = ctx.span;
     span.name = forall_name;
     span.detail = forall_detail;
-    span.line = stmt.line;
+    span.line = f.line;
     span.track = ctx.track;
     span.start = executor_->now();
     observers_->begin_span(span);
@@ -546,7 +550,7 @@ Interpreter::EvalResult Interpreter::eval_for(const Statement& stmt,
   for (const Status& s : statuses) {
     if (s.failed()) {
       overall = Status(s.code(),
-                       strprintf("forall at line %d failed: %s", stmt.line,
+                       strprintf("forall at line %d failed: %s", f.line,
                                  s.message().c_str()));
       break;
     }
@@ -562,21 +566,21 @@ Interpreter::EvalResult Interpreter::eval_for(const Statement& stmt,
 
 // ------------------------------------------------------------ if / while
 
-Interpreter::EvalResult Interpreter::eval_if(const Statement& stmt,
+Interpreter::EvalResult Interpreter::eval_if(const IfStmt& stmt,
                                              EvalCtx& ctx) {
-  if (eval_condition(*stmt.if_stmt.condition, ctx)) {
-    return eval_group(stmt.if_stmt.then_body, ctx);
+  if (eval_condition(*stmt.condition, ctx)) {
+    return eval_group(stmt.then_body, ctx);
   }
-  if (stmt.if_stmt.else_body) {
-    return eval_group(*stmt.if_stmt.else_body, ctx);
+  if (stmt.else_body) {
+    return eval_group(*stmt.else_body, ctx);
   }
   return EvalResult::ok();
 }
 
-Interpreter::EvalResult Interpreter::eval_while(const Statement& stmt,
+Interpreter::EvalResult Interpreter::eval_while(const WhileStmt& stmt,
                                                 EvalCtx& ctx) {
-  while (eval_condition(*stmt.while_stmt.condition, ctx)) {
-    EvalResult result = eval_group(stmt.while_stmt.body, ctx);
+  while (eval_condition(*stmt.condition, ctx)) {
+    EvalResult result = eval_group(stmt.body, ctx);
     if (result.flow == Flow::kReturn || result.status.failed()) {
       return result;
     }
@@ -584,10 +588,10 @@ Interpreter::EvalResult Interpreter::eval_while(const Statement& stmt,
   return EvalResult::ok();
 }
 
-Interpreter::EvalResult Interpreter::eval_assignment(const Statement& stmt,
-                                                     EvalCtx& ctx) {
-  std::string value = eval_expr(*stmt.assignment.value, ctx);
-  ctx.env->assign(stmt.assignment.name, std::move(value));
+Interpreter::EvalResult Interpreter::eval_assignment(
+    const AssignmentStmt& stmt, EvalCtx& ctx) {
+  std::string value = eval_expr(*stmt.value, ctx);
+  ctx.env->assign(stmt.name, std::move(value));
   return EvalResult::ok();
 }
 
@@ -603,15 +607,16 @@ std::string resolve_variable(const WordSegment& seg, Environment& env,
   if (value) return *value;
   switch (seg.if_unset) {
     case WordSegment::IfUnset::kUseDefault:
-      return seg.default_value;
+      return std::string(seg.default_value);
     case WordSegment::IfUnset::kAssignDefault:
-      env.assign(seg.text, seg.default_value);
-      return seg.default_value;
+      env.assign(seg.text, std::string(seg.default_value));
+      return std::string(seg.default_value);
     case WordSegment::IfUnset::kError:
       break;
   }
-  eval_fail(Status::invalid_argument(strprintf(
-      "line %d: undefined variable '%s'", line, seg.text.c_str())));
+  eval_fail(Status::invalid_argument(
+      strprintf("line %d: undefined variable '%s'", line,
+                std::string(seg.text).c_str())));
 }
 
 }  // namespace
@@ -634,13 +639,13 @@ std::string Interpreter::expand_word(const Word& word, EvalCtx& ctx) {
 }
 
 std::vector<std::string> Interpreter::expand_words(
-    const std::vector<Word>& words, EvalCtx& ctx) {
+    std::span<const Word> words, EvalCtx& ctx) {
   std::vector<std::string> out;
   expand_words_into(words, ctx, out);
   return out;
 }
 
-void Interpreter::expand_words_into(const std::vector<Word>& words,
+void Interpreter::expand_words_into(std::span<const Word> words,
                                     EvalCtx& ctx,
                                     std::vector<std::string>& out) {
   out.clear();  // keeps the vector's capacity: the hot path re-expands free

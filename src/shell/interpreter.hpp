@@ -82,16 +82,16 @@ class Interpreter {
 
   EvalResult eval_group(const Group& group, EvalCtx& ctx);
   EvalResult eval_statement(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_command(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_function_call(const Statement& stmt,
+  EvalResult eval_command(const CommandStmt& cmd, EvalCtx& ctx);
+  EvalResult eval_function_call(const CommandStmt& cmd,
                                 const FunctionDef& function,
                                 const std::vector<std::string>& argv,
                                 EvalCtx& ctx);
-  EvalResult eval_try(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_for(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_if(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_while(const Statement& stmt, EvalCtx& ctx);
-  EvalResult eval_assignment(const Statement& stmt, EvalCtx& ctx);
+  EvalResult eval_try(const TryStmt& t, EvalCtx& ctx);
+  EvalResult eval_for(const ForStmt& f, EvalCtx& ctx);
+  EvalResult eval_if(const IfStmt& stmt, EvalCtx& ctx);
+  EvalResult eval_while(const WhileStmt& stmt, EvalCtx& ctx);
+  EvalResult eval_assignment(const AssignmentStmt& stmt, EvalCtx& ctx);
 
   // Word expansion.  Throws EvalError (internal) on undefined variables.
   std::string expand_word(const Word& word, EvalCtx& ctx);
@@ -99,9 +99,9 @@ class Interpreter {
   // Expands a word list with whitespace splitting of unquoted variables.
   // The _into form clears and refills `out`, reusing its capacity -- the
   // command hot path expands straight into the scratch invocation's argv.
-  std::vector<std::string> expand_words(const std::vector<Word>& words,
+  std::vector<std::string> expand_words(std::span<const Word> words,
                                         EvalCtx& ctx);
-  void expand_words_into(const std::vector<Word>& words, EvalCtx& ctx,
+  void expand_words_into(std::span<const Word> words, EvalCtx& ctx,
                          std::vector<std::string>& out);
 
   // Expression evaluation; results are strings ("true"/"false" for boolean

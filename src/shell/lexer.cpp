@@ -1,7 +1,5 @@
 #include "shell/lexer.hpp"
 
-#include <cctype>
-
 #include "util/strings.hpp"
 
 namespace ethergrid::shell {
@@ -38,12 +36,13 @@ namespace {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view source) : src_(source) {}
+  Lexer(char* text, std::size_t size, std::pmr::vector<Token>* tokens)
+      : src_(text), size_(size), tokens_(*tokens) {}
 
-  LexResult run() {
-    while (pos_ < src_.size()) {
+  Status run() {
+    while (pos_ < size_) {
       const char c = src_[pos_];
-      if (c == '\\' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '\n') {
+      if (c == '\\' && pos_ + 1 < size_ && src_[pos_ + 1] == '\n') {
         pos_ += 2;  // line continuation
         ++line_;
         // A continuation joins lines but still separates tokens.
@@ -64,7 +63,7 @@ class Lexer {
       if (c == '#' && pending_space_) {
         // Comments start only at token boundaries; mid-word '#' is literal
         // (so ${#} and file#1 lex as expected, like Bourne).
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
+        while (pos_ < size_ && src_[pos_] != '\n') ++pos_;
         continue;
       }
       if (c == '"' || c == '\'') {
@@ -92,12 +91,12 @@ class Lexer {
     eof.kind = TokenKind::kEof;
     eof.line = line_;
     tokens_.push_back(eof);
-    return LexResult{Status::success(), std::move(tokens_)};
+    return Status::success();
   }
 
  private:
   char peek(std::size_t ahead) const {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
+    return pos_ + ahead < size_ ? src_[pos_ + ahead] : '\0';
   }
 
   static bool is_word_break(char c) {
@@ -105,116 +104,113 @@ class Lexer {
            c == '"' || c == '\'' || c == '<' || c == '>';
   }
 
+  // Both scanners keep their cursor in locals: the resolved text is written
+  // through a char pointer, which could alias any member.  The write
+  // position never passes the read position.
   bool lex_word() {
-    std::string text;
-    while (pos_ < src_.size() && !is_word_break(src_[pos_])) {
-      char c = src_[pos_];
+    char* const src = src_;
+    const std::size_t size = size_;
+    std::size_t pos = pos_;
+    char* out = src + pos;
+    const char* const start = out;
+    while (pos < size && !is_word_break(src[pos])) {
+      const char c = src[pos];
       if (c == '\\') {
-        if (pos_ + 1 >= src_.size()) return false;
-        if (src_[pos_ + 1] == '\n') break;  // continuation handled outside
-        text += src_[pos_ + 1];
-        pos_ += 2;
+        if (pos + 1 >= size) return false;
+        if (src[pos + 1] == '\n') break;  // continuation handled outside
+        *out++ = src[pos + 1];
+        pos += 2;
         continue;
       }
-      if (c == '$' && peek(1) == '{') {
+      if (c == '$' && pos + 1 < size && src[pos + 1] == '{') {
         // ${...} is one unit even across spaces and operators (so that
         // ${mirrors:-m1 m2} stays a single word, as in Bourne).
-        text += "${";
-        pos_ += 2;
-        while (pos_ < src_.size() && src_[pos_] != '}' && src_[pos_] != '\n') {
-          text += src_[pos_++];
+        *out++ = '$';
+        *out++ = '{';
+        pos += 2;
+        while (pos < size && src[pos] != '}' && src[pos] != '\n') {
+          *out++ = src[pos++];
         }
-        if (pos_ >= src_.size() || src_[pos_] != '}') {
+        if (pos >= size || src[pos] != '}') {
           return false;  // unterminated ${...}
         }
-        text += '}';
-        ++pos_;
+        *out++ = '}';
+        ++pos;
         continue;
       }
-      text += c;
-      ++pos_;
+      *out++ = c;
+      ++pos;
     }
+    pos_ = pos;
+    const std::string_view text(start, std::size_t(out - start));
     // A '-' word that stopped at '<' or '>' may be a variable redirection.
-    if (text == "-" && pos_ < src_.size()) {
+    if (text == "-" && pos_ < size_) {
       if (src_[pos_] == '<') {
         ++pos_;
-        push_token(TokenKind::kVarIn, "-<");
+        push(TokenKind::kVarIn, "-<");
         return true;
       }
       if (src_[pos_] == '>') {
         ++pos_;
-        if (pos_ < src_.size() && src_[pos_] == '&') {
+        if (pos_ < size_ && src_[pos_] == '&') {
           ++pos_;
-          push_token(TokenKind::kVarBoth, "->&");
+          push(TokenKind::kVarBoth, "->&");
         } else {
-          push_token(TokenKind::kVarOut, "->");
+          push(TokenKind::kVarOut, "->");
         }
         return true;
       }
     }
-    Token t;
-    t.kind = TokenKind::kWord;
-    t.text = std::move(text);
-    push(std::move(t));
+    push(TokenKind::kWord, text);
     return true;
   }
 
   bool lex_string(char quote) {
-    ++pos_;  // opening quote
-    std::string text;
-    while (pos_ < src_.size() && src_[pos_] != quote) {
-      char c = src_[pos_];
-      if (c == '\n') ++line_;
-      if (quote == '"' && c == '\\' && pos_ + 1 < src_.size()) {
-        char next = src_[pos_ + 1];
-        if (next == '"' || next == '\\' || next == '$') {
-          text += next;
-          pos_ += 2;
-          continue;
-        }
-        if (next == 'n') {
-          text += '\n';
-          pos_ += 2;
-          continue;
-        }
-        if (next == 't') {
-          text += '\t';
-          pos_ += 2;
+    char* const src = src_;
+    const std::size_t size = size_;
+    std::size_t pos = pos_ + 1;  // past the opening quote
+    char* out = src + pos;
+    const char* const start = out;
+    int lines = 0;
+    while (pos < size && src[pos] != quote) {
+      const char c = src[pos];
+      if (c == '\n') ++lines;
+      if (quote == '"' && c == '\\' && pos + 1 < size) {
+        const char next = src[pos + 1];
+        if (next == '"' || next == '\\' || next == '$' || next == 'n' ||
+            next == 't') {
+          *out++ = next == 'n' ? '\n' : next == 't' ? '\t' : next;
+          pos += 2;
           continue;
         }
       }
-      text += c;
-      ++pos_;
+      *out++ = c;
+      ++pos;
     }
-    if (pos_ >= src_.size()) return false;
-    ++pos_;  // closing quote
-    Token t;
-    t.kind = TokenKind::kString;
-    t.text = std::move(text);
-    t.literal = quote == '\'';
-    push(std::move(t));
+    line_ += lines;
+    if (pos >= size) return false;
+    pos_ = pos + 1;  // past the closing quote
+    push(TokenKind::kString, std::string_view(start, std::size_t(out - start)),
+         quote == '\'');
     return true;
   }
 
   void emit_op(TokenKind kind, int width) {
     pos_ += std::size_t(width);
-    push_token(kind, std::string(token_kind_name(kind)));
+    push(kind, token_kind_name(kind));
   }
 
-  void push_token(TokenKind kind, std::string text) {
+  void push(TokenKind kind, std::string_view text, bool literal = false) {
     Token t;
     t.kind = kind;
-    t.text = std::move(text);
-    push(std::move(t));
-  }
-
-  void push(Token t) {
+    t.text = text;
+    t.literal = literal;
     t.line = line_;
     t.glued = !pending_space_ && !tokens_.empty() &&
               tokens_.back().kind != TokenKind::kNewline &&
               tokens_.back().line == line_;
     pending_space_ = false;
-    tokens_.push_back(std::move(t));
+    tokens_.push_back(t);
   }
 
   void emit_newline() {
@@ -223,24 +219,35 @@ class Lexer {
     Token t;
     t.kind = TokenKind::kNewline;
     t.line = line_;
-    tokens_.push_back(std::move(t));
+    tokens_.push_back(t);
   }
 
-  LexResult fail(const std::string& message) {
-    return LexResult{Status::invalid_argument(
-                         strprintf("line %d: %s", line_, message.c_str())),
-                     {}};
+  Status fail(const char* message) {
+    return Status::invalid_argument(strprintf("line %d: %s", line_, message));
   }
 
-  std::string_view src_;
+  char* src_;
+  std::size_t size_;
   std::size_t pos_ = 0;
   int line_ = 1;
   bool pending_space_ = true;
-  std::vector<Token> tokens_;
+  std::pmr::vector<Token>& tokens_;
 };
 
 }  // namespace
 
-LexResult lex(std::string_view source) { return Lexer(source).run(); }
+Status lex_in_place(char* text, std::size_t size,
+                    std::pmr::vector<Token>* tokens) {
+  return Lexer(text, size, tokens).run();
+}
+
+LexResult lex(std::string_view source) {
+  LexResult r;
+  r.text = std::make_unique<char[]>(source.size());
+  source.copy(r.text.get(), source.size());
+  r.status = lex_in_place(r.text.get(), source.size(), &r.tokens);
+  if (r.status.failed()) r.tokens.clear();
+  return r;
+}
 
 }  // namespace ethergrid::shell

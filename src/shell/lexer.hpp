@@ -12,9 +12,13 @@
 //    single quotes group literally; adjacent quoted/unquoted pieces glue
 //    into one argument;
 //  * backslash escapes the next character inside words and double quotes.
+//
+// The lexer resolves escapes in place (resolved text is never longer than
+// raw text), so every token's text is a view into the lexed buffer.
 #pragma once
 
-#include <string>
+#include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "shell/token.hpp"
@@ -22,11 +26,18 @@
 
 namespace ethergrid::shell {
 
+// Lexes text[0, size) in place, appending the tokens to *tokens.  Returns
+// kInvalidArgument with line info on malformed input.
+Status lex_in_place(char* text, std::size_t size,
+                    std::pmr::vector<Token>* tokens);
+
 struct LexResult {
   Status status;  // kInvalidArgument with line info on malformed input
-  std::vector<Token> tokens;
+  std::pmr::vector<Token> tokens;
+  std::unique_ptr<char[]> text;  // the lexed copy the tokens view
 };
 
+// Lexes a copy of source.
 LexResult lex(std::string_view source);
 
 }  // namespace ethergrid::shell

@@ -1,6 +1,8 @@
 #include "shell/parser.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <new>
 
 #include "shell/lexer.hpp"
 #include "util/strings.hpp"
@@ -8,6 +10,10 @@
 namespace ethergrid::shell {
 
 namespace {
+
+// Tokens and the parser's stacks live in a buffer of this size on the
+// caller's stack; only a larger script spills them to the heap.
+constexpr std::size_t kScratchBytes = 4096;
 
 bool is_identifier(std::string_view text) {
   if (text.empty()) return false;
@@ -20,105 +26,133 @@ bool is_identifier(std::string_view text) {
   return true;
 }
 
-// Splits a raw token text into literal/variable segments: ${name} and $name.
-void append_interpolated(Word* word, std::string_view text, bool splittable) {
-  std::string literal;
-  std::size_t i = 0;
-  auto flush = [&] {
-    if (!literal.empty()) {
-      WordSegment segment;
-      segment.text = std::move(literal);
-      word->segments.push_back(std::move(segment));
-      literal.clear();
-    }
-  };
-  while (i < text.size()) {
-    if (text[i] != '$') {
-      literal += text[i++];
-      continue;
-    }
-    // '$' -- try ${name} (with optional :- / := default) then $name.
-    if (i + 1 < text.size() && text[i + 1] == '{') {
-      std::size_t close = text.find('}', i + 2);
-      if (close != std::string_view::npos) {
-        flush();
-        std::string content(text.substr(i + 2, close - i - 2));
-        WordSegment segment;
-        segment.kind = WordSegment::Kind::kVariable;
-        segment.splittable = splittable;
-        std::size_t marker = content.find(":-");
-        if (marker == std::string::npos) {
-          marker = content.find(":=");
-          if (marker != std::string::npos) {
-            segment.if_unset = WordSegment::IfUnset::kAssignDefault;
-          }
-        } else {
-          segment.if_unset = WordSegment::IfUnset::kUseDefault;
-        }
-        if (marker != std::string::npos) {
-          segment.text = content.substr(0, marker);
-          segment.default_value = content.substr(marker + 2);
-        } else {
-          segment.text = std::move(content);
-        }
-        word->segments.push_back(std::move(segment));
-        i = close + 1;
-        continue;
-      }
-    }
-    std::size_t j = i + 1;
-    while (j < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[j])) ||
-            text[j] == '_')) {
-      ++j;
-    }
-    if (j > i + 1) {
-      flush();
-      WordSegment segment;
-      segment.kind = WordSegment::Kind::kVariable;
-      segment.text = std::string(text.substr(i + 1, j - i - 1));
-      segment.splittable = splittable;
-      word->segments.push_back(std::move(segment));
-      i = j;
-      continue;
-    }
-    literal += '$';  // lone dollar
-    ++i;
-  }
-  flush();
+bool is_wordish(const Token& t) {
+  return t.kind == TokenKind::kWord || t.kind == TokenKind::kString;
 }
 
-void append_token_to_word(Word* word, const Token& token) {
+std::string str(std::string_view text) { return std::string(text); }
+
+WordSegment literal_segment(std::string_view text) {
+  WordSegment segment;
+  segment.text = text;
+  return segment;
+}
+
+// Most segments a token can split into: each '$' may close a literal run
+// and open a variable, and a literal run may follow the last one.
+std::size_t segment_bound(const Token& token) {
+  if (token.kind == TokenKind::kString && token.literal) return 1;
+  return 1 + 2 * std::size_t(std::count(token.text.begin(), token.text.end(),
+                                        '$'));
+}
+
+// Splits a token's text into literal/variable segments (${name}, $name) at
+// out[n...]; returns the new count.  Segments view the text.
+std::size_t append_segments(const Token& token, WordSegment* out,
+                            std::size_t n) {
+  const std::string_view text = token.text;
   if (token.kind == TokenKind::kString && token.literal) {
-    WordSegment segment;
-    segment.text = token.text;
-    word->segments.push_back(std::move(segment));
-    return;
+    out[n++] = literal_segment(text);
+    return n;
   }
-  append_interpolated(word, token.text,
-                      /*splittable=*/token.kind == TokenKind::kWord);
+  const bool splittable = token.kind == TokenKind::kWord;
+  std::size_t literal = 0;  // start of the pending literal run
+  auto flush = [&](std::size_t end) {
+    if (end > literal) {
+      out[n++] = literal_segment(text.substr(literal, end - literal));
+    }
+  };
+  for (std::size_t i = text.find('$'); i != std::string_view::npos;
+       i = text.find('$', i)) {
+    WordSegment segment;
+    segment.kind = WordSegment::Kind::kVariable;
+    segment.splittable = splittable;
+    // '$' -- try ${name} (with optional :- / := default) then $name.
+    const std::size_t close =
+        i + 1 < text.size() && text[i + 1] == '{' ? text.find('}', i + 2)
+                                                  : std::string_view::npos;
+    std::size_t next = i + 1;
+    if (close != std::string_view::npos) {
+      const std::string_view content = text.substr(i + 2, close - i - 2);
+      std::size_t marker = content.find(":-");
+      if (marker == std::string_view::npos) {
+        marker = content.find(":=");
+        if (marker != std::string_view::npos) {
+          segment.if_unset = WordSegment::IfUnset::kAssignDefault;
+        }
+      } else {
+        segment.if_unset = WordSegment::IfUnset::kUseDefault;
+      }
+      segment.text = content.substr(0, marker);
+      if (marker != std::string_view::npos) {
+        segment.default_value = content.substr(marker + 2);
+      }
+      next = close + 1;
+    } else {
+      while (next < text.size() &&
+             (std::isalnum(static_cast<unsigned char>(text[next])) ||
+              text[next] == '_')) {
+        ++next;
+      }
+      if (next == i + 1) {  // lone dollar: stays in the literal run
+        ++i;
+        continue;
+      }
+      segment.text = text.substr(i + 1, next - i - 1);
+    }
+    flush(i);
+    out[n++] = segment;
+    i = literal = next;
+  }
+  flush(text.size());
+  return n;
 }
 
 struct ParseError {
   Status status;
 };
 
+// Parses the token stream into nodes allocated from the script's arena.
+// Blocks are parsed on an explicit stack of open frames, and expressions by
+// operator precedence over a stack as well, so nothing recurses: the
+// parser's stack use is the same at any nesting depth.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::span<const Token> tokens, Script& script,
+         std::pmr::memory_resource* scratch)
+      : tokens_(tokens),
+        script_(script),
+        stmts_(scratch),
+        frames_(scratch),
+        scratch_(scratch) {}
 
-  ParseResult run() {
-    auto script = std::make_shared<Script>();
-    try {
-      script->top = parse_group({});
-      expect_eof();
-    } catch (const ParseError& e) {
-      return ParseResult{e.status, nullptr};
+  Group run() {
+    while (true) {
+      skip_newlines();
+      if (at_eof()) {
+        if (!frames_.empty()) {
+          fail_here("unexpected end of script (missing 'end')");
+        }
+        return close_group(0);
+      }
+      if (!frames_.empty() && at_terminator()) {
+        close_part();
+      } else {
+        statement();
+      }
     }
-    return ParseResult{Status::success(), std::move(script)};
   }
 
  private:
+  // A block whose body is being parsed.
+  struct Frame {
+    Statement* node;
+    Group* group;      // the node's group being parsed
+    std::size_t base;  // where that group's statements start on stmts_
+    std::string_view also_ends;  // "catch" / "else": ends it besides 'end'
+    bool chained;  // `else if`: its 'end' also closes the enclosing if
+  };
+
   [[noreturn]] void fail(const std::string& message, int line) {
     throw ParseError{Status::invalid_argument(
         strprintf("line %d: %s", line, message.c_str()))};
@@ -127,16 +161,17 @@ class Parser {
     fail(message, peek().line);
   }
 
-  const Token& peek(std::size_t ahead = 0) const {
-    const std::size_t i = pos_ + ahead;
+  const Token& token(std::size_t i) const {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
+  const Token& peek() const { return token(pos_); }
   const Token& advance() {
     const Token& t = peek();
     if (pos_ < tokens_.size() - 1) ++pos_;
     return t;
   }
   bool at_eof() const { return peek().kind == TokenKind::kEof; }
+  bool at_keyword(std::string_view w) const { return peek().is_word(w); }
 
   void skip_newlines() {
     while (peek().kind == TokenKind::kNewline) advance();
@@ -148,481 +183,445 @@ class Parser {
       return;
     }
     fail_here(strprintf("expected end of line after %s, got '%s'", after,
-                        peek().text.c_str()));
+                        str(peek().text).c_str()));
   }
 
-  void expect_eof() {
-    skip_newlines();
-    if (!at_eof()) {
-      fail_here(strprintf("unexpected '%s' (missing matching 'end'?)",
-                          peek().text.c_str()));
+  // ---- arena ------------------------------------------------------------
+
+  // Storage for n objects, each of which the caller assigns whole.
+  template <class T>
+  T* make_array(std::size_t n) {
+    return static_cast<T*>(script_.arena.allocate(n * sizeof(T), alignof(T)));
+  }
+
+  template <class T>
+  T* make_node(Statement::Kind kind, int line) {
+    T* node = new (make_array<T>(1)) T();
+    node->kind = kind;
+    node->line = line;
+    return node;
+  }
+
+  // Moves the statements above `base` into the arena as one group.
+  Group close_group(std::size_t base) {
+    const std::size_t n = stmts_.size() - base;
+    if (n == 0) return Group{};
+    const Statement** items = make_array<const Statement*>(n);
+    std::copy(stmts_.begin() + std::ptrdiff_t(base), stmts_.end(), items);
+    stmts_.resize(base);
+    return Group{{items, n}};
+  }
+
+  // ---- blocks -------------------------------------------------------------
+
+  void open(Statement* node, Group* group, std::string_view also_ends = {},
+            bool chained = false) {
+    if (frames_.size() >= kMaxNestingDepth) {
+      fail("nesting too deep", node->line);
     }
+    frames_.push_back(Frame{node, group, stmts_.size(), also_ends, chained});
   }
 
-  // True when the current statement-start token is the bare keyword w.
-  bool at_keyword(std::string_view w) const { return peek().is_word(w); }
-
-  // Parses statements until one of the terminator keywords appears at
-  // statement start (not consumed).  Empty terminators => until EOF.
-  Group parse_group(const std::vector<std::string_view>& terminators) {
-    Group group;
-    while (true) {
-      skip_newlines();
-      if (at_eof()) {
-        if (terminators.empty()) return group;
-        fail_here("unexpected end of script (missing 'end')");
-      }
-      for (std::string_view t : terminators) {
-        if (at_keyword(t)) return group;
-      }
-      group.statements.push_back(parse_statement());
-    }
+  // True when the current statement-start token ends the innermost open
+  // group (not consumed).
+  bool at_terminator() const {
+    const Frame& f = frames_.back();
+    return at_keyword("end") ||
+           (!f.also_ends.empty() && at_keyword(f.also_ends));
   }
 
-  StatementPtr parse_statement() {
-    const Token& first = peek();
-    if (first.kind != TokenKind::kWord) return parse_command();
-    if (first.text == "try") return parse_try();
-    if (first.text == "forany" || first.text == "forall") return parse_for();
-    if (first.text == "if") return parse_if();
-    if (first.text == "while") return parse_while();
-    if (first.text == "function") return parse_function();
-    if (first.text == "failure") {
-      auto stmt = make_stmt(Statement::Kind::kFailure);
+  void close_part() {
+    Frame& f = frames_.back();
+    *f.group = close_group(f.base);
+    f.also_ends = {};
+    if (at_keyword("catch")) {
+      f.group = &static_cast<TryStmt*>(f.node)->catch_body.emplace();
       advance();
-      expect_newline("'failure'");
-      return stmt;
+      expect_newline("'catch'");
+      return;
     }
-    if (first.text == "return") {
-      auto stmt = make_stmt(Statement::Kind::kReturn);
+    if (at_keyword("else")) {
+      f.group = &static_cast<IfStmt*>(f.node)->else_body.emplace();
       advance();
-      expect_newline("'return'");
-      return stmt;
-    }
-    if (first.text == "catch" || first.text == "end" || first.text == "else") {
-      fail_here(strprintf("'%s' without a matching construct",
-                          first.text.c_str()));
-    }
-    return parse_command();
-  }
-
-  StatementPtr make_stmt(Statement::Kind kind) {
-    auto stmt = std::make_unique<Statement>();
-    stmt->kind = kind;
-    stmt->line = peek().line;
-    return stmt;
-  }
-
-  // Collects the words of the current line, merging glued tokens.  Stops at
-  // (and does not consume) newline/eof and any redirection operator.
-  std::vector<Word> collect_line_words() {
-    std::vector<Word> words;
-    bool last_was_wordish = false;
-    while (true) {
-      const Token& t = peek();
-      if (t.kind != TokenKind::kWord && t.kind != TokenKind::kString) {
-        return words;
-      }
-      if (t.glued && last_was_wordish && !words.empty()) {
-        append_token_to_word(&words.back(), t);
+      if (at_keyword("if")) {
+        // else-if chain: the else body is exactly one nested if.
+        if_statement(/*chained=*/true);
       } else {
-        Word w;
-        w.line = t.line;
-        append_token_to_word(&w, t);
-        words.push_back(std::move(w));
+        expect_newline("'else'");
       }
-      last_was_wordish = true;
-      advance();
+      return;
+    }
+    advance();  // 'end'
+    expect_newline("'end'");
+    Frame done = f;
+    frames_.pop_back();
+    stmts_.push_back(done.node);
+    while (done.chained) {  // the nested if's 'end' closes its parent too
+      done = frames_.back();
+      frames_.pop_back();
+      *done.group = close_group(done.base);
+      stmts_.push_back(done.node);
     }
   }
 
-  // One word (glued sequence) as redirection target.
-  Word parse_redirect_target(const char* what) {
-    const Token& t = peek();
-    if (t.kind != TokenKind::kWord && t.kind != TokenKind::kString) {
-      fail_here(strprintf("expected %s target", what));
+  // ---- statements -------------------------------------------------------
+
+  void statement() {
+    const Token& first = peek();
+    if (first.kind == TokenKind::kWord) {
+      const std::string_view w = first.text;
+      if (w == "try") return try_statement();
+      if (w == "forany" || w == "forall") return for_statement();
+      if (w == "if") return if_statement(/*chained=*/false);
+      if (w == "while") return while_statement();
+      if (w == "function") return function_statement();
+      if (w == "failure" || w == "return") {
+        const bool failure = w == "failure";
+        stmts_.push_back(make_node<Statement>(
+            failure ? Statement::Kind::kFailure : Statement::Kind::kReturn,
+            first.line));
+        advance();
+        expect_newline(failure ? "'failure'" : "'return'");
+        return;
+      }
+      if (w == "catch" || w == "end" || w == "else") {
+        fail_here(strprintf("'%s' without a matching construct",
+                            str(w).c_str()));
+      }
     }
-    Word w;
-    w.line = t.line;
-    append_token_to_word(&w, t);
-    advance();
-    while ((peek().kind == TokenKind::kWord ||
-            peek().kind == TokenKind::kString) &&
-           peek().glued) {
-      append_token_to_word(&w, peek());
-      advance();
-    }
-    return w;
+    stmts_.push_back(command());
   }
 
-  StatementPtr parse_command() {
-    auto stmt = make_stmt(Statement::Kind::kCommand);
-    CommandStmt& cmd = stmt->command;
+  // Index just past the word that starts at token i: i and the tokens glued
+  // to it.
+  std::size_t word_end(std::size_t i) const {
+    for (++i; is_wordish(token(i)) && token(i).glued; ++i) {
+    }
+    return i;
+  }
+
+  // One word: the current token and the tokens glued to it.
+  Word word() {
+    const std::size_t end = word_end(pos_);
+    std::size_t bound = 0;
+    for (std::size_t i = pos_; i < end; ++i) bound += segment_bound(token(i));
+    WordSegment* segments = make_array<WordSegment>(bound);
+    const int line = peek().line;
+    std::size_t n = 0;
+    while (pos_ < end) n = append_segments(advance(), segments, n);
+    return Word{{segments, n}, line};
+  }
+
+  // The words of the current line, up to (not consuming) a newline, eof or
+  // redirection operator.
+  std::span<const Word> words() {
+    std::size_t n = 0;
+    for (std::size_t i = pos_; is_wordish(token(i)); i = word_end(i)) ++n;
+    Word* items = make_array<Word>(n);
+    for (std::size_t i = 0; i < n; ++i) items[i] = word();
+    return {items, n};
+  }
+
+  const Statement* command() {
+    auto* cmd = make_node<CommandStmt>(Statement::Kind::kCommand, peek().line);
+    // Count argv first (a redirection and its target are not argv) so the
+    // words land in one array.
+    std::size_t argc = 0;
+    for (std::size_t i = pos_; token(i).kind != TokenKind::kNewline &&
+                               token(i).kind != TokenKind::kEof;) {
+      if (is_wordish(token(i))) {
+        ++argc;
+        i = word_end(i);
+      } else if (is_wordish(token(++i))) {
+        i = word_end(i);
+      }
+    }
+    Word* argv = make_array<Word>(argc);
+    std::size_t n = 0;
+    Redirections& r = cmd->redirects;
     while (true) {
       const Token& t = peek();
       if (t.kind == TokenKind::kNewline || t.kind == TokenKind::kEof) break;
-      switch (t.kind) {
-        case TokenKind::kWord:
-        case TokenKind::kString: {
-          std::vector<Word> words = collect_line_words();
-          for (auto& w : words) cmd.argv.push_back(std::move(w));
-          break;
-        }
-        case TokenKind::kRedirectIn:
-          advance();
-          cmd.redirects.stdin_file = parse_redirect_target("'<'");
-          break;
-        case TokenKind::kRedirectOut:
-          advance();
-          cmd.redirects.stdout_file = parse_redirect_target("'>'");
-          break;
-        case TokenKind::kRedirectApp:
-          advance();
-          cmd.redirects.stdout_file = parse_redirect_target("'>>'");
-          cmd.redirects.stdout_append = true;
-          break;
-        case TokenKind::kRedirectBoth:
-          advance();
-          cmd.redirects.stdout_file = parse_redirect_target("'>&'");
-          cmd.redirects.merge_stderr = true;
-          break;
-        case TokenKind::kVarIn:
-          advance();
-          cmd.redirects.stdin_var = parse_redirect_target("'-<'");
-          break;
-        case TokenKind::kVarOut:
-          advance();
-          cmd.redirects.stdout_var = parse_redirect_target("'->'");
-          break;
-        case TokenKind::kVarBoth:
-          advance();
-          cmd.redirects.stdout_var = parse_redirect_target("'->&'");
-          cmd.redirects.merge_stderr = true;
-          break;
-        default:
-          fail_here("unexpected token in command");
+      if (is_wordish(t)) {
+        argv[n++] = word();
+        continue;
       }
+      // A redirection operator (its text, as in the message) and its target.
+      advance();
+      const TokenKind k = t.kind;
+      if (!is_wordish(peek())) {
+        fail_here(strprintf("expected '%s' target", str(t.text).c_str()));
+      }
+      const bool to_var = k == TokenKind::kVarOut || k == TokenKind::kVarBoth;
+      std::optional<Word>& target = k == TokenKind::kRedirectIn ? r.stdin_file
+                                    : k == TokenKind::kVarIn    ? r.stdin_var
+                                    : to_var ? r.stdout_var
+                                             : r.stdout_file;
+      target = word();
+      r.stdout_append |= k == TokenKind::kRedirectApp;
+      r.merge_stderr |=
+          k == TokenKind::kRedirectBoth || k == TokenKind::kVarBoth;
     }
     if (!at_eof()) advance();  // consume newline
-    if (cmd.argv.empty()) fail("redirection without a command", stmt->line);
-    return finish_command(std::move(stmt));
+    if (n == 0) fail("redirection without a command", cmd->line);
+    cmd->argv = {argv, n};
+    return finish_command(cmd, argv);
   }
 
   // Distinguishes `name=value` / `name = expr` assignments from commands.
-  StatementPtr finish_command(StatementPtr stmt) {
-    CommandStmt& cmd = stmt->command;
-    const bool no_redirects =
-        !cmd.redirects.stdin_file && !cmd.redirects.stdout_file &&
-        !cmd.redirects.stdin_var && !cmd.redirects.stdout_var;
-
-    // Case `name = expr`.
-    if (no_redirects && cmd.argv.size() >= 3 &&
-        cmd.argv[0].segments.size() == 1 &&
-        cmd.argv[0].segments[0].kind == WordSegment::Kind::kLiteral &&
-        is_identifier(cmd.argv[0].segments[0].text) &&
-        cmd.argv[1].is_literal("=")) {
-      std::vector<Word> value(std::make_move_iterator(cmd.argv.begin() + 2),
-                              std::make_move_iterator(cmd.argv.end()));
-      auto assign = make_assignment(cmd.argv[0].segments[0].text,
-                                    std::move(value), stmt->line);
-      return assign;
+  // `argv` is the command's own (mutable) argv array.
+  const Statement* finish_command(CommandStmt* cmd, Word* argv) {
+    const Redirections& r = cmd->redirects;
+    if (r.stdin_file || r.stdout_file || r.stdin_var || r.stdout_var) {
+      return cmd;
     }
-
+    const std::size_t argc = cmd->argv.size();
+    const std::span<const WordSegment> head = argv[0].segments;
+    if (head.empty() || head[0].kind != WordSegment::Kind::kLiteral) {
+      return cmd;
+    }
+    // Case `name = expr`.
+    if (argc >= 3 && head.size() == 1 && is_identifier(head[0].text) &&
+        argv[1].is_literal("=")) {
+      return assignment(head[0].text, cmd->argv.subspan(2), cmd->line);
+    }
     // Case `name=value...` (single token, '=' embedded in the first literal
     // segment).
-    if (no_redirects && !cmd.argv.empty() && !cmd.argv[0].segments.empty() &&
-        cmd.argv[0].segments[0].kind == WordSegment::Kind::kLiteral) {
-      const std::string& head = cmd.argv[0].segments[0].text;
-      std::size_t eq = head.find('=');
-      if (eq != std::string::npos && eq > 0 &&
-          is_identifier(std::string_view(head).substr(0, eq))) {
-        std::string name = head.substr(0, eq);
-        // Rebuild the value word: remainder of the first word after '='.
-        Word value_word;
-        value_word.line = cmd.argv[0].line;
-        if (eq + 1 < head.size()) {
-          WordSegment tail_segment;
-          tail_segment.text = head.substr(eq + 1);
-          value_word.segments.push_back(std::move(tail_segment));
-        }
-        for (std::size_t i = 1; i < cmd.argv[0].segments.size(); ++i) {
-          value_word.segments.push_back(cmd.argv[0].segments[i]);
-        }
-        std::vector<Word> value;
-        value.push_back(std::move(value_word));
-        for (std::size_t i = 1; i < cmd.argv.size(); ++i) {
-          value.push_back(std::move(cmd.argv[i]));
-        }
-        return make_assignment(std::move(name), std::move(value), stmt->line);
-      }
+    const std::string_view text = head[0].text;
+    const std::size_t eq = text.find('=');
+    if (eq == std::string_view::npos || eq == 0 ||
+        !is_identifier(text.substr(0, eq))) {
+      return cmd;
     }
-    return stmt;
+    // The value word: the remainder of the first word after '='.
+    WordSegment* segments = make_array<WordSegment>(head.size());
+    std::size_t n = 0;
+    if (eq + 1 < text.size()) {
+      segments[n++] = literal_segment(text.substr(eq + 1));
+    }
+    for (std::size_t i = 1; i < head.size(); ++i) segments[n++] = head[i];
+    argv[0].segments = {segments, n};
+    return assignment(text.substr(0, eq), cmd->argv, cmd->line);
   }
 
-  StatementPtr make_assignment(std::string name, std::vector<Word> value,
-                               int line) {
-    auto stmt = std::make_unique<Statement>();
-    stmt->kind = Statement::Kind::kAssignment;
-    stmt->line = line;
-    stmt->assignment.name = std::move(name);
-    if (value.empty()) {
-      stmt->assignment.value = word_expr(Word::literal("", line));
-    } else {
-      std::size_t pos = 0;
-      stmt->assignment.value = parse_expr_words(value, &pos, line);
-      if (pos != value.size()) {
-        fail(strprintf("trailing words after assignment value"), line);
-      }
+  const Statement* assignment(std::string_view name,
+                              std::span<const Word> value, int line) {
+    auto* a = make_node<AssignmentStmt>(Statement::Kind::kAssignment, line);
+    a->name = name;
+    std::size_t pos = 0;
+    a->value = expression(value, &pos, line);
+    if (pos != value.size()) {
+      fail("trailing words after assignment value", line);
     }
-    return stmt;
+    return a;
   }
 
-  StatementPtr parse_try() {
-    auto stmt = make_stmt(Statement::Kind::kTry);
+  void try_statement() {
+    auto* t = make_node<TryStmt>(Statement::Kind::kTry, peek().line);
     advance();  // 'try'
-    TryStmt& t = stmt->try_stmt;
-
-    std::vector<Word> header = collect_line_words();
+    std::span<const Word> header = words();
     expect_newline("try header");
 
     // Strip a trailing "<word> times".
     if (header.size() >= 2 && header.back().is_literal("times")) {
-      header.pop_back();
-      t.attempts_word = std::move(header.back());
-      header.pop_back();
+      t->attempts_word = header[header.size() - 2];
+      header = header.first(header.size() - 2);
       if (!header.empty() && header.back().is_literal("or")) {
-        header.pop_back();
+        header = header.first(header.size() - 1);
       }
     }
     if (!header.empty()) {
       if (!header.front().is_literal("for")) {
         fail("bad try header: expected 'for <duration>' and/or '<n> times'",
-             stmt->line);
+             t->line);
       }
-      header.erase(header.begin());
-      if (header.empty()) {
-        fail("try: 'for' needs a duration", stmt->line);
-      }
-      t.time_words = std::move(header);
+      if (header.size() == 1) fail("try: 'for' needs a duration", t->line);
+      t->time_words = header.subspan(1);
     }
-    if (t.time_words.empty() && !t.attempts_word) {
-      fail("try needs a time limit and/or an attempt count", stmt->line);
+    if (t->time_words.empty() && !t->attempts_word) {
+      fail("try needs a time limit and/or an attempt count", t->line);
     }
-
-    t.body = parse_group({"catch", "end"});
-    if (at_keyword("catch")) {
-      advance();
-      expect_newline("'catch'");
-      t.catch_body = parse_group({"end"});
-    }
-    advance();  // 'end'
-    expect_newline("'end'");
-    return stmt;
+    open(t, &t->body, "catch");
   }
 
-  StatementPtr parse_for() {
-    auto stmt = make_stmt(Statement::Kind::kFor);
-    ForStmt& f = stmt->for_stmt;
-    f.kind = peek().text == "forany" ? ForStmt::Kind::kAny : ForStmt::Kind::kAll;
-    const std::string which = peek().text;
+  void for_statement() {
+    auto* f = make_node<ForStmt>(Statement::Kind::kFor, peek().line);
+    const std::string_view which = peek().text;
+    f->mode = which == "forany" ? ForStmt::Mode::kAny : ForStmt::Mode::kAll;
     advance();
 
     if (peek().kind != TokenKind::kWord || !is_identifier(peek().text)) {
-      fail_here(which + ": expected a variable name");
+      fail_here(str(which) + ": expected a variable name");
     }
-    f.variable = advance().text;
-    if (!peek().is_word("in")) fail_here(which + ": expected 'in'");
+    f->variable = advance().text;
+    if (!peek().is_word("in")) fail_here(str(which) + ": expected 'in'");
     advance();
-    f.list = collect_line_words();
-    if (f.list.empty()) fail_here(which + ": empty alternative list");
+    f->list = words();
+    if (f->list.empty()) fail_here(str(which) + ": empty alternative list");
     expect_newline("alternative list");
-
-    f.body = parse_group({"end"});
-    advance();  // 'end'
-    expect_newline("'end'");
-    return stmt;
+    open(f, &f->body);
   }
 
-  StatementPtr parse_if() {
-    auto stmt = make_stmt(Statement::Kind::kIf);
+  void if_statement(bool chained) {
+    auto* i = make_node<IfStmt>(Statement::Kind::kIf, peek().line);
     advance();  // 'if'
-    stmt->if_stmt.condition = parse_condition("if");
-    stmt->if_stmt.then_body = parse_group({"else", "end"});
-    if (at_keyword("else")) {
-      advance();
-      if (at_keyword("if")) {
-        // else-if chain: the else body is exactly one nested if.
-        Group g;
-        g.statements.push_back(parse_if());
-        stmt->if_stmt.else_body = std::move(g);
-        return stmt;  // nested parse consumed 'end'
-      }
-      expect_newline("'else'");
-      stmt->if_stmt.else_body = parse_group({"end"});
-    }
-    advance();  // 'end'
-    expect_newline("'end'");
-    return stmt;
+    i->condition = condition("if");
+    open(i, &i->then_body, "else", chained);
   }
 
-  StatementPtr parse_while() {
-    auto stmt = make_stmt(Statement::Kind::kWhile);
+  void while_statement() {
+    auto* w = make_node<WhileStmt>(Statement::Kind::kWhile, peek().line);
     advance();  // 'while'
-    stmt->while_stmt.condition = parse_condition("while");
-    stmt->while_stmt.body = parse_group({"end"});
-    advance();  // 'end'
-    expect_newline("'end'");
-    return stmt;
+    w->condition = condition("while");
+    open(w, &w->body);
   }
 
-  ExprPtr parse_condition(const char* who) {
+  void function_statement() {
+    auto* f = make_node<FunctionDef>(Statement::Kind::kFunction, peek().line);
+    f->script = &script_;
+    advance();  // 'function'
+    if (peek().kind != TokenKind::kWord || !is_identifier(peek().text)) {
+      fail_here("function: expected a name");
+    }
+    f->name = advance().text;
+    std::size_t n = 0;
+    while (token(pos_ + n).kind == TokenKind::kWord) ++n;
+    std::string_view* parameters = make_array<std::string_view>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!is_identifier(peek().text)) {
+        fail_here("function: bad parameter name");
+      }
+      parameters[i] = advance().text;
+    }
+    f->parameters = {parameters, n};
+    expect_newline("function header");
+    open(f, &f->body);
+  }
+
+  const Expr* condition(const char* who) {
     const int line = peek().line;
-    std::vector<Word> words = collect_line_words();
-    if (words.empty()) fail(strprintf("%s: missing condition", who), line);
+    const std::span<const Word> ws = words();
+    if (ws.empty()) fail(strprintf("%s: missing condition", who), line);
     expect_newline("condition");
     std::size_t pos = 0;
-    ExprPtr e = parse_expr_words(words, &pos, line);
-    if (pos != words.size()) {
+    const Expr* e = expression(ws, &pos, line);
+    if (pos != ws.size()) {
       fail(strprintf("%s: trailing words after condition", who), line);
     }
     return e;
   }
 
-  StatementPtr parse_function() {
-    auto stmt = make_stmt(Statement::Kind::kFunction);
-    advance();  // 'function'
-    if (peek().kind != TokenKind::kWord || !is_identifier(peek().text)) {
-      fail_here("function: expected a name");
+  // ---- expressions over a word list (operator precedence) ---------------
+
+  struct BinaryOperator {
+    std::string_view text;
+    BinaryOp op;
+    int precedence;
+  };
+
+  static const BinaryOperator* binary_op(const Word& w) {
+    static constexpr BinaryOperator kOps[] = {
+        {".lt.", BinaryOp::kLt, 3},   {".gt.", BinaryOp::kGt, 3},
+        {".le.", BinaryOp::kLe, 3},   {".ge.", BinaryOp::kGe, 3},
+        {".eq.", BinaryOp::kEq, 3},   {".ne.", BinaryOp::kNe, 3},
+        {".and.", BinaryOp::kAnd, 2}, {".or.", BinaryOp::kOr, 1},
+        {".add.", BinaryOp::kAdd, 4}, {".sub.", BinaryOp::kSub, 4},
+        {".mul.", BinaryOp::kMul, 5}, {".div.", BinaryOp::kDiv, 5},
+        {".mod.", BinaryOp::kMod, 5},
+    };
+    for (const BinaryOperator& e : kOps) {
+      if (w.is_literal(e.text)) return &e;
     }
-    stmt->function.name = advance().text;
-    while (peek().kind == TokenKind::kWord) {
-      if (!is_identifier(peek().text)) {
-        fail_here("function: bad parameter name");
-      }
-      stmt->function.parameters.push_back(advance().text);
-    }
-    expect_newline("function header");
-    stmt->function.body =
-        std::make_shared<Group>(parse_group({"end"}));
-    advance();  // 'end'
-    expect_newline("'end'");
-    return stmt;
+    return nullptr;
   }
 
-  // ---- expression parsing over a word list (precedence climbing) --------
-
-  static std::optional<BinaryOp> binary_op(const Word& w) {
-    struct Entry {
-      std::string_view text;
+  // Binary operators are left-associative.  A prefix operator waits on the
+  // operator stack until an operator binding looser than its operand
+  // arrives: Fortran-style, `.not.` binds looser than comparisons (so
+  // `.not. a .lt. b` negates the comparison) and yields only below
+  // precedence 3; `.exists.` takes one operand and yields to everything.
+  const Expr* expression(std::span<const Word> words, std::size_t* pos,
+                         int line) {
+    struct Op {
+      Expr::Kind kind;
       BinaryOp op;
+      int precedence;
+      int line;
     };
-    static constexpr Entry kOps[] = {
-        {".lt.", BinaryOp::kLt}, {".gt.", BinaryOp::kGt},
-        {".le.", BinaryOp::kLe}, {".ge.", BinaryOp::kGe},
-        {".eq.", BinaryOp::kEq}, {".ne.", BinaryOp::kNe},
-        {".and.", BinaryOp::kAnd}, {".or.", BinaryOp::kOr},
-        {".add.", BinaryOp::kAdd}, {".sub.", BinaryOp::kSub},
-        {".mul.", BinaryOp::kMul}, {".div.", BinaryOp::kDiv},
-        {".mod.", BinaryOp::kMod},
+    std::pmr::vector<Op> ops(scratch_);
+    std::pmr::vector<const Expr*> operands(scratch_);
+    ops.reserve(words.size());
+    operands.reserve(words.size());
+    auto reduce = [&] {
+      const Op o = ops.back();
+      ops.pop_back();
+      Expr* e = new (make_array<Expr>(1)) Expr();
+      e->kind = o.kind;
+      e->op = o.op;
+      e->line = o.line;
+      if (o.kind == Expr::Kind::kBinary) {
+        e->rhs = operands.back();
+        operands.pop_back();
+        e->lhs = operands.back();
+      } else {
+        e->child = operands.back();
+      }
+      operands.back() = e;
     };
-    for (const Entry& e : kOps) {
-      if (w.is_literal(e.text)) return e.op;
-    }
-    return std::nullopt;
-  }
-
-  static int precedence(BinaryOp op) {
-    switch (op) {
-      case BinaryOp::kOr:
-        return 1;
-      case BinaryOp::kAnd:
-        return 2;
-      case BinaryOp::kLt:
-      case BinaryOp::kGt:
-      case BinaryOp::kLe:
-      case BinaryOp::kGe:
-      case BinaryOp::kEq:
-      case BinaryOp::kNe:
-        return 3;
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-        return 4;
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-      case BinaryOp::kMod:
-        return 5;
-    }
-    return 0;
-  }
-
-  static ExprPtr word_expr(Word w) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kValue;
-    e->line = w.line;
-    e->value = std::move(w);
-    return e;
-  }
-
-  ExprPtr parse_expr_words(std::vector<Word>& words, std::size_t* pos,
-                           int line) {
-    return parse_binary(words, pos, line, 1);
-  }
-
-  ExprPtr parse_unary(std::vector<Word>& words, std::size_t* pos, int line) {
-    if (*pos >= words.size()) fail("expression: missing operand", line);
-    if (words[*pos].is_literal(".not.") ||
-        words[*pos].is_literal(".exists.")) {
-      const bool is_not = words[*pos].is_literal(".not.");
-      const int op_line = words[*pos].line;
+    while (true) {
+      if (*pos >= words.size()) fail("expression: missing operand", line);
+      const Word& w = words[*pos];
+      const bool is_not = w.is_literal(".not.");
+      if (is_not || w.is_literal(".exists.")) {
+        if (ops.size() >= kMaxNestingDepth) fail("nesting too deep", w.line);
+        ops.push_back({is_not ? Expr::Kind::kNot : Expr::Kind::kExists, {},
+                       is_not ? 3 : 6, w.line});
+        ++*pos;
+        continue;
+      }
+      if (binary_op(w)) {
+        fail(strprintf("expression: operator '%s' needs a left operand",
+                       w.describe().c_str()),
+             w.line);
+      }
+      Expr* value = new (make_array<Expr>(1)) Expr();
+      value->line = w.line;
+      value->value = w;
+      operands.push_back(value);
       ++*pos;
-      auto e = std::make_unique<Expr>();
-      e->kind = is_not ? Expr::Kind::kNot : Expr::Kind::kExists;
-      e->line = op_line;
-      // Fortran-style: .not. binds looser than comparisons, so
-      // `.not. a .lt. b` negates the comparison; .exists. takes one word.
-      e->child = is_not ? parse_binary(words, pos, line, 3)
-                        : parse_unary(words, pos, line);
-      return e;
-    }
-    if (binary_op(words[*pos])) {
-      fail(strprintf("expression: operator '%s' needs a left operand",
-                     words[*pos].describe().c_str()),
-           words[*pos].line);
-    }
-    return word_expr(std::move(words[(*pos)++]));
-  }
 
-  ExprPtr parse_binary(std::vector<Word>& words, std::size_t* pos, int line,
-                       int min_precedence) {
-    ExprPtr lhs = parse_unary(words, pos, line);
-    while (*pos < words.size()) {
-      auto op = binary_op(words[*pos]);
-      if (!op || precedence(*op) < min_precedence) break;
-      const int op_line = words[*pos].line;
+      const BinaryOperator* op =
+          *pos < words.size() ? binary_op(words[*pos]) : nullptr;
+      const int p = op ? op->precedence : 0;
+      while (!ops.empty() && (ops.back().kind == Expr::Kind::kBinary
+                                  ? ops.back().precedence >= p
+                                  : ops.back().precedence > p)) {
+        reduce();
+      }
+      if (!op) return operands.back();
+      ops.push_back({Expr::Kind::kBinary, op->op, p, words[*pos].line});
       ++*pos;
-      ExprPtr rhs = parse_binary(words, pos, line, precedence(*op) + 1);
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kBinary;
-      e->op = *op;
-      e->line = op_line;
-      e->lhs = std::move(lhs);
-      e->rhs = std::move(rhs);
-      lhs = std::move(e);
     }
-    return lhs;
   }
 
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
   std::size_t pos_ = 0;
+  Script& script_;
+  // Statements of every open group, innermost last, and the open blocks.
+  std::pmr::vector<const Statement*> stmts_;
+  std::pmr::vector<Frame> frames_;
+  std::pmr::memory_resource* scratch_;
 };
 
 }  // namespace
 
 std::string Word::describe() const {
   std::string out;
-  for (const auto& seg : segments) {
+  for (const WordSegment& seg : segments) {
     if (seg.kind == WordSegment::Kind::kVariable) {
-      out += "${" + seg.text + "}";
+      out += "${";
+      out += seg.text;
+      out += '}';
     } else {
       out += seg.text;
     }
@@ -631,9 +630,22 @@ std::string Word::describe() const {
 }
 
 ParseResult parse_script(std::string_view source) {
-  LexResult lexed = lex(source);
-  if (lexed.status.failed()) return ParseResult{lexed.status, nullptr};
-  return Parser(std::move(lexed.tokens)).run();
+  auto script = std::make_shared<Script>();
+  char* text = static_cast<char*>(script->arena.allocate(source.size(), 1));
+  source.copy(text, source.size());
+
+  alignas(std::max_align_t) std::byte buffer[kScratchBytes];
+  std::pmr::monotonic_buffer_resource scratch(buffer, sizeof buffer);
+  std::pmr::vector<Token> tokens(&scratch);
+  tokens.reserve(source.size() / 4 + 8);
+  Status lexed = lex_in_place(text, source.size(), &tokens);
+  if (lexed.failed()) return ParseResult{std::move(lexed), nullptr};
+  try {
+    script->top = Parser(tokens, *script, &scratch).run();
+  } catch (const ParseError& e) {
+    return ParseResult{e.status, nullptr};
+  }
+  return ParseResult{Status::success(), std::move(script)};
 }
 
 }  // namespace ethergrid::shell

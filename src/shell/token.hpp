@@ -1,12 +1,12 @@
 // Token stream for the fault tolerant shell (ftsh).
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <string_view>
 
 namespace ethergrid::shell {
 
-enum class TokenKind {
+enum class TokenKind : std::uint8_t {
   kWord,          // command name, argument, keyword, expression operator
   kString,        // quoted word (kept distinct so keywords are not matched)
   kNewline,       // statement separator (also ';')
@@ -23,11 +23,12 @@ enum class TokenKind {
 std::string_view token_kind_name(TokenKind kind);
 
 struct Token {
-  TokenKind kind = TokenKind::kEof;
   // For kWord/kString: the text (quotes stripped, escapes resolved,
-  // interpolation NOT yet performed -- that happens at evaluation).
-  std::string text;
+  // interpolation NOT yet performed -- that happens at evaluation).  A view
+  // into the lexed buffer, whose escapes the lexer resolved in place.
+  std::string_view text;
   int line = 0;
+  TokenKind kind = TokenKind::kEof;
   // kString only: single-quoted, no interpolation at eval time.
   bool literal = false;
   // No whitespace between this token and the previous one: "a"b is one

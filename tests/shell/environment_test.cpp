@@ -59,8 +59,7 @@ TEST(EnvironmentTest, FunctionsAreGlobal) {
   Environment child(&root);
   FunctionDef def;
   def.name = "f";
-  def.body = std::make_shared<Group>();
-  child.define_function(def);
+  child.define_function(std::make_shared<FunctionDef>(def));
   EXPECT_NE(root.find_function("f"), nullptr);
   EXPECT_NE(child.find_function("f"), nullptr);
   EXPECT_EQ(root.find_function("g"), nullptr);
@@ -68,13 +67,13 @@ TEST(EnvironmentTest, FunctionsAreGlobal) {
 
 TEST(EnvironmentTest, FunctionRedefinitionReplaces) {
   Environment root;
+  static constexpr std::string_view kParameters[] = {"a", "b"};
   FunctionDef def;
   def.name = "f";
-  def.parameters = {"a"};
-  def.body = std::make_shared<Group>();
-  root.define_function(def);
-  def.parameters = {"a", "b"};
-  root.define_function(def);
+  def.parameters = std::span(kParameters).first(1);
+  root.define_function(std::make_shared<FunctionDef>(def));
+  def.parameters = kParameters;
+  root.define_function(std::make_shared<FunctionDef>(def));
   EXPECT_EQ(root.find_function("f")->parameters.size(), 2u);
 }
 

@@ -107,6 +107,65 @@ TEST(InterpreterAllocTest, ObserversOnBudget) {
   EXPECT_LE(allocs, 200) << "observers-on workload allocation regression";
 }
 
+// The ftsh_pipeline benchmark's script: a try around a forany of tries, a
+// forall of tries, a while loop and `->` captures.
+constexpr char kPipelineScript[] = R"(try for 5 minutes
+  forany mirror in ${mirrors}
+    try for 30 seconds
+      fetch ${mirror} input.dat -> size
+    end
+  end
+end
+forall part in 1 2 3 4
+  try for 2 minutes or 3 times
+    process ${part} ${size} -> out
+  end
+end
+n = 0
+while ${n} .lt. 3
+  try 5 times
+    publish ${client} ${n}
+  end
+  n = ${n} .add. 1
+end
+)";
+
+TEST(InterpreterAllocTest, ParseBudget) {
+  ASSERT_TRUE(parse_script(kPipelineScript).status.ok());  // settle statics
+  const std::int64_t allocs = count_allocs([] {
+    const ParseResult parsed = parse_script(kPipelineScript);
+    ASSERT_TRUE(parsed.status.ok());
+  });
+  // The Script with its control block, and six small arena blocks holding
+  // the source copy and every node; the tokens and the parser's stacks stay
+  // in a buffer on the stack.  The seed value was 142: one string per
+  // token, one vector per word, group and terminator list.
+  EXPECT_EQ(allocs, 7) << "parse allocation regression";
+}
+
+// `lines` commands of three words each.
+std::int64_t flat_script_allocs(int lines) {
+  std::string script;
+  for (int i = 0; i < lines; ++i) {
+    script += "echo ${x} line" + std::to_string(i) + "\n";
+  }
+  return count_allocs([&] {
+    const ParseResult parsed = parse_script(script);
+    ASSERT_TRUE(parsed.status.ok());
+    ASSERT_EQ(parsed.script->top.statements.size(), std::size_t(lines));
+  });
+}
+
+// Past its first small blocks the arena doubles, and the tokens spill from
+// the stack buffer into one growing vector, so doubling a script adds a
+// block or two, not an allocation per statement.
+TEST(InterpreterAllocTest, LargeScriptParsesInAFewBlocks) {
+  const std::int64_t half = flat_script_allocs(2000);
+  const std::int64_t full = flat_script_allocs(4000);
+  EXPECT_LE(full - half, 3) << "parse allocates per statement";
+  EXPECT_LE(full, 40);
+}
+
 // Records `records` spans and as many instants over a fixed set of names,
 // sites and lanes, then counts the allocations of one export.
 std::int64_t export_allocs(int records) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "shell/parser.hpp"
 #include "shell/sim_executor.hpp"
 
 namespace ethergrid::shell {
@@ -385,6 +386,39 @@ TEST(InterpreterTest, FunctionDefinitionAndCall) {
       "greet again");
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.output, "hello world\nhello again\n");
+}
+
+// A function's body lives in the arena of the script that defined it; the
+// function table keeps that script alive after its ParseResult is gone.
+TEST(InterpreterTest, FunctionOutlivesItsDefiningScript) {
+  sim::Kernel kernel;
+  SimExecutor executor(kernel);
+  Environment env;
+  Status defined;
+  Status called;
+  std::string output;
+  kernel.spawn("script", [&](sim::Context& ctx) {
+    SimExecutor::ContextBinding binding(executor, ctx);
+    Interpreter interpreter(executor);
+    {
+      const ParseResult a = parse_script(
+          "function greet name\n  echo hello ${name}\nend\n");
+      ASSERT_TRUE(a.status.ok());
+      defined = interpreter.run(*a.script, env);
+    }
+    // Reuse the memory a dropped script would have freed.
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(parse_script("echo filler filler filler").status.ok());
+    }
+    const ParseResult b = parse_script("greet world\ngreet again");
+    ASSERT_TRUE(b.status.ok());
+    called = interpreter.run(*b.script, env);
+    output = interpreter.output();
+  });
+  kernel.run();
+  EXPECT_TRUE(defined.ok()) << defined.to_string();
+  EXPECT_TRUE(called.ok()) << called.to_string();
+  EXPECT_EQ(output, "hello world\nhello again\n");
 }
 
 TEST(InterpreterTest, FunctionArityMismatchFails) {

@@ -5,10 +5,19 @@
 namespace ethergrid::shell {
 namespace {
 
-std::vector<Token> lex_ok(std::string_view src) {
-  LexResult r = lex(src);
+// Tokens view the result's copy of the source, so the helper hands back
+// the whole result, indexable like its token list.
+struct Lexed : LexResult {
+  const Token& operator[](std::size_t i) const { return tokens[i]; }
+  std::size_t size() const { return tokens.size(); }
+  auto begin() const { return tokens.begin(); }
+  auto end() const { return tokens.end(); }
+};
+
+Lexed lex_ok(std::string_view src) {
+  Lexed r{lex(src)};
   EXPECT_TRUE(r.status.ok()) << r.status.to_string();
-  return r.tokens;
+  return r;
 }
 
 TEST(LexerTest, EmptyInputIsJustEof) {

@@ -19,7 +19,7 @@ Status parse_err(std::string_view src) {
 
 const Statement& only_stmt(const Script& s) {
   EXPECT_EQ(s.top.statements.size(), 1u);
-  return *s.top.statements.at(0);
+  return *s.top.statements[0];
 }
 
 TEST(ParserTest, EmptyScript) {
@@ -31,14 +31,14 @@ TEST(ParserTest, SimpleCommand) {
   auto s = parse_ok("wget http://server/file.tar.gz");
   const Statement& stmt = only_stmt(*s);
   EXPECT_EQ(stmt.kind, Statement::Kind::kCommand);
-  ASSERT_EQ(stmt.command.argv.size(), 2u);
-  EXPECT_TRUE(stmt.command.argv[0].is_literal("wget"));
+  ASSERT_EQ(stmt.as<CommandStmt>().argv.size(), 2u);
+  EXPECT_TRUE(stmt.as<CommandStmt>().argv[0].is_literal("wget"));
 }
 
 TEST(ParserTest, CommandWithVariables) {
   auto s = parse_ok("wget http://${server}/file");
   const Statement& stmt = only_stmt(*s);
-  const Word& url = stmt.command.argv[1];
+  const Word& url = stmt.as<CommandStmt>().argv[1];
   ASSERT_EQ(url.segments.size(), 3u);
   EXPECT_EQ(url.segments[0].text, "http://");
   EXPECT_EQ(url.segments[1].kind, WordSegment::Kind::kVariable);
@@ -48,7 +48,7 @@ TEST(ParserTest, CommandWithVariables) {
 
 TEST(ParserTest, DollarNameVariable) {
   auto s = parse_ok("fetch-file $host filename");
-  const Word& arg = only_stmt(*s).command.argv[1];
+  const Word& arg = only_stmt(*s).as<CommandStmt>().argv[1];
   ASSERT_EQ(arg.segments.size(), 1u);
   EXPECT_EQ(arg.segments[0].kind, WordSegment::Kind::kVariable);
   EXPECT_EQ(arg.segments[0].text, "host");
@@ -57,13 +57,13 @@ TEST(ParserTest, DollarNameVariable) {
 TEST(ParserTest, GluedQuotedPiecesFormOneArgument) {
   auto s = parse_ok("echo \"a b\"c");
   const Statement& stmt = only_stmt(*s);
-  ASSERT_EQ(stmt.command.argv.size(), 2u);
-  EXPECT_EQ(stmt.command.argv[1].describe(), "a bc");
+  ASSERT_EQ(stmt.as<CommandStmt>().argv.size(), 2u);
+  EXPECT_EQ(stmt.as<CommandStmt>().argv[1].describe(), "a bc");
 }
 
 TEST(ParserTest, Redirections) {
   auto s = parse_ok("run-simulation ->& tmp < in > out");
-  const Redirections& r = only_stmt(*s).command.redirects;
+  const Redirections& r = only_stmt(*s).as<CommandStmt>().redirects;
   ASSERT_TRUE(r.stdout_var.has_value());
   EXPECT_TRUE(r.stdout_var->is_literal("tmp"));
   EXPECT_TRUE(r.merge_stderr);
@@ -75,12 +75,12 @@ TEST(ParserTest, Redirections) {
 
 TEST(ParserTest, AppendRedirect) {
   auto s = parse_ok("cmd >> log");
-  EXPECT_TRUE(only_stmt(*s).command.redirects.stdout_append);
+  EXPECT_TRUE(only_stmt(*s).as<CommandStmt>().redirects.stdout_append);
 }
 
 TEST(ParserTest, VarInputRedirect) {
   auto s = parse_ok("cat -< tmp");
-  ASSERT_TRUE(only_stmt(*s).command.redirects.stdin_var.has_value());
+  ASSERT_TRUE(only_stmt(*s).as<CommandStmt>().redirects.stdin_var.has_value());
 }
 
 TEST(ParserTest, RedirectionWithoutCommandFails) {
@@ -91,17 +91,17 @@ TEST(ParserTest, TryForDuration) {
   auto s = parse_ok("try for 30 minutes\n  a\nend");
   const Statement& stmt = only_stmt(*s);
   ASSERT_EQ(stmt.kind, Statement::Kind::kTry);
-  ASSERT_EQ(stmt.try_stmt.time_words.size(), 2u);
-  EXPECT_TRUE(stmt.try_stmt.time_words[0].is_literal("30"));
-  EXPECT_TRUE(stmt.try_stmt.time_words[1].is_literal("minutes"));
-  EXPECT_FALSE(stmt.try_stmt.attempts_word.has_value());
-  EXPECT_EQ(stmt.try_stmt.body.statements.size(), 1u);
-  EXPECT_FALSE(stmt.try_stmt.catch_body.has_value());
+  ASSERT_EQ(stmt.as<TryStmt>().time_words.size(), 2u);
+  EXPECT_TRUE(stmt.as<TryStmt>().time_words[0].is_literal("30"));
+  EXPECT_TRUE(stmt.as<TryStmt>().time_words[1].is_literal("minutes"));
+  EXPECT_FALSE(stmt.as<TryStmt>().attempts_word.has_value());
+  EXPECT_EQ(stmt.as<TryStmt>().body.statements.size(), 1u);
+  EXPECT_FALSE(stmt.as<TryStmt>().catch_body.has_value());
 }
 
 TEST(ParserTest, TryTimes) {
   auto s = parse_ok("try 5 times\n  a\nend");
-  const TryStmt& t = only_stmt(*s).try_stmt;
+  const TryStmt& t = only_stmt(*s).as<TryStmt>();
   EXPECT_TRUE(t.time_words.empty());
   ASSERT_TRUE(t.attempts_word.has_value());
   EXPECT_TRUE(t.attempts_word->is_literal("5"));
@@ -109,7 +109,7 @@ TEST(ParserTest, TryTimes) {
 
 TEST(ParserTest, TryForOrTimes) {
   auto s = parse_ok("try for 1 hour or 3 times\n  a\nend");
-  const TryStmt& t = only_stmt(*s).try_stmt;
+  const TryStmt& t = only_stmt(*s).as<TryStmt>();
   ASSERT_EQ(t.time_words.size(), 2u);
   EXPECT_TRUE(t.time_words[1].is_literal("hour"));
   ASSERT_TRUE(t.attempts_word.has_value());
@@ -118,7 +118,7 @@ TEST(ParserTest, TryForOrTimes) {
 
 TEST(ParserTest, TryWithVariableLimits) {
   auto s = parse_ok("try for ${t} minutes or ${n} times\n  a\nend");
-  const TryStmt& t = only_stmt(*s).try_stmt;
+  const TryStmt& t = only_stmt(*s).as<TryStmt>();
   ASSERT_EQ(t.time_words.size(), 2u);
   EXPECT_EQ(t.time_words[0].segments[0].kind, WordSegment::Kind::kVariable);
   ASSERT_TRUE(t.attempts_word.has_value());
@@ -127,7 +127,7 @@ TEST(ParserTest, TryWithVariableLimits) {
 TEST(ParserTest, TryCatch) {
   auto s = parse_ok(
       "try 5 times\n  wget x\ncatch\n  rm -f x\n  failure\nend");
-  const TryStmt& t = only_stmt(*s).try_stmt;
+  const TryStmt& t = only_stmt(*s).as<TryStmt>();
   ASSERT_TRUE(t.catch_body.has_value());
   EXPECT_EQ(t.catch_body->statements.size(), 2u);
   EXPECT_EQ(t.catch_body->statements[1]->kind, Statement::Kind::kFailure);
@@ -154,23 +154,23 @@ try for 30 minutes
   end
 end
 )");
-  const TryStmt& outer = only_stmt(*s).try_stmt;
+  const TryStmt& outer = only_stmt(*s).as<TryStmt>();
   ASSERT_EQ(outer.body.statements.size(), 2u);
   EXPECT_EQ(outer.body.statements[0]->kind, Statement::Kind::kTry);
   EXPECT_EQ(outer.body.statements[1]->kind, Statement::Kind::kTry);
-  EXPECT_EQ(outer.body.statements[1]->try_stmt.body.statements.size(), 2u);
+  EXPECT_EQ(outer.body.statements[1]->as<TryStmt>().body.statements.size(), 2u);
 }
 
 TEST(ParserTest, ForanyAndForall) {
   auto s = parse_ok("forany server in xxx yyy zzz\n  wget ${server}\nend");
-  const ForStmt& f = only_stmt(*s).for_stmt;
-  EXPECT_EQ(f.kind, ForStmt::Kind::kAny);
+  const ForStmt& f = only_stmt(*s).as<ForStmt>();
+  EXPECT_EQ(f.mode, ForStmt::Mode::kAny);
   EXPECT_EQ(f.variable, "server");
   ASSERT_EQ(f.list.size(), 3u);
   EXPECT_TRUE(f.list[2].is_literal("zzz"));
 
   s = parse_ok("forall file in a b\n  wget ${file}\nend");
-  EXPECT_EQ(only_stmt(*s).for_stmt.kind, ForStmt::Kind::kAll);
+  EXPECT_EQ(only_stmt(*s).as<ForStmt>().mode, ForStmt::Mode::kAll);
 }
 
 TEST(ParserTest, ForanyRequiresInAndList) {
@@ -182,7 +182,7 @@ TEST(ParserTest, ForanyRequiresInAndList) {
 TEST(ParserTest, IfElse) {
   auto s = parse_ok(
       "if ${n} .lt. 1000\n  failure\nelse\n  condor_submit job\nend");
-  const IfStmt& i = only_stmt(*s).if_stmt;
+  const IfStmt& i = only_stmt(*s).as<IfStmt>();
   ASSERT_NE(i.condition, nullptr);
   EXPECT_EQ(i.condition->kind, Expr::Kind::kBinary);
   EXPECT_EQ(i.condition->op, BinaryOp::kLt);
@@ -201,7 +201,7 @@ else
   c
 end
 )");
-  const IfStmt& i = only_stmt(*s).if_stmt;
+  const IfStmt& i = only_stmt(*s).as<IfStmt>();
   ASSERT_TRUE(i.else_body.has_value());
   ASSERT_EQ(i.else_body->statements.size(), 1u);
   EXPECT_EQ(i.else_body->statements[0]->kind, Statement::Kind::kIf);
@@ -211,15 +211,15 @@ TEST(ParserTest, WhileLoop) {
   auto s = parse_ok("while ${i} .lt. 10\n  i = ${i} .add. 1\nend");
   const Statement& stmt = only_stmt(*s);
   EXPECT_EQ(stmt.kind, Statement::Kind::kWhile);
-  EXPECT_EQ(stmt.while_stmt.body.statements.size(), 1u);
-  EXPECT_EQ(stmt.while_stmt.body.statements[0]->kind,
+  EXPECT_EQ(stmt.as<WhileStmt>().body.statements.size(), 1u);
+  EXPECT_EQ(stmt.as<WhileStmt>().body.statements[0]->kind,
             Statement::Kind::kAssignment);
 }
 
 TEST(ParserTest, ExpressionPrecedence) {
   // a .lt. b .and. c .lt. d  =>  (a<b) .and. (c<d)
   auto s = parse_ok("if 1 .lt. 2 .and. 3 .lt. 4\n  a\nend");
-  const Expr& e = *only_stmt(*s).if_stmt.condition;
+  const Expr& e = *only_stmt(*s).as<IfStmt>().condition;
   EXPECT_EQ(e.op, BinaryOp::kAnd);
   EXPECT_EQ(e.lhs->op, BinaryOp::kLt);
   EXPECT_EQ(e.rhs->op, BinaryOp::kLt);
@@ -228,14 +228,14 @@ TEST(ParserTest, ExpressionPrecedence) {
 TEST(ParserTest, ArithmeticPrecedence) {
   // 1 .add. 2 .mul. 3  =>  1 + (2*3)
   auto s = parse_ok("x = 1 .add. 2 .mul. 3");
-  const Expr& e = *only_stmt(*s).assignment.value;
+  const Expr& e = *only_stmt(*s).as<AssignmentStmt>().value;
   EXPECT_EQ(e.op, BinaryOp::kAdd);
   EXPECT_EQ(e.rhs->op, BinaryOp::kMul);
 }
 
 TEST(ParserTest, NotAndExists) {
   auto s = parse_ok("if .not. .exists. /tmp/file\n  a\nend");
-  const Expr& e = *only_stmt(*s).if_stmt.condition;
+  const Expr& e = *only_stmt(*s).as<IfStmt>().condition;
   EXPECT_EQ(e.kind, Expr::Kind::kNot);
   EXPECT_EQ(e.child->kind, Expr::Kind::kExists);
 }
@@ -248,23 +248,23 @@ TEST(ParserTest, AssignmentSingleToken) {
   auto s = parse_ok("x=5");
   const Statement& stmt = only_stmt(*s);
   ASSERT_EQ(stmt.kind, Statement::Kind::kAssignment);
-  EXPECT_EQ(stmt.assignment.name, "x");
-  EXPECT_TRUE(stmt.assignment.value->value.is_literal("5"));
+  EXPECT_EQ(stmt.as<AssignmentStmt>().name, "x");
+  EXPECT_TRUE(stmt.as<AssignmentStmt>().value->value.is_literal("5"));
 }
 
 TEST(ParserTest, AssignmentSpacedExpression) {
   auto s = parse_ok("n = ${n} .add. 1");
   const Statement& stmt = only_stmt(*s);
   ASSERT_EQ(stmt.kind, Statement::Kind::kAssignment);
-  EXPECT_EQ(stmt.assignment.name, "n");
-  EXPECT_EQ(stmt.assignment.value->kind, Expr::Kind::kBinary);
+  EXPECT_EQ(stmt.as<AssignmentStmt>().name, "n");
+  EXPECT_EQ(stmt.as<AssignmentStmt>().value->kind, Expr::Kind::kBinary);
 }
 
 TEST(ParserTest, AssignmentWithVariableValue) {
   auto s = parse_ok("dest=${base}.out");
   const Statement& stmt = only_stmt(*s);
   ASSERT_EQ(stmt.kind, Statement::Kind::kAssignment);
-  ASSERT_EQ(stmt.assignment.value->value.segments.size(), 2u);
+  ASSERT_EQ(stmt.as<AssignmentStmt>().value->value.segments.size(), 2u);
 }
 
 TEST(ParserTest, NonIdentifierEqualsIsCommand) {
@@ -278,10 +278,11 @@ TEST(ParserTest, FunctionDefinition) {
   auto s = parse_ok("function get host file\n  wget ${host}/${file}\nend");
   const Statement& stmt = only_stmt(*s);
   ASSERT_EQ(stmt.kind, Statement::Kind::kFunction);
-  EXPECT_EQ(stmt.function.name, "get");
-  EXPECT_EQ(stmt.function.parameters,
+  EXPECT_EQ(stmt.as<FunctionDef>().name, "get");
+  const auto& parameters = stmt.as<FunctionDef>().parameters;
+  EXPECT_EQ(std::vector<std::string>(parameters.begin(), parameters.end()),
             (std::vector<std::string>{"host", "file"}));
-  EXPECT_EQ(stmt.function.body->statements.size(), 1u);
+  EXPECT_EQ(stmt.as<FunctionDef>().body.statements.size(), 1u);
 }
 
 TEST(ParserTest, FailureAndReturn) {

@@ -3,7 +3,9 @@
 // acceptance of nonsense.  Includes a deterministic token-soup fuzz sweep.
 #include <gtest/gtest.h>
 
+#include "shell/interpreter.hpp"
 #include "shell/parser.hpp"
+#include "shell/sim_executor.hpp"
 #include "util/rng.hpp"
 
 namespace ethergrid::shell {
@@ -114,25 +116,72 @@ TEST(FuzzTest, TokenSoupNeverCrashes) {
   }
 }
 
-// Deep nesting must not blow the stack at sane depths and must balance.
-TEST(FuzzTest, DeepNestingParses) {
+// `depth` nested `try 1 times` blocks around one command.
+std::string nested_tries(std::size_t depth) {
   std::string script;
-  const int depth = 200;
-  for (int i = 0; i < depth; ++i) script += "try 1 times\n";
+  for (std::size_t i = 0; i < depth; ++i) script += "try 1 times\n";
   script += "echo deep\n";
-  for (int i = 0; i < depth; ++i) script += "end\n";
-  ParseResult r = parse_script(script);
+  for (std::size_t i = 0; i < depth; ++i) script += "end\n";
+  return script;
+}
+
+// The status a script nested too deep must fail with: at the first block
+// past the limit, which opens on that line.
+void expect_too_deep(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "line " + std::to_string(kMaxNestingDepth + 1) +
+                ": nesting too deep");
+}
+
+// Deep nesting must not blow the stack at sane depths and must balance;
+// beyond the limit it fails with a Status, on the main thread and on a
+// simulated process's default (256 KiB) fiber stack alike.
+TEST(FuzzTest, DeepNestingParses) {
+  const std::string too_deep = nested_tries(50'000);
+  expect_too_deep(parse_script(too_deep).status);
+  sim::Kernel kernel;
+  SimExecutor executor(kernel);
+  Status on_fiber;
+  kernel.spawn("ftsh", [&](sim::Context& ctx) {
+    SimExecutor::ContextBinding binding(executor, ctx);
+    expect_too_deep(parse_script(too_deep).status);
+    Interpreter interpreter(executor);
+    Environment env;
+    on_fiber = interpreter.run_source(too_deep, env);
+  });
+  kernel.run();
+  expect_too_deep(on_fiber);
+  EXPECT_TRUE(parse_script(nested_tries(kMaxNestingDepth)).status.ok());
+
+  const int depth = 200;
+  ParseResult r = parse_script(nested_tries(depth));
   ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   // Walk down to verify the chain depth.
-  const Statement* stmt = r.script->top.statements.at(0).get();
+  const Statement* stmt = r.script->top.statements[0];
   int seen = 1;
   while (stmt->kind == Statement::Kind::kTry &&
-         !stmt->try_stmt.body.statements.empty() &&
-         stmt->try_stmt.body.statements[0]->kind == Statement::Kind::kTry) {
-    stmt = stmt->try_stmt.body.statements[0].get();
+         !stmt->as<TryStmt>().body.statements.empty() &&
+         stmt->as<TryStmt>().body.statements[0]->kind ==
+             Statement::Kind::kTry) {
+    stmt = stmt->as<TryStmt>().body.statements[0];
     ++seen;
   }
   EXPECT_EQ(seen, depth);
+}
+
+// `.not.` chains share the block limit: the expression parser keeps its
+// operators on a stack, and the interpreter would recurse per operator.
+TEST(FuzzTest, LongNotChainFailsWithStatus) {
+  auto chain = [](std::size_t n) {
+    std::string script = "x =";
+    for (std::size_t i = 0; i < n; ++i) script += " .not.";
+    return script + " true";
+  };
+  EXPECT_TRUE(parse_script(chain(kMaxNestingDepth)).status.ok());
+  const Status status = parse_script(chain(50'000)).status;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "line 1: nesting too deep");
 }
 
 TEST(FuzzTest, LongFlatScriptParses) {
