@@ -383,6 +383,39 @@ SteadySplit measure_steady_state(bool observed) {
   return split;
 }
 
+// The traced retry path: `tries` failing `try 3 times` statements, each
+// backing off between attempts, with or without the observers
+// `ftsh --trace-out` installs (a TraceRecorder and a MetricsRegistry,
+// fresh in the counted region), as in
+// tests/shell/interpreter_alloc_test.cpp.
+std::int64_t count_try_loop_run(int tries, bool traced) {
+  const shell::ParseResult parsed = shell::parse_script(
+      "i = 0\nwhile ${i} .lt. " + std::to_string(tries) +
+      "\n  try 3 times\n    false\n  catch\n  end\n  i = ${i} .add. 1\nend");
+  const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    obs::TraceRecorder trace("ftsh");
+    obs::MetricsRegistry metrics;
+    obs::ObserverSet set;
+    set.add(&trace);
+    set.add(&metrics);
+    run_script(*parsed.script, traced ? &set : nullptr);
+  }
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+// Steady-state heap allocations the trace-out observers add per attempt:
+// a 200-try run minus a 100-try run (300 attempts), traced, less the same
+// difference untraced (the try loop's own cost).  The parses cancel out.
+double measure_traced_allocs_per_attempt() {
+  (void)count_try_loop_run(1, true);  // settle statics (interned sites)
+  const std::int64_t traced =
+      count_try_loop_run(200, true) - count_try_loop_run(100, true);
+  const std::int64_t untraced =
+      count_try_loop_run(200, false) - count_try_loop_run(100, false);
+  return double(traced - untraced) / 300.0;
+}
+
 // Heap allocations of one parse of kScript, after a settling parse.
 double measure_parse_allocs() {
   (void)shell::parse_script(kScript);
@@ -424,6 +457,7 @@ int main(int argc, char** argv) {
   const SteadySplit steady_off = measure_steady_state(/*observed=*/false);
   const SteadySplit steady_on = measure_steady_state(/*observed=*/true);
   const double parse_allocs = measure_parse_allocs();
+  const double traced_allocs = measure_traced_allocs_per_attempt();
   report.metric("interpret_per_sec_observers_off", off);
   report.metric("interpret_per_sec_observers_on", on);
   report.metric("steady_allocs_per_command", steady_off.allocs_per_command);
@@ -432,6 +466,7 @@ int main(int argc, char** argv) {
   report.metric("observer_callbacks_per_command",
                 steady_on.callbacks_per_command);
   report.metric("parse_allocs_per_parse", parse_allocs);
+  report.metric("traced_allocs_per_attempt", traced_allocs);
   // Reported, not gated: a wall-clock ratio of two short windows on a
   // shared machine, which swings by more than its own size run to run.
   if (off > 0) {
@@ -481,11 +516,17 @@ int main(int argc, char** argv) {
     const bool allocs_ok =
         within_baseline(report, baseline_path, "observed_allocs_per_command",
                         steady_on.allocs_per_command);
+    // The same for a failing try under the trace-out observers: per
+    // steady-state attempt, no more heap allocations than the baseline (a
+    // log line rendered for no reader trips it).
+    const bool traced_ok =
+        within_baseline(report, baseline_path, "traced_allocs_per_attempt",
+                        traced_allocs);
     // A parse costs the Script and its arena's blocks; a per-token or
     // per-node allocation creeping back in trips this exact count.
     const bool parse_ok = within_baseline(
         report, baseline_path, "parse_allocs_per_parse", parse_allocs);
-    if (!callbacks_ok || !allocs_ok || !parse_ok) return 1;
+    if (!callbacks_ok || !allocs_ok || !traced_ok || !parse_ok) return 1;
   }
   return 0;
 }

@@ -121,12 +121,26 @@ enum class StreamKind { kStdout, kStderr };
 
 // A log line on the diagnostic back channel (mirrors util Logger levels so
 // observers can bridge without depending on util/log.hpp level semantics).
-// Log lines are off the hot path, so they keep owning strings.
+//
+// The message is rendered only when an observer reads it: the emitter
+// passes a renderer over its own arguments, valid during the synchronous
+// callback, and message() runs it.  A failed command logs on every attempt
+// but usually reaches no reader (a trace or metrics sink ignores logs), so
+// formatting eagerly would be most of the line's cost.
 struct ObsLogLine {
+  using Renderer = void (*)(const void* args, std::string* out);
+
   int level = 0;  // LogLevel numeric value
   TimePoint time{};
-  std::string component;
-  std::string message;
+  std::string_view component;
+  Renderer renderer = nullptr;  // null: an empty message
+  const void* args = nullptr;   // the renderer's argument
+
+  std::string message() const {
+    std::string out;
+    if (renderer) renderer(args, &out);
+    return out;
+  }
 };
 
 // The single-sink interface.  All callbacks default to no-ops so observers

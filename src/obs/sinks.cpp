@@ -15,16 +15,19 @@ void XTraceObserver::on_span_begin(const Span& span) {
   sink_(line);
 }
 
+// A record the logger's threshold drops is never formatted.
 void LoggerObserver::on_span_end(const Span& span) {
   if (!logger_ || span.status.ok()) return;
   switch (span.kind) {
     case SpanKind::kCommand:
+      if (!logger_->enabled(LogLevel::kInfo)) return;
       logger_->log(LogLevel::kInfo, span.end, "ftsh",
                    strprintf("command '%s' failed: %s",
                              std::string(span.name).c_str(),
                              span.status.to_string().c_str()));
       break;
     case SpanKind::kTry:
+      if (!logger_->enabled(LogLevel::kDebug)) return;
       logger_->log(LogLevel::kDebug, span.end, "ftsh",
                    strprintf("try at line %d: failure after %d attempt(s), "
                              "%s backing off",
@@ -51,9 +54,10 @@ void LoggerObserver::on_event(const ObsEvent& event) {
 }
 
 void LoggerObserver::on_log(const ObsLogLine& line) {
-  if (!logger_) return;
-  logger_->log(static_cast<LogLevel>(line.level), line.time, line.component,
-               line.message);
+  const auto level = static_cast<LogLevel>(line.level);
+  if (!logger_ || !logger_->enabled(level)) return;
+  logger_->log(level, line.time, std::string(line.component),
+               line.message());
 }
 
 }  // namespace ethergrid::obs

@@ -52,9 +52,9 @@ class XTraceObserver final : public Observer {
 };
 
 // Bridges the observability channel onto the structured Logger: on_log
-// lines pass straight through; failed command/try spans and fault/crash
-// events become warn-level records so `-l` keeps its pre-redesign
-// diagnostic value.
+// lines pass straight through, rendered only when the logger's threshold
+// keeps them; failed command/try spans and fault/crash events become
+// records too, so `-l` keeps its pre-redesign diagnostic value.
 class LoggerObserver final : public Observer {
  public:
   explicit LoggerObserver(Logger* logger) : logger_(logger) {}

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 namespace ethergrid::obs {
@@ -158,19 +157,6 @@ class JsonWriter {
   char* pos_ = buf_;
 };
 
-// Keeps `lanes` within twice the number of distinct tracks: it is sorted
-// and de-duplicated whenever it fills, before it is allowed to grow.
-void add_lane(std::vector<std::uint64_t>* lanes, std::uint64_t track) {
-  if (lanes->size() == lanes->capacity()) {
-    std::sort(lanes->begin(), lanes->end());
-    lanes->erase(std::unique(lanes->begin(), lanes->end()), lanes->end());
-    if (lanes->size() * 2 > lanes->capacity()) {
-      lanes->reserve(2 * lanes->capacity());
-    }
-  }
-  lanes->push_back(track);
-}
-
 // Bytes a record writes besides its name fragment and payload strings,
 // with every optional field present at typical widths (12-digit
 // timestamps, 6-digit ids).  to_json() reserves its buffer from these; a
@@ -208,9 +194,20 @@ std::string json_number(double value) {
 }
 
 TraceRecorder::TraceRecorder(std::string process_name, int pid)
-    : process_name_(std::move(process_name)), pid_(pid) {}
+    : process_name_(std::move(process_name)),
+      pid_(pid),
+      key_counts_(kKeySlots) {}
 
-TraceRecorder::Rec& TraceRecorder::append_locked() {
+TraceRecorder::Rec& TraceRecorder::append_locked(std::uint32_t name,
+                                                 std::uint8_t kind,
+                                                 bool instant,
+                                                 std::uint64_t track) {
+  // Consecutive records mostly share a lane, so the set is searched only
+  // when the lane changes.
+  if (size_ == 0 || track != blocks_.back()[(size_ - 1) % kBlockRecs].track) {
+    const auto it = std::lower_bound(lanes_.begin(), lanes_.end(), track);
+    if (it == lanes_.end() || *it != track) lanes_.insert(it, track);
+  }
   const std::size_t slot = size_ % kBlockRecs;
   if (slot == 0) {
     blocks_.push_back(std::make_unique<Rec[]>(kBlockRecs));
@@ -218,6 +215,11 @@ TraceRecorder::Rec& TraceRecorder::append_locked() {
   ++size_;
   Rec& rec = blocks_.back()[slot];
   rec = Rec{};
+  rec.name = name;
+  rec.kind = kind;
+  rec.instant = instant;
+  rec.track = track;
+  ++key_counts_[key_of(rec)];
   return rec;
 }
 
@@ -236,7 +238,15 @@ std::uint32_t TraceRecorder::intern_name_locked(std::string_view name) {
   names_.emplace_back(name);
   const std::uint32_t id = static_cast<std::uint32_t>(names_.size());
   name_ids_.emplace(names_.back(), id);
+  key_counts_.resize(key_counts_.size() + kKeySlots);
   return id;
+}
+
+std::uint32_t TraceRecorder::site_name_locked(SiteId site) {
+  if (site == kSiteNone) return 0;
+  const auto [it, fresh] = site_names_.try_emplace(site, 0);
+  if (fresh) it->second = intern_name_locked(site_name(site));
+  return it->second;
 }
 
 // Begins are not serialized -- the complete ("X") entry carries start and
@@ -249,18 +259,17 @@ void TraceRecorder::on_span_begin(const Span& span) {
 
 void TraceRecorder::on_span_end(const Span& span) {
   std::lock_guard<std::mutex> lock(mu_);
-  Rec& rec = append_locked();
+  Rec& rec = append_locked(intern_name_locked(span.name),
+                           static_cast<std::uint8_t>(span.kind),
+                           /*instant=*/false, span.track);
   rec.id = span.id;
   rec.parent = span.parent;
-  rec.track = span.track;
   rec.ts = to_micros(span.start);
   rec.dur = to_micros(span.end) - rec.ts;
   if (rec.dur < 0) rec.dur = 0;
   rec.backoff_us = span.backoff.count();
-  rec.name = intern_name_locked(span.name);
   rec.line = span.line;
   rec.attempts = span.attempts;
-  rec.kind = static_cast<std::uint8_t>(span.kind);
   rec.status = static_cast<std::uint8_t>(span.status.code());
   if (span.status.failed() && !span.status.message().empty()) {
     rec.error_off = arena_add_locked(span.status.message(), &rec.error_len);
@@ -272,12 +281,11 @@ void TraceRecorder::on_span_end(const Span& span) {
 
 void TraceRecorder::on_event(const ObsEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  Rec& rec = append_locked();
-  rec.instant = true;
+  Rec& rec = append_locked(site_name_locked(event.site),
+                           static_cast<std::uint8_t>(event.kind),
+                           /*instant=*/true, /*track=*/0);
   rec.id = event.span;
   rec.ts = to_micros(event.time);
-  rec.name = event.site;
-  rec.kind = static_cast<std::uint8_t>(event.kind);
   rec.value = event.value;
   if (!event.detail.empty()) {
     rec.detail_off = arena_add_locked(event.detail, &rec.detail_len);
@@ -299,64 +307,41 @@ std::string TraceRecorder::to_json() const {
     return blocks_[i / kBlockRecs][i % kBlockRecs];
   };
 
-  // The `,"name":"kind: extra"` fragment of each distinct (instant, kind,
-  // name) key is escaped once into fragment_text; consecutive records
-  // often share a key, so the last one is remembered.
+  // The `,"name":"kind: extra"` fragment of every key that occurs, escaped
+  // once into fragment_text, and the size of the whole export.
   struct Fragment {
     std::uint32_t off = 0;
     std::uint32_t len = 0;
   };
-  std::unordered_map<std::uint64_t, Fragment> fragments;
+  std::vector<Fragment> fragments(key_counts_.size());
   std::string fragment_text;
-  std::uint64_t last_key = ~std::uint64_t{0};
-  Fragment last;
-  const auto fragment = [&](const Rec& rec) {
-    const std::uint64_t key = std::uint64_t{rec.instant} << 40 |
-                              std::uint64_t{rec.kind} << 32 | rec.name;
-    if (key == last_key) return last;
-    auto [it, fresh] = fragments.try_emplace(key);
-    if (fresh) {
-      std::string_view kind;
-      std::string_view extra;
-      if (rec.instant) {
-        kind = obs_event_kind_name(static_cast<ObsEvent::Kind>(rec.kind));
-        extra = site_name(rec.name);
-      } else {
-        kind = span_kind_name(static_cast<SpanKind>(rec.kind));
-        if (rec.name != 0) extra = names_[rec.name - 1];
-      }
-      it->second.off = static_cast<std::uint32_t>(fragment_text.size());
-      JsonWriter w(&fragment_text);
-      w.raw(",\"name\":\"");
-      w.escaped(kind);
-      if (!extra.empty()) {
-        w.raw(": ");
-        w.escaped(extra);
-      }
-      w.raw('"');
-      w.flush();
-      it->second.len =
-          static_cast<std::uint32_t>(fragment_text.size()) - it->second.off;
+  std::size_t bytes = kHeaderBytes + 6 * process_name_.size() +
+                      arena_.size() + lanes_.size() * kLaneBytes;
+  for (std::size_t key = 0; key < key_counts_.size(); ++key) {
+    if (key_counts_[key] == 0) continue;
+    const std::size_t name = key / kKeySlots;
+    const std::size_t slot = key % kKeySlots;
+    const bool instant = slot >= kSpanKindCount;
+    const std::string_view kind =
+        instant ? obs_event_kind_name(
+                      static_cast<ObsEvent::Kind>(slot - kSpanKindCount))
+                : span_kind_name(static_cast<SpanKind>(slot));
+    Fragment& fragment = fragments[key];
+    fragment.off = static_cast<std::uint32_t>(fragment_text.size());
+    JsonWriter w(&fragment_text);
+    w.raw(",\"name\":\"");
+    w.escaped(kind);
+    if (name != 0) {
+      w.raw(": ");
+      w.escaped(names_[name - 1]);
     }
-    last_key = key;
-    last = it->second;
-    return last;
-  };
-
-  // First pass: the lanes that appear, and the size of the whole export.
-  std::vector<std::uint64_t> lanes;
-  lanes.reserve(64);
-  std::size_t bytes = kHeaderBytes + 6 * process_name_.size() + arena_.size();
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Rec& rec = rec_at(i);
-    if (i == 0 || rec.track != rec_at(i - 1).track) {
-      add_lane(&lanes, rec.track);
-    }
-    bytes += (rec.instant ? kInstantBytes : kSpanBytes) + fragment(rec).len;
+    w.raw('"');
+    w.flush();
+    fragment.len =
+        static_cast<std::uint32_t>(fragment_text.size()) - fragment.off;
+    bytes += key_counts_[key] *
+             ((instant ? kInstantBytes : kSpanBytes) + fragment.len);
   }
-  std::sort(lanes.begin(), lanes.end());
-  lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-  bytes += lanes.size() * kLaneBytes;
 
   std::string out;
   out.reserve(bytes);
@@ -367,7 +352,7 @@ std::string TraceRecorder::to_json() const {
   w.quoted(process_name_);
   w.raw("}}");
   // Name each lane that appears, in sorted order for stable output.
-  for (std::uint64_t track : lanes) {
+  for (std::uint64_t track : lanes_) {
     w.raw(",\n{\"ph\":\"M\",\"pid\":");
     w.integer(pid_);
     w.raw(",\"tid\":");
@@ -399,7 +384,7 @@ std::string TraceRecorder::to_json() const {
       w.raw(",\"dur\":");
       w.exact_integer(rec.dur);
     }
-    const Fragment name = fragment(rec);
+    const Fragment name = fragments[key_of(rec)];
     w.raw(std::string_view(fragment_text.data() + name.off, name.len));
 
     bool args = false;

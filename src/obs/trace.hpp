@@ -9,19 +9,20 @@
 //
 // Recording is allocation-light by design: each emission appends one
 // fixed-size binary record to a growable list of 1024-record blocks (one
-// allocation per block, never a copy of existing records).  Span names are
-// interned into a recorder-local table on first sight, event sites arrive
-// pre-interned as SiteIds, and variable payloads (details, error messages)
-// are copied into a byte arena.  ALL JSON work -- escaping, number
-// formatting, metadata rows -- is deferred to to_json(), so the emission
-// path touches the allocator only when a block, the arena, or the name
-// table actually grows.
+// allocation per block, never a copy of existing records).  Span names and
+// event sites share one recorder-local name table (an event's SiteId is
+// resolved once per recorder), and variable payloads (details, error
+// messages) are copied into a byte arena.  Emission also keeps what the
+// export needs to size itself: the sorted set of lanes, and a count of
+// records per (name, kind) key in a dense table.  ALL JSON work --
+// escaping, number formatting, metadata rows -- is deferred to to_json(),
+// so the emission path touches the allocator only when a block, the
+// arena, the name table or the lane set actually grows.
 //
-// Export is a sizing pass over the records (lanes, name fragments) and
-// one rendering pass straight into a string reserved from the record
-// count and the arena size.  Each distinct span name or event site is
-// resolved and escaped once per export, not once per record, so the
-// number of allocations an export makes does not depend on the number of
+// Export is one rendering pass over the records, straight into a string
+// reserved from the per-key counts and the arena size.  Each key's name
+// fragment is escaped once per export, not once per record, so the number
+// of allocations an export makes does not depend on the number of
 // records.
 //
 // Export is deterministic: entries are written in emission order, all
@@ -39,6 +40,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -69,8 +71,8 @@ class TraceRecorder final : public Observer {
   Status write_file(const std::string& path) const;
 
  private:
-  // One emission, binary.  `name` is a 1-based index into names_ for spans
-  // (0 = no extra name) and a global SiteId for instants.  Payload strings
+  // One emission, binary.  `name` is a 1-based index into names_ (0 = no
+  // extra name): a span's name or an instant's site.  Payload strings
   // live in arena_ as (offset, length); offsets are 32-bit, capping one
   // recorder's payload bytes at 4 GiB -- far beyond any trace we render.
   struct Rec {
@@ -94,10 +96,23 @@ class TraceRecorder final : public Observer {
   };
 
   static constexpr std::size_t kBlockRecs = 1024;
+  // A key's slot within its name's row of key_counts_: the span kind, or
+  // kSpanKindCount plus the event kind.
+  static constexpr std::size_t kKeySlots =
+      kSpanKindCount + kObsEventKindCount;
 
-  Rec& append_locked();  // returns the next free record slot
+  static std::size_t key_of(const Rec& rec) {
+    return rec.name * kKeySlots +
+           (rec.instant ? kSpanKindCount + rec.kind : rec.kind);
+  }
+
+  // Returns the next free record slot, counted under its key and lane;
+  // `name`, `kind` and `instant` are filled here.
+  Rec& append_locked(std::uint32_t name, std::uint8_t kind, bool instant,
+                     std::uint64_t track);
   std::uint32_t arena_add_locked(std::string_view text, std::uint32_t* len);
   std::uint32_t intern_name_locked(std::string_view name);
+  std::uint32_t site_name_locked(SiteId site);
 
   mutable std::mutex mu_;
   std::string process_name_;
@@ -105,8 +120,12 @@ class TraceRecorder final : public Observer {
   std::vector<std::unique_ptr<Rec[]>> blocks_;
   std::size_t size_ = 0;  // total records across blocks_
   std::string arena_;     // detail / error payload bytes
-  std::deque<std::string> names_;  // interned span names, 1-based via map
+  std::deque<std::string> names_;  // span names and sites, 1-based via map
   std::map<std::string, std::uint32_t, std::less<>> name_ids_;
+  std::unordered_map<SiteId, std::uint32_t> site_names_;  // site -> name id
+  // Records per key (name * kKeySlots + slot); one row per name id.
+  std::vector<std::size_t> key_counts_;
+  std::vector<std::uint64_t> lanes_;  // sorted, distinct tracks
   // Counters are atomic so on_span_begin (which records nothing -- the
   // complete event is appended at end time) never touches the mutex.
   std::atomic<std::size_t> spans_{0};

@@ -1,6 +1,7 @@
 #include "shell/interpreter.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "core/retry.hpp"
@@ -100,16 +101,30 @@ void Interpreter::emit_stderr(std::string_view text) {
   diagnostics_ += text;
 }
 
-// Call sites guard with `if (observers_)` so the strprintf argument never
-// renders when observability is off.
-void Interpreter::log(LogLevel level, const std::string& message) {
+template <class Render>
+void Interpreter::log(LogLevel level, const Render& render) {
   if (!observers_) return;
   obs::ObsLogLine line;
   line.level = static_cast<int>(level);
   line.time = executor_->now();
   line.component = "ftsh";
-  line.message = message;
+  line.renderer = [](const void* args, std::string* out) {
+    (*static_cast<const Render*>(args))(out);
+  };
+  line.args = &render;
   observers_->on_log(line);
+}
+
+obs::SiteId Interpreter::try_site(int line) {
+  const auto slot = static_cast<std::size_t>(line);  // lines start at 1
+  if (slot >= try_sites_.size()) try_sites_.resize(slot + 1, obs::kSiteNone);
+  obs::SiteId& site = try_sites_[slot];
+  if (site == obs::kSiteNone) {
+    char name[16] = "try:";
+    char* end = std::to_chars(name + 4, name + sizeof(name), line).ptr;
+    site = obs::intern_site(std::string_view(name, std::size_t(end - name)));
+  }
+  return site;
 }
 
 // ----------------------------------------------------------------- groups
@@ -162,10 +177,10 @@ Interpreter::EvalResult Interpreter::eval_statement(const Statement& stmt,
     }
     return EvalResult::from(Status::failure("unknown statement kind"));
   } catch (const EvalError& e) {
-    if (observers_) {
-      log(LogLevel::kInfo, strprintf("line %d: %s", stmt.line,
-                                     e.status.to_string().c_str()));
-    }
+    log(LogLevel::kInfo, [&](std::string* out) {
+      *out += strprintf("line %d: %s", stmt.line,
+                        e.status.to_string().c_str());
+    });
     return EvalResult::from(e.status);
   }
 }
@@ -245,9 +260,11 @@ Interpreter::EvalResult Interpreter::eval_command(const CommandStmt& cmd,
     span.status = result.status;
     observers_->end_span(span);
     if (result.status.failed()) {
-      log(LogLevel::kInfo,
-          strprintf("command '%s' failed: %s", invocation.argv[0].c_str(),
-                    result.status.to_string().c_str()));
+      log(LogLevel::kInfo, [&](std::string* out) {
+        *out += strprintf("command '%s' failed: %s",
+                          invocation.argv[0].c_str(),
+                          result.status.to_string().c_str());
+      });
     }
   }
   if (invocation.capture_stdout) {
@@ -376,14 +393,13 @@ Interpreter::EvalResult Interpreter::eval_try(const TryStmt& t,
     try_span.track = ctx.track;
     try_span.start = executor_->now();
     observers_->begin_span(try_span);
-    options.on_backoff = [&](Duration delay) {
-      char site[32];
-      std::snprintf(site, sizeof(site), "try:%d", t.line);
+    // Two pointers: small enough for std::function to hold in place.
+    options.on_backoff = [this, &try_span](Duration delay) {
       obs::ObsEvent event;
       event.kind = obs::ObsEvent::Kind::kBackoff;
       event.time = executor_->now();
       event.span = try_span.id;
-      event.site = obs::intern_site(site);
+      event.site = try_site(try_span.line);
       event.value = to_seconds(delay);
       observers_->on_event(event);
     };
@@ -395,14 +411,20 @@ Interpreter::EvalResult Interpreter::eval_try(const TryStmt& t,
   Status status =
       core::run_try(*executor_, body_ctx.rng, options, [&](TimePoint) {
         // The name buffer outlives the span's end_span below.
-        char attempt_name[32];
+        static constexpr std::string_view kAttempt = "attempt ";
+        char attempt_name[kAttempt.size() + 11];
         obs::Span attempt_span;
         if (observers_) {
-          std::snprintf(attempt_name, sizeof(attempt_name), "attempt %d",
-                        ++attempt_index);
+          kAttempt.copy(attempt_name, kAttempt.size());
+          char* const end =
+              std::to_chars(attempt_name + kAttempt.size(),
+                            attempt_name + sizeof(attempt_name),
+                            ++attempt_index)
+                  .ptr;
           attempt_span.kind = obs::SpanKind::kTryAttempt;
           attempt_span.parent = try_span.id;
-          attempt_span.name = attempt_name;
+          attempt_span.name =
+              std::string_view(attempt_name, std::size_t(end - attempt_name));
           attempt_span.line = t.line;
           attempt_span.track = ctx.track;
           attempt_span.start = executor_->now();
@@ -426,21 +448,21 @@ Interpreter::EvalResult Interpreter::eval_try(const TryStmt& t,
     try_span.attempts = metrics.attempts;
     try_span.backoff = metrics.backoff_total;
     observers_->end_span(try_span);
-    log(LogLevel::kDebug,
-        strprintf("try at line %d: %s after %d attempt(s), %s backing off",
-                  t.line, status.ok() ? "success" : "failure",
-                  metrics.attempts,
-                  format_duration(metrics.backoff_total).c_str()));
+    log(LogLevel::kDebug, [&](std::string* out) {
+      *out += strprintf(
+          "try at line %d: %s after %d attempt(s), %s backing off", t.line,
+          status.ok() ? "success" : "failure", metrics.attempts,
+          format_duration(metrics.backoff_total).c_str());
+    });
   }
 
   if (returned && status.ok()) {
     return EvalResult{Status::success(), Flow::kReturn};
   }
   if (status.failed() && t.catch_body) {
-    if (observers_) {
-      log(LogLevel::kDebug, strprintf("try at line %d: entering catch block",
-                                      t.line));
-    }
+    log(LogLevel::kDebug, [&](std::string* out) {
+      *out += strprintf("try at line %d: entering catch block", t.line);
+    });
     return eval_group(*t.catch_body, ctx);
   }
   return EvalResult::from(std::move(status));
@@ -492,11 +514,10 @@ Interpreter::EvalResult Interpreter::eval_for(const ForStmt& f,
         return result;  // winning value stays in the variable
       }
       last = std::move(result.status);
-      if (observers_) {
-        log(LogLevel::kDebug,
-            strprintf("forany at line %d: alternative '%s' failed", f.line,
-                      item.c_str()));
-      }
+      log(LogLevel::kDebug, [&](std::string* out) {
+        *out += strprintf("forany at line %d: alternative '%s' failed",
+                          f.line, item.c_str());
+      });
     }
     finish(last, tried);
     return EvalResult::from(std::move(last));

@@ -111,7 +111,13 @@ class Interpreter {
 
   void emit_stdout(std::string_view text);
   void emit_stderr(std::string_view text);
-  void log(LogLevel level, const std::string& message);
+  // Emits a log line; `render(std::string*)` appends its message and runs
+  // only if an observer reads the line.
+  template <class Render>
+  void log(LogLevel level, const Render& render);
+  // The interned "try:<line>" site of a try statement's backoff events,
+  // interned once per line per interpreter.
+  obs::SiteId try_site(int line);
 
   Executor* executor_;
   InterpreterOptions options_;
@@ -120,6 +126,7 @@ class Interpreter {
   // lane so concurrent spans draw as parallel rows.  Allocation follows
   // branch creation order, which the sim kernel makes deterministic.
   std::uint64_t next_track_ = 0;
+  std::vector<obs::SiteId> try_sites_;  // by line; kSiteNone = not interned
   std::string output_;
   std::string diagnostics_;
 };

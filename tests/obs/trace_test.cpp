@@ -91,7 +91,7 @@ struct RecordingObserver final : Observer {
                     std::string(text));
   }
   void on_log(const ObsLogLine& line) override {
-    calls.push_back("log:" + line.message);
+    calls.push_back("log:" + line.message());
   }
 };
 
@@ -125,7 +125,7 @@ TEST(ObserverSetTest, FansOutEveryCallbackInRegistrationOrder) {
   set.on_event(event);
   set.on_output(StreamKind::kStdout, "x");
   ObsLogLine line;
-  line.message = "m";
+  line.renderer = [](const void*, std::string* out) { *out += "m"; };
   set.on_log(line);
 
   const std::vector<std::string> expected = {"begin:s", "end:s", "event:site",
@@ -135,6 +135,33 @@ TEST(ObserverSetTest, FansOutEveryCallbackInRegistrationOrder) {
   const std::vector<std::string> expected_order = {"first.begin",
                                                    "second.begin"};
   EXPECT_EQ(order, expected_order);
+}
+
+// A log line's renderer runs once per observer that reads the text, and
+// never for observers that ignore logs.
+TEST(ObserverSetTest, LogLinesRenderOnlyWhenRead) {
+  struct Args {
+    int renders = 0;
+  } args;
+  ObsLogLine line;
+  line.renderer = [](const void* a, std::string* out) {
+    auto* counted = static_cast<Args*>(const_cast<void*>(a));
+    ++counted->renders;
+    *out += "rendered";
+  };
+  line.args = &args;
+
+  ObserverSet set;
+  Observer ignores_logs;
+  set.add(&ignores_logs);
+  set.on_log(line);
+  EXPECT_EQ(args.renders, 0);
+
+  RecordingObserver reader;
+  set.add(&reader);
+  set.on_log(line);
+  EXPECT_EQ(args.renders, 1);
+  EXPECT_EQ(reader.calls, std::vector<std::string>{"log:rendered"});
 }
 
 TEST(ObserverSetTest, RemoveStopsDelivery) {

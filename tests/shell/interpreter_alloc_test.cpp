@@ -5,7 +5,8 @@
 // tests pin that count for the same 100-command workload the micro_shell
 // benchmark gates on, with observers off AND on, so a per-command
 // allocation sneaking back into either path fails ctest instead of only
-// nudging a benchmark number nobody reads.
+// nudging a benchmark number nobody reads.  A failing, backing-off try
+// under the trace-out observers is pinned per attempt the same way.
 //
 // The trace export gets the same treatment: its allocation count must not
 // depend on the number of records exported.
@@ -105,6 +106,48 @@ TEST(InterpreterAllocTest, ObserversOnBudget) {
   // 201 spans land in one pre-sized record block; the arena and histogram
   // reservoirs grow amortised.  Per-span steady-state cost must stay zero.
   EXPECT_LE(allocs, 200) << "observers-on workload allocation regression";
+}
+
+// `tries` failing `try 3 times` statements, each backing off between its
+// attempts and falling into an empty catch.  `traced` attaches the
+// observers `ftsh --trace-out` installs, a TraceRecorder and a
+// MetricsRegistry, fresh inside the counted region.  Every attempt then
+// opens an attempt span and a command span and logs the failed command;
+// every backoff emits an event; every try logs its summary and its catch
+// entry.
+std::int64_t try_loop_allocs(int tries, bool traced) {
+  const std::string source = "i = 0\nwhile ${i} .lt. " +
+                             std::to_string(tries) +
+                             "\n  try 3 times\n    false\n  catch\n  end\n"
+                             "  i = ${i} .add. 1\nend";
+  const ParseResult parsed = parse_script(source);
+  EXPECT_TRUE(parsed.status.ok());
+  return count_allocs([&] {
+    obs::TraceRecorder trace("ftsh");
+    obs::MetricsRegistry metrics;
+    obs::ObserverSet set;
+    set.add(&trace);
+    set.add(&metrics);
+    ASSERT_TRUE(
+        run_workload(*parsed.script, traced ? &set : nullptr).ok());
+  });
+}
+
+// Steady-state heap allocations the trace-out observers add to a failing
+// try: a run of 200 tries minus a run of 100 (300 attempts), traced,
+// less the same difference untraced.  The untraced difference is the try
+// loop's own cost, which depends on the build (200 optimized, 1,000 in a
+// debug build).  Log lines render only for an observer that reads them,
+// and neither sink does, so what the observers add is three amortised
+// growths of the trace's blocks and arena.  Rendering every log line
+// eagerly added 1,103.
+TEST(InterpreterAllocTest, TracedTryAttemptBudget) {
+  (void)try_loop_allocs(1, true);  // settle statics (interned sites)
+  const std::int64_t traced =
+      try_loop_allocs(200, true) - try_loop_allocs(100, true);
+  const std::int64_t untraced =
+      try_loop_allocs(200, false) - try_loop_allocs(100, false);
+  EXPECT_EQ(traced - untraced, 3) << "traced retry path allocation regression";
 }
 
 // The ftsh_pipeline benchmark's script: a try around a forany of tries, a
