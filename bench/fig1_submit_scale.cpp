@@ -110,7 +110,8 @@ int run_sharded_scale() {
 
   exp::Table table("Sharded kernel scaling (Ethernet discipline)",
                    {"shards", "threads", "wall_s", "speedup", "jobs",
-                    "remote_jobs", "windows", "xshard_msgs"});
+                    "remote_jobs", "windows", "xshard_msgs",
+                    "parks_per_window"});
   // Each wall is the best of `reps` passes, interleaved across shard
   // counts so a slow stretch of the host hits every count alike.  Host
   // noise only ever slows a pass down, so the minimum is the stable
@@ -157,6 +158,10 @@ int run_sharded_scale() {
     const exp::ShardedSubmitResult& r = results[i];
     const double wall = walls[i];
     const double speedup = wall > 0 ? wall_1 / wall : 0;
+    // Of the row's last pass: barrier waits that outlasted the poll
+    // budget and parked, per window (0 with one thread).
+    const double parks_per_window =
+        r.windows > 0 ? double(r.barrier_parks) / double(r.windows) : 0;
     best_speedup = std::max(best_speedup, speedup);
     // Partition independence: per-site worlds are identical, so total
     // jobs must not move when the shard count does.
@@ -168,7 +173,8 @@ int run_sharded_scale() {
                    exp::Table::cell(r.jobs_total),
                    exp::Table::cell(r.remote_jobs),
                    exp::Table::cell(std::int64_t(r.windows)),
-                   exp::Table::cell(std::int64_t(r.messages_delivered))});
+                   exp::Table::cell(std::int64_t(r.messages_delivered)),
+                   exp::Table::cell(parks_per_window)});
     report.metric("sharded_wall_s_" + std::to_string(n), wall);
     if (n > 1) {
       report.metric("sharded_speedup_" + std::to_string(n), speedup);

@@ -111,18 +111,19 @@ Status run_try(ClockT& clock, Rng& rng, const TryOptions& options,
 
   Status result = clock.with_deadline(deadline, [&]() -> Status {
     Backoff backoff(options.backoff, rng);
-    Status last = Status::failure("try: no attempts made");
     while (true) {
+      // Reached only before the first attempt (a limit of 0 or less): once
+      // an attempt fails, the check after it returns first.
       if (options.attempt_limit && local.attempts >= *options.attempt_limit) {
         local.attempts_exhausted = true;
-        return last;
+        return Status::failure("try: no attempts made");
       }
       if (clock.now() >= deadline) {
         return Status::timeout("try: time budget expired");
       }
       ++local.attempts;
       const TimePoint cycle_start = clock.now();
-      last = attempt(deadline);
+      Status last = attempt(deadline);
       if (last.ok()) {
         local.succeeded = true;
         return last;

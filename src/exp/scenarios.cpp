@@ -367,6 +367,7 @@ ShardedSubmitResult run_sharded_submit(const ShardedSubmitConfig& config,
   result.kernel_events = world.sk.events_processed();
   result.windows = world.sk.windows_run();
   result.messages_delivered = world.sk.messages_delivered();
+  result.barrier_parks = world.sk.barrier_parks();
   world.sk.shutdown();
   if (config.record_trace) {
     std::vector<std::string> jsons;

@@ -138,6 +138,7 @@ struct ShardedSubmitResult {
   std::uint64_t kernel_events = 0;  // wakeups, summed over shards
   std::uint64_t windows = 0;        // conservative windows run
   std::uint64_t messages_delivered = 0;  // cross-shard mailbox deliveries
+  std::uint64_t barrier_parks = 0;  // ShardedKernel::barrier_parks()
   std::string trace_json;           // merged Chrome trace (record_trace)
 };
 

@@ -1,7 +1,10 @@
 #include "sim/shard.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <utility>
@@ -9,6 +12,12 @@
 namespace ethergrid::sim {
 
 namespace {
+
+// How long a thread that is not the last to arrive polls the phase word
+// before it parks on it.  A grid_sharded window takes ~5-15us, so a normal
+// wait ends inside the budget without a futex wake; a wait for the
+// caller's next call, or on an oversubscribed machine, parks after it.
+constexpr std::chrono::microseconds kPollBudget{50};
 
 std::size_t resolve_threads(std::size_t requested, std::size_t shards) {
   if (requested == 0) {
@@ -37,6 +46,7 @@ ShardedKernel::ShardedKernel(std::uint64_t seed, ShardedKernelOptions options)
   window_events_.assign(shards, 0);
   delivered_to_.assign(shards, 0);
   errors_.assign(shards, nullptr);
+  parks_.assign(threads_, 0);
   workers_.reserve(threads_ - 1);
   for (std::size_t w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -52,16 +62,21 @@ ShardedKernel::~ShardedKernel() {
   }
   if (workers_.empty()) return;
   request_ = Step::kStop;
-  arrive();
+  arrive(nullptr);
   for (std::thread& t : workers_) t.join();
 }
 
 void ShardedKernel::worker_main(std::size_t worker) {
+  // Null while waiting for the caller's next request: that wait is the
+  // caller's time, not the barrier's.
+  std::uint64_t* parks = nullptr;
   for (;;) {
-    arrive();
+    arrive(parks);
     if (step_ == Step::kStop) return;
     // Idle: arrive again at once, to wait for the caller's next request.
-    if (step_ != Step::kIdle) run_step(worker);
+    const bool busy = step_ != Step::kIdle;
+    parks = busy ? &parks_[worker] : nullptr;
+    if (busy) run_step(worker);
   }
 }
 
@@ -77,14 +92,14 @@ void ShardedKernel::drive(Step request) {
 #endif
   request_ = request;
   for (;;) {
-    arrive();
+    arrive(&parks_[0]);
     if (step_ == Step::kIdle) break;
     run_step(0);
   }
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ShardedKernel::arrive() {
+void ShardedKernel::arrive(std::uint64_t* parks) {
   if (threads_ == 1) {
     close_phase();
     return;
@@ -92,7 +107,19 @@ void ShardedKernel::arrive() {
   // Read the phase before arriving: it cannot move until this thread has.
   const std::uint32_t phase = phase_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < threads_) {
-    phase_.wait(phase, std::memory_order_acquire);
+    // Poll first, handing the core to any runnable thread between reads
+    // (the straggler this barrier waits for, if it shares the core), and
+    // park only once the budget is spent.
+    const auto give_up = std::chrono::steady_clock::now() + kPollBudget;
+    while (phase_.load(std::memory_order_acquire) == phase) {
+      if (std::chrono::steady_clock::now() >= give_up) {
+        // Sequenced before this thread's next arrival, which publishes it.
+        if (parks) ++*parks;
+        phase_.wait(phase, std::memory_order_acquire);
+        return;
+      }
+      sched_yield();
+    }
     return;
   }
   arrived_.store(0, std::memory_order_relaxed);
@@ -247,6 +274,18 @@ TimePoint ShardedKernel::now() const {
   TimePoint t = TimePoint::max();
   for (const auto& k : shards_) t = std::min(t, k->now());
   return t;
+}
+
+std::uint64_t ShardedKernel::barrier_parks() const {
+  // Stopped: every pool worker is back at the barrier, waiting for the next
+  // call.  Its arrival published its counter, and this acquire load of the
+  // arrival count orders all of them before the sum.
+  while (arrived_.load(std::memory_order_acquire) + 1 < threads_) {
+    sched_yield();
+  }
+  std::uint64_t total = 0;
+  for (std::uint64_t n : parks_) total += n;
+  return total;
 }
 
 std::uint64_t ShardedKernel::events_processed() const {

@@ -29,7 +29,10 @@
 // arrive closes the window (count, flush, scan, next H or stop) before it
 // releases the others.  Which thread closes depends on timing; what the
 // close computes does not: it reads only values published before the
-// barrier, and every other thread is parked while it runs.
+// barrier, and every other thread waits while it runs.  A waiting thread
+// polls the phase word, yielding its core between polls, for about a
+// normal window's length (50us) and only then parks on it, so a window's
+// release costs no futex wake on the next window's critical path.
 //
 // Safety: a message posted at virtual time s delivers at s + latency with
 // latency >= lookahead.  Every event in the window satisfies s >= T, so
@@ -158,6 +161,11 @@ class ShardedKernel {
   // Telemetry.
   std::uint64_t windows_run() const { return windows_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
+  // Barrier arrivals inside run_until/run/shutdown that used up the poll
+  // budget and parked on the phase word; a pool worker waiting for the
+  // caller's next call is not counted.  At most threads - 1 per phase, 0
+  // with threads == 1.  Call it while the world is stopped.
+  std::uint64_t barrier_parks() const;
 
  private:
   // What every thread does with its shards between two barrier crossings.
@@ -168,8 +176,10 @@ class ShardedKernel {
   // 0) until the world is idle again, then rethrows the first error.
   void drive(Step request);
   // The phase barrier: returns once every thread arrived and the last one
-  // ran close_phase() (inline with threads_ == 1).
-  void arrive();
+  // ran close_phase() (inline with threads_ == 1).  `parks` is the arriving
+  // worker's park counter, or null for a pool worker waiting for the
+  // caller's next request.
+  void arrive(std::uint64_t* parks);
   // Runs step_ for worker's shards, publishing per-shard results.
   void run_step(std::size_t worker);
   // The serial step between phases: picks the next step_ from what the
@@ -212,6 +222,8 @@ class ShardedKernel {
   std::atomic<std::uint32_t> phase_{0};
   std::atomic<std::size_t> arrived_{0};
   std::vector<std::thread> workers_;
+  // Per-worker barrier parks, each written only by its own thread.
+  std::vector<std::uint64_t> parks_;
 };
 
 }  // namespace ethergrid::sim

@@ -202,6 +202,7 @@ TEST(RunTryTest, ZeroAttemptLimitFailsWithoutRunning) {
       return Status::success();
     });
     EXPECT_TRUE(s.failed());
+    EXPECT_EQ(s.message(), "try: no attempts made");
     EXPECT_EQ(calls, 0);
   });
 }

@@ -8,8 +8,9 @@
 // nudging a benchmark number nobody reads.  A failing, backing-off try
 // under the trace-out observers is pinned per attempt the same way.
 //
-// The trace export gets the same treatment: its allocation count must not
-// depend on the number of records exported.
+// The trace export and the try loop get the same treatment: the export's
+// allocation count must not depend on the number of records exported, and
+// a try whose first attempt succeeds allocates nothing.
 //
 // This file lives in its own test binary: the global operator new/delete
 // replacements below are binary-wide.
@@ -19,6 +20,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/retry.hpp"
+#include "core/sim_clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/site.hpp"
 #include "obs/trace.hpp"
@@ -136,7 +139,7 @@ std::int64_t try_loop_allocs(int tries, bool traced) {
 // Steady-state heap allocations the trace-out observers add to a failing
 // try: a run of 200 tries minus a run of 100 (300 attempts), traced,
 // less the same difference untraced.  The untraced difference is the try
-// loop's own cost, which depends on the build (200 optimized, 1,000 in a
+// loop's own cost, which depends on the build (100 optimized, 900 in a
 // debug build).  Log lines render only for an observer that reads them,
 // and neither sink does, so what the observers add is three amortised
 // growths of the trace's blocks and arena.  Rendering every log line
@@ -148,6 +151,30 @@ TEST(InterpreterAllocTest, TracedTryAttemptBudget) {
   const std::int64_t untraced =
       try_loop_allocs(200, false) - try_loop_allocs(100, false);
   EXPECT_EQ(traced - untraced, 3) << "traced retry path allocation regression";
+}
+
+// 100 tries over a SimClock, each done by its first attempt, the way a
+// grid client runs its inlined try loop.  The "try: no attempts made"
+// status, past std::string's inline capacity, is built only when a try
+// returns it; built up front, it cost one allocation per try (100).
+TEST(RunTryAllocTest, SucceedingTriesAllocateNothing) {
+  sim::Kernel kernel;
+  std::int64_t allocs = -1;
+  kernel.spawn("client", [&](sim::Context& ctx) {
+    core::SimClock clock(ctx);
+    Rng rng = ctx.rng();
+    const core::TryOptions options = core::TryOptions::times(3);
+    auto try_once = [&] {
+      return core::run_try(clock, rng, options,
+                           [](TimePoint) { return Status::success(); });
+    };
+    ASSERT_TRUE(try_once().ok());  // settle one-time state
+    allocs = count_allocs([&] {
+      for (int i = 0; i < 100; ++i) ASSERT_TRUE(try_once().ok());
+    });
+  });
+  kernel.run();
+  EXPECT_EQ(allocs, 0) << "run_try allocates per try";
 }
 
 // The ftsh_pipeline benchmark's script: a try around a forany of tries, a

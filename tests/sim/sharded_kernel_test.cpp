@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -217,12 +218,12 @@ void build_ping_world(ShardedKernel& sk, PingWorld& world) {
   }
 }
 
-// Runs the ping world on 4 shards with `threads` threads: `slices`
+// Runs the ping world on `shards` shards with `threads` threads: `slices`
 // run_until calls of one lookahead each, then run().  Returns everything a
 // thread count must not change.
-auto run_ping_world(std::size_t threads, int slices) {
+auto run_ping_world(std::size_t threads, int slices, std::size_t shards = 4) {
   ShardedKernelOptions opt;
-  opt.shards = 4;
+  opt.shards = shards;
   opt.threads = threads;
   opt.lookahead = msec(5);
   auto sk = std::make_unique<ShardedKernel>(42, opt);
@@ -238,6 +239,7 @@ auto run_ping_world(std::size_t threads, int slices) {
   }
   const std::uint64_t windows = sk->windows_run();
   sk->shutdown();
+  EXPECT_EQ(sk->live_process_count(), 0u);
   return std::make_tuple(world.timelines, events, digests, windows);
 }
 
@@ -268,6 +270,49 @@ TEST(ShardedKernel, SteppedRunsByteIdenticalAcrossWorkerThreadCounts) {
     EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
     EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
     EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+  }
+}
+
+// Eight threads, more than a 4-CPU machine has cores: a waiting thread can
+// spend its whole poll budget before the straggler it shares a core with
+// arrives, so the barrier's park path runs beside the poll path.
+TEST(ShardedKernel, OversubscribedThreadsByteIdenticalAndShutDownCleanly) {
+  const auto serial = run_ping_world(1, 10, 8);
+  const auto parallel = run_ping_world(8, 10, 8);
+  EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+  EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
+  EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+  EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel));
+}
+
+// Parks are counted per waiting arrival: none without pool workers, and
+// with them at most threads - 1 per phase.  A run_until call closes at
+// most three phases besides its windows (the request, the scan and the
+// advance), and shutdown two.
+TEST(ShardedKernel, BarrierParksAtMostOncePerWaitingArrival) {
+  for (std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedKernelOptions opt;
+    opt.shards = 4;
+    opt.threads = threads;
+    opt.lookahead = msec(5);
+    ShardedKernel sk(42, opt);
+    PingWorld world(sk);
+    build_ping_world(sk, world);
+    // The pool workers wait for the first call far past the budget and
+    // park; that wait is the caller's, not the barrier's.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(sk.barrier_parks(), 0u);
+    const int slices = 10;
+    for (int i = 1; i <= slices; ++i) sk.run_until(kEpoch + msec(5 * i));
+    sk.run();
+    sk.shutdown();
+    const std::uint64_t phases = sk.windows_run() + 3 * (slices + 1) + 2;
+    if (threads == 1) {
+      EXPECT_EQ(sk.barrier_parks(), 0u);
+    } else {
+      EXPECT_LE(sk.barrier_parks(), (threads - 1) * phases);
+    }
   }
 }
 
