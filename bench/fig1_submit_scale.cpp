@@ -11,7 +11,8 @@
 //
 // After the paper sweep, a second pass measures the sharded kernel on a
 // fig1-style multi-site grid: the same Ethernet workload partitioned
-// across shards ∈ {1, 2, 4, 8}, threads = shards.  Knobs:
+// across shards ∈ {1, 2, 4, 8}, threads = min(shards, hardware threads).
+// Knobs:
 //   ETHERGRID_FIG1_SHARDED_SITES    sites/schedds      (default 8)
 //   ETHERGRID_FIG1_SHARDED_CLIENTS  total submitters   (default 1600;
 //                                   set 1000000 for the mega run)
@@ -106,7 +107,15 @@ int run_sharded_scale() {
                         std::size_t(8)}) {
     if (n <= sites) shard_counts.push_back(n);
   }
-  report.set_execution(shard_counts.back(), shard_counts.back());
+  // A row runs one thread per shard up to the host's hardware threads, so
+  // each row measures scaling, not oversubscription: on a 4-thread host
+  // the shards=8 row runs 8 shards on 4 threads.
+  const std::size_t hw_threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const auto threads_for = [hw_threads](std::size_t shards) {
+    return std::min(shards, hw_threads);
+  };
+  report.set_execution(shard_counts.back(), threads_for(shard_counts.back()));
 
   exp::Table table("Sharded kernel scaling (Ethernet discipline)",
                    {"shards", "threads", "wall_s", "speedup", "jobs",
@@ -129,7 +138,7 @@ int run_sharded_scale() {
                    rep + 1, reps, n,
                    long(config.submitters_per_site) * long(sites));
       config.sharded.shards = n;
-      config.sharded.threads = n;
+      config.sharded.threads = threads_for(n);
       const CpuTicks ticks0 = read_cpu_ticks();
       const auto t0 = std::chrono::steady_clock::now();
       results[i] = exp::run_sharded_submit(config, "ethernet", window);

@@ -3,13 +3,18 @@
 // The custom main captures every benchmark's items/sec into the shared
 // bench report, gates the bare raw switch against libc's sigsetjmp, gates
 // the horizon scan's cost at two queue depths against each other, and gates
-// the event-queue hot paths against the committed baseline.
+// the event-queue hot paths and the heap allocations of a failed attempt
+// against the committed baseline.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csetjmp>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -21,6 +26,25 @@
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
 #include "sim/store.hpp"
+
+// Global allocation counter behind BM_TryAttempt's allocs_per_attempt: the
+// heap allocations of a fixed-seed simulated run are exactly reproducible,
+// unlike its wall clock.
+namespace {
+std::atomic<std::int64_t> g_alloc_count{0};
+void* counted_alloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -324,27 +348,57 @@ BENCHMARK(BM_ShutdownParked)->Arg(1024)->Arg(4096)->UseManualTime();
 // every cycle is one attempt and one min_cycle sleep.  Times kernel.run()
 // alone and reports ns per failed attempt, the sleep's event and switch
 // included.  With many fibers each attempt runs on a cold stack, as in
-// fig1_sweep.
+// fig1_sweep.  The attempt fails with fig1's own refusal, a message past
+// std::string's inline capacity.  Also reports allocs_per_attempt, the
+// heap allocations of a failed attempt in the steady state (gated at 0 in
+// main).
+core::Discipline fixed_discipline(int attempts) {
+  core::TryOptions options = core::TryOptions::times(attempts);
+  options.backoff = core::BackoffPolicy::none();
+  return core::Discipline{"fixed", options, nullptr};
+}
+
+void spawn_fixed_clients(sim::Kernel& kernel, const core::Discipline& fixed,
+                         int n) {
+  for (int i = 0; i < n; ++i) {
+    kernel.spawn("fixed", [&fixed](sim::Context& ctx) {
+      core::SimClock clock(ctx);
+      Rng rng = ctx.rng();
+      core::DisciplineMetrics metrics;
+      (void)core::run_with_discipline(
+          clock, rng, fixed,
+          [](TimePoint) {
+            return Status::unavailable("schedd restarting");
+          },
+          &metrics);
+    });
+  }
+}
+
+// Allocations per failed attempt: a run of n clients making 2 * attempts
+// attempts each, minus one making `attempts`, so spawning, first dispatch
+// and teardown cancel and only the per-attempt path counts.
+double try_allocs_per_attempt(int n, int attempts) {
+  const auto run_allocs = [n](int per_client) {
+    const core::Discipline fixed = fixed_discipline(per_client);
+    sim::Kernel kernel(1);
+    spawn_fixed_clients(kernel, fixed, n);
+    const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    kernel.run();
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
+  };
+  return double(run_allocs(2 * attempts) - run_allocs(attempts)) /
+         double(n * attempts);
+}
+
 void BM_TryAttempt(benchmark::State& state) {
   const int n = int(state.range(0));
   const int attempts = 65536 / n;  // per client
-  core::TryOptions options = core::TryOptions::times(attempts);
-  options.backoff = core::BackoffPolicy::none();
-  const core::Discipline fixed{"fixed", options, nullptr};
+  const core::Discipline fixed = fixed_discipline(attempts);
   double run_ns = 0;
   for (auto _ : state) {
     sim::Kernel kernel(1);
-    for (int i = 0; i < n; ++i) {
-      kernel.spawn("fixed", [&fixed](sim::Context& ctx) {
-        core::SimClock clock(ctx);
-        Rng rng = ctx.rng();
-        core::DisciplineMetrics metrics;
-        (void)core::run_with_discipline(
-            clock, rng, fixed,
-            [](TimePoint) { return Status::unavailable("schedd busy"); },
-            &metrics);
-      });
-    }
+    spawn_fixed_clients(kernel, fixed, n);
     const auto start = std::chrono::steady_clock::now();
     kernel.run();
     const std::chrono::duration<double> took =
@@ -355,6 +409,7 @@ void BM_TryAttempt(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * n * attempts);
   state.counters["ns_per_attempt"] =
       run_ns / double(state.iterations()) / double(n * attempts);
+  state.counters["allocs_per_attempt"] = try_allocs_per_attempt(n, attempts);
 }
 BENCHMARK(BM_TryAttempt)->Arg(1)->Arg(256)->UseManualTime();
 
@@ -403,8 +458,75 @@ void BM_ShutdownRetrying(benchmark::State& state) {
 }
 BENCHMARK(BM_ShutdownRetrying)->Arg(1024)->Arg(4096)->UseManualTime();
 
-// Console reporter that also captures each run's items/sec so main can
-// feed the headline numbers (and the switch ratios) to the report.
+// ------------------------------------------- the per-fiber working set
+
+// Times run_for(window) slices of an already-warm kernel and reports ns per
+// delivered event.
+void time_event_slices(benchmark::State& state, sim::Kernel& kernel,
+                       Duration window) {
+  double run_ns = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = kernel.events_processed();
+    const auto start = std::chrono::steady_clock::now();
+    kernel.run_for(window);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    run_ns += took.count() * 1e9;
+    events += kernel.events_processed() - before;
+  }
+  state.SetItemsProcessed(int64_t(events));
+  state.counters["ns_per_event"] = events > 0 ? run_ns / double(events) : 0;
+}
+
+// The per-fiber curve (ROADMAP item 6): n live sleepers, each waking every
+// 1-7 ms of virtual time, so consecutive events wake different fibers and
+// every dispatch reads a Process and a stack top the other n - 1 have had
+// time to evict.  ns per event against n is the cost of the per-fiber
+// working set.  Printed, not gated.
+void BM_FiberCurve(benchmark::State& state) {
+  const int n = int(state.range(0));
+  sim::Kernel kernel(1);
+  for (int i = 0; i < n; ++i) {
+    kernel.spawn("sleeper", [](sim::Context& ctx) {
+      Rng& rng = ctx.rng();
+      while (true) ctx.sleep(usec(1000 + rng.uniform_int(0, 6000)));
+    });
+  }
+  kernel.run_for(msec(20));  // warm: every fiber materialized and parked
+  time_event_slices(state, kernel, msec(10));
+  kernel.shutdown();
+}
+BENCHMARK(BM_FiberCurve)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->UseManualTime();
+
+// The Fixed collapse pattern: n fibers in lockstep, each sleeping the same
+// 100 ms, so every round lands n wakeups on one microsecond tick, cascaded
+// down from a coarse wheel slot and popped from the ready run.  Reports ns
+// per event.  Printed, not gated.
+void BM_SameInstantBurst(benchmark::State& state) {
+  const int n = int(state.range(0));
+  sim::Kernel kernel(1);
+  for (int i = 0; i < n; ++i) {
+    kernel.spawn("lockstep", [](sim::Context& ctx) {
+      while (true) ctx.sleep(msec(100));
+    });
+  }
+  kernel.run_for(msec(1));  // every fiber materialized and parked
+  time_event_slices(state, kernel, msec(100));
+  kernel.shutdown();
+}
+BENCHMARK(BM_SameInstantBurst)->Arg(400)->UseManualTime();
+
+// Console reporter that also captures each run's items/sec, and the
+// counters main reports or gates, so main can feed the headline numbers
+// (and the switch ratios) to the report.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -414,11 +536,19 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       if (it != run.counters.end()) {
         items_per_sec[run.benchmark_name()] = double(it->second);
       }
+      for (const char* name : {"allocs_per_attempt", "ns_per_event"}) {
+        const auto counter = run.counters.find(name);
+        if (counter != run.counters.end()) {
+          counters[run.benchmark_name() + ":" + name] =
+              double(counter->second);
+        }
+      }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
 
   std::map<std::string, double> items_per_sec;
+  std::map<std::string, double> counters;  // "benchmark:counter"
 };
 
 }  // namespace
@@ -433,6 +563,16 @@ int main(int argc, char** argv) {
   ethergrid::bench::Report report("micro_sim");
   for (const auto& [name, rate] : reporter.items_per_sec) {
     report.metric(name, rate);
+  }
+  // The curve and burst ns/event, and each BM_TryAttempt row's
+  // allocations, ride the report as printed numbers.
+  double try_allocs = -1;  // the worst BM_TryAttempt row; -1: none ran
+  for (const auto& [name, value] : reporter.counters) {
+    report.metric(name, value);
+    if (name.rfind("BM_TryAttempt/", 0) == 0 &&
+        name.find(":allocs_per_attempt") != std::string::npos) {
+      try_allocs = std::max(try_allocs, value);
+    }
   }
   // The bare-primitive ratio is where the assembly switch must win: >= 2x
   // libc's sigsetjmp save/restore pair, measured in the same run.
@@ -481,6 +621,26 @@ int main(int argc, char** argv) {
   }
 
   const char* baseline_path = std::getenv("ETHERGRID_BENCH_BASELINE");
+  // A failed attempt allocates nothing: its Status message is a literal
+  // held by pointer.  An exact count, so the gate is exact too.
+  if (try_allocs >= 0) {
+    report.metric("try_allocs_per_attempt", try_allocs);
+  }
+  if (try_allocs >= 0 && baseline_path && *baseline_path) {
+    const double baseline = ethergrid::bench::Report::read_baseline_metric(
+        baseline_path, "micro_sim", "try_allocs_per_attempt");
+    report.shape(try_allocs <= baseline);
+    if (try_allocs > baseline) {
+      ++failures;
+      std::fprintf(stderr,
+                   "micro_sim: a failed attempt makes %.4f heap allocations "
+                   "(baseline %.4f)\n",
+                   try_allocs, baseline);
+    } else {
+      std::printf("failed-attempt allocations: %.4f per attempt -> OK\n",
+                  try_allocs);
+    }
+  }
   if (baseline_path && *baseline_path) {
     for (const char* gated : {"BM_SleepEvents/1000", "BM_SleepEvents/10000",
                               "BM_EventPingPong/1000"}) {

@@ -116,8 +116,9 @@ int main(int argc, char** argv) {
 
   shell::ParseResult parsed = shell::parse_script(source);
   if (parsed.status.failed()) {
-    std::fprintf(stderr, "ftsh: %s: %s\n", script_name.c_str(),
-                 parsed.status.message().c_str());
+    std::fprintf(stderr, "ftsh: %s: %.*s\n", script_name.c_str(),
+                 int(parsed.status.message().size()),
+                 parsed.status.message().data());
     return 2;
   }
   if (parse_only) return 0;

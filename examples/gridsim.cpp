@@ -85,8 +85,8 @@ bool parse_fault_flag(const Flags& flags, sim::FaultPlan* plan) {
   if (!flags.has("faults")) return true;
   Status status = sim::FaultPlan::parse(flags.get("faults", ""), plan);
   if (status.failed()) {
-    std::fprintf(stderr, "gridsim: --faults: %s\n",
-                 status.message().c_str());
+    std::fprintf(stderr, "gridsim: --faults: %.*s\n",
+                 int(status.message().size()), status.message().data());
     return false;
   }
   return true;

@@ -63,7 +63,8 @@ Status run_with_discipline(ClockT& clock, Rng& rng,
         if (metrics) ++metrics->deferrals;
         // Deferral: the medium is busy.  Fail the attempt *without* running
         // the work; run_try applies the backoff.
-        return Status(clear.code(), "carrier busy: " + clear.message());
+        return Status(clear.code(),
+                      "carrier busy: " + std::string(clear.message()));
       }
     }
     Status status = work(deadline);

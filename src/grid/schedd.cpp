@@ -3,43 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/scope_guard.hpp"
-
 namespace ethergrid::grid {
 
 ServiceQueue::ServiceQueue(sim::Kernel& kernel, int capacity)
     : kernel_(&kernel), available_(capacity) {}
 
-Status ServiceQueue::acquire(sim::Context& ctx) {
-  if (queue_.empty() && available_ > 0) {
-    --available_;
-    return Status::success();
-  }
-  sim::Event event(*kernel_);
-  Waiter waiter;
-  waiter.event = &event;
-  queue_.push_back(&waiter);
-  // Killed or deadline-unwound while queued: hand a grant onward, or leave
-  // the queue.
-  ScopeGuard cancel([&] {
-    if (waiter.granted) {
-      ++available_;
-      grant_head();
-    } else if (!waiter.aborted) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (*it == &waiter) {
-          queue_.erase(it);
-          break;
-        }
+void ServiceQueue::cancel(Waiter* w) {
+  if (w->granted) {
+    ++available_;
+    grant_head();
+  } else if (!w->aborted) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (*it == w) {
+        queue_.erase(it);
+        break;
       }
     }
-  });
-  ctx.wait(event);
-  cancel.dismiss();
-  if (waiter.aborted) {
-    return Status::unavailable("connection reset: daemon died");
   }
-  return Status::success();
 }
 
 void ServiceQueue::release() {
@@ -125,10 +105,6 @@ void Schedd::crash(sim::Context& ctx) {
   // FD spike of Figure 2).
   crash_pulse_.pulse();
   service_slots_.abort_waiters();
-}
-
-Status Schedd::submit(sim::Context& ctx) {
-  return submit_internal(ctx, nullptr);
 }
 
 Status Schedd::submit(sim::Context& ctx, const SubmitDescription& job) {

@@ -106,7 +106,7 @@ class Explorer::Driver final : public Strategy {
       if (!inv.every_transition) continue;
       const Status status = inv.check(ctx);
       if (status.failed()) {
-        record_violation(inv.name, status.message());
+        record_violation(inv.name, std::string(status.message()));
         return false;
       }
     }
@@ -121,7 +121,7 @@ class Explorer::Driver final : public Strategy {
     for (const Invariant& inv : invariants->all()) {
       const Status status = inv.check(ctx);
       if (status.failed()) {
-        record_violation(inv.name, status.message());
+        record_violation(inv.name, std::string(status.message()));
         return;
       }
     }

@@ -571,8 +571,9 @@ Interpreter::EvalResult Interpreter::eval_for(const ForStmt& f,
   for (const Status& s : statuses) {
     if (s.failed()) {
       overall = Status(s.code(),
-                       strprintf("forall at line %d failed: %s", f.line,
-                                 s.message().c_str()));
+                       strprintf("forall at line %d failed: %.*s", f.line,
+                                 int(s.message().size()),
+                                 s.message().data()));
       break;
     }
   }

@@ -25,13 +25,19 @@
 // slot, so advancing across empty virtual time is O(levels), not O(ticks).
 //
 // Determinism: entries of the granule the cursor is standing on live in a
-// small binary "ready" heap ordered by (time, seq).  Slot drains and
-// cascades feed the ready heap; schedules at the current instant (yield,
-// Event::pulse) bypass the rings entirely and go straight to ready.  Since
-// level-0 slots are 1-us granules and virtual time is integer microseconds,
-// every entry passes through the ready heap before delivery, which restores
-// the global (time, seq) total order regardless of the (arbitrary) order in
-// which ring slots accumulated entries.
+// "ready run", a vector sorted by (time, seq) and popped from its head in
+// O(1).  Slot drains and cascades feed the run; schedules at the current
+// instant (yield, Event::pulse) bypass the rings entirely and go straight
+// to it.  Since level-0 slots are 1-us granules and virtual time is integer
+// microseconds, every entry passes through the run before delivery, which
+// restores the global (time, seq) total order regardless of the
+// (arbitrary) order in which ring slots accumulated entries.  The run stays
+// sorted cheaply: a push at the cursor carries a seq larger than any queued
+// one and appends; a drained level-0 slot (one timestamp, its cells listed
+// newest first) is reversed, sorted by seq only when cascades interleaved
+// it, and merged in; only a model-checker re-push of an older seq inserts
+// mid-run.  A burst of hundreds of same-instant wakeups -- Fixed clients
+// retrying in lockstep after a crash -- pops at O(1) each.
 //
 // Slots are intrusive singly-linked lists threaded through two pooled
 // struct-of-arrays arenas: a hot key lane (time, seq, next-link) that
@@ -40,18 +46,23 @@
 // so steady-state operation allocates nothing; a slot is one 32-bit head
 // index, not a container.
 //
-// Cancellation stays lazy (wake-token mismatch, see kernel.hpp); the wheel
-// drops stale entries whenever it touches a slot (drain or cascade) and,
-// when the owning kernel's stale counter crosses the compaction threshold,
-// compacts a bounded number of *occupied* slots per call -- incremental
-// per-slot reclamation instead of a stop-the-world pass.
+// Cancellation stays lazy (wake-token mismatch, see kernel.hpp).  The
+// stale predicate reads the entry's process, so the wheel calls it only
+// where an entry is about to be delivered anyway: it drops stale entries
+// when it drains a level-0 slot or refills from the overflow bag, the
+// caller rechecks what it pops, and, when the owning kernel's stale counter
+// crosses the compaction threshold, the wheel compacts a bounded number of
+// *occupied* slots per call -- incremental per-slot reclamation instead of
+// a stop-the-world pass.  A cascade moves cells between rings without
+// reading any process.
 //
 // min_live(stale) answers "when is the earliest entry that can still
 // fire?" -- exactly, and without visiting every entry -- for the sharded
-// kernel's window horizon (Kernel::next_live_event_time).  It reads
-// the ready heap, then walks each ring's occupied slots with the same
-// bitmaps and wrap mapping as the cursor (a coarse ring's slot holding the
-// cursor first), in ring order, which is time order: a slot is read only
+// kernel's window horizon (Kernel::next_live_event_time).  It reads the
+// ready run up to its first live entry, then walks each ring's occupied
+// slots with the same bitmaps and wrap mapping as the cursor (a coarse
+// ring's slot holding the cursor first), in ring order, which is time
+// order: a slot is read only
 // while its lower bound beats the best live time found so far, so a ring
 // stops right after its first slot holding a live entry.  The overflow bag
 // is read only when its minimum could win.  Cost: O(levels + entries in
@@ -84,10 +95,11 @@ struct QueueEntry {
   std::uint64_t token;
 };
 
-struct QueueEntryLater {
+// The delivery order: (time, seq) ascending.
+struct QueueEntryEarlier {
   bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
   }
 };
 
@@ -119,12 +131,8 @@ class TimerWheel {
     const Tick t = e.time.time_since_epoch().count();
     if (t <= cursor_) {
       // Current instant (yield, pulse, deadline already due): straight to
-      // the ready heap -- the rings never see same-instant churn.  A
-      // one-element heap is trivially valid, so skip the sift-up then.
-      ready_.push_back(e);
-      if (ready_.size() > 1) {
-        std::push_heap(ready_.begin(), ready_.end(), QueueEntryLater{});
-      }
+      // the ready run -- the rings never see same-instant churn.
+      insert_ready(e);
       return;
     }
     place(alloc_cell(e, t), t);
@@ -133,9 +141,10 @@ class TimerWheel {
   // Removes and returns the earliest entry with time <= limit, advancing
   // the cursor (draining and cascading slots) as needed.  When it returns
   // false the cursor has advanced to limit and nothing at or before limit
-  // remains.  Stale entries encountered while draining slots are dropped
-  // via pred (stale_dropped is incremented for each); delivery-time
-  // staleness of ready-heap entries is the caller's job.
+  // remains.  Stale entries met while draining level-0 slots or refilling
+  // from the overflow bag are dropped via pred (stale_dropped is
+  // incremented for each); the entry returned may still be stale, which
+  // the caller rechecks.
   template <typename Pred>
   bool pop_due(TimePoint limit, QueueEntry* out, Pred pred,
                std::size_t* stale_dropped) {
@@ -146,14 +155,12 @@ class TimerWheel {
     const Tick limit_t = unbounded ? std::numeric_limits<Tick>::max()
                                    : limit.time_since_epoch().count();
     while (true) {
-      if (!ready_.empty() &&
-          ready_.front().time.time_since_epoch().count() <= limit_t) {
-        *out = ready_.front();
-        if (ready_.size() == 1) {
-          ready_.clear();  // singleton: skip the sift-down
-        } else {
-          std::pop_heap(ready_.begin(), ready_.end(), QueueEntryLater{});
-          ready_.pop_back();
+      if (!ready_empty() &&
+          ready_[ready_head_].time.time_since_epoch().count() <= limit_t) {
+        *out = ready_[ready_head_];
+        if (++ready_head_ == ready_.size()) {
+          ready_.clear();
+          ready_head_ = 0;
         }
         --size_;
         return true;
@@ -193,13 +200,13 @@ class TimerWheel {
       const std::uint32_t head = heads_[slot];
       heads_[slot] = kNil;
       if (level != 0) {
-        cascade_list(head, pred, stale_dropped);
+        cascade_list(head);
         continue;
       }
       // All entries in a level-0 slot share one 1-us granule, i.e. one
       // timestamp.  The overwhelmingly common shape is a single cell with
-      // the ready heap empty: hand it back without touching the heap.
-      if (ready_.empty() && key_arena_[head].next == kNil) {
+      // the ready run empty: hand it back without touching the run.
+      if (ready_empty() && key_arena_[head].next == kNil) {
         const QueueEntry e = entry_at(head);
         free_cell(head);
         --size_;
@@ -244,7 +251,7 @@ class TimerWheel {
 
   // The exact earliest time among entries that do not match stale, or
   // TimePoint::max() when there is none.  Read-only: stale entries are
-  // skipped, not dropped.  Walks the ready heap, then each ring's occupied
+  // skipped, not dropped.  Walks the ready run, then each ring's occupied
   // slots in ring (= time) order from the cursor, stopping a ring at the
   // first slot whose lower bound cannot beat the best time found so far --
   // which is the slot after the first one holding a live entry, or sooner;
@@ -254,9 +261,12 @@ class TimerWheel {
   TimePoint min_live(Pred stale) const {
     constexpr Tick kNone = std::numeric_limits<Tick>::max();
     Tick best = kNone;
-    for (const QueueEntry& e : ready_) {
-      const Tick t = e.time.time_since_epoch().count();
-      if (t < best && !stale(e)) best = t;
+    // The run is sorted: its first live entry is its minimum.
+    for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
+      if (!stale(ready_[i])) {
+        best = ready_[i].time.time_since_epoch().count();
+        break;
+      }
     }
     // Level 0: every cell of a slot shares one timestamp, which the ring
     // position fixes (the same wrap mapping next_occupied uses), so one
@@ -322,7 +332,7 @@ class TimerWheel {
 
   template <typename Fn>
   void for_each(Fn fn) const {
-    for (const QueueEntry& e : ready_) fn(e);
+    for (std::size_t i = ready_head_; i < ready_.size(); ++i) fn(ready_[i]);
     for (const std::uint32_t head : heads_) {
       for (std::uint32_t i = head; i != kNil; i = key_arena_[i].next) {
         fn(entry_at(i));
@@ -439,10 +449,58 @@ class TimerWheel {
     free_cell(idx);
   }
 
-  // Level-0 slots hold a single 1-us granule: everything goes to ready,
-  // where (time, seq) ordering is restored.
+  // Appends e to the ready run; the caller keeps the run sorted.  Before
+  // the vector would grow, a popped prefix at least as long as the live
+  // run is reclaimed instead, which moves no more entries than were popped
+  // since the last reclaim: O(1) amortized, and the run's capacity tracks
+  // its live length even when it never drains empty.
+  void append_ready(const QueueEntry& e) {
+    if (ready_.size() == ready_.capacity() && ready_head_ != 0 &&
+        2 * ready_head_ >= ready_.size()) {
+      ready_.erase(ready_.begin(),
+                   ready_.begin() + std::ptrdiff_t(ready_head_));
+      ready_head_ = 0;
+    }
+    ready_.push_back(e);
+  }
+
+  bool ready_empty() const { return ready_head_ == ready_.size(); }
+
+  // Inserts e into the run at its (time, seq) position.  A fresh schedule's
+  // seq exceeds every queued one, so it appends; only the model checker's
+  // re-push of an entry it popped to inspect lands mid-run.
+  void insert_ready(const QueueEntry& e) {
+    if (ready_empty() || !QueueEntryEarlier{}(e, ready_.back())) {
+      append_ready(e);
+      return;
+    }
+    const auto at =
+        std::upper_bound(ready_.begin() + std::ptrdiff_t(ready_head_),
+                         ready_.end(), e, QueueEntryEarlier{});
+    ready_.insert(at, e);
+  }
+
+  // Restores the run's (time, seq) order after its last `appended`
+  // entries were appended unordered.  Cheap when they came in order and
+  // after the run's earlier entries -- the shape of every drain into an
+  // empty run; otherwise std::sort, which allocates nothing.
+  void settle_ready(std::size_t appended) {
+    const auto first = ready_.begin() + std::ptrdiff_t(ready_head_);
+    const auto mid = ready_.end() - std::ptrdiff_t(appended);
+    if (std::is_sorted(mid, ready_.end(), QueueEntryEarlier{}) &&
+        (mid == first || appended == 0 ||
+         !QueueEntryEarlier{}(*mid, *(mid - 1)))) {
+      return;
+    }
+    std::sort(first, ready_.end(), QueueEntryEarlier{});
+  }
+
+  // A level-0 slot holds a single 1-us granule, one timestamp, and lists
+  // its cells newest first: reversed, they are in seq order unless a
+  // cascade interleaved them.  Everything live goes to the ready run.
   template <typename Pred>
   void drain_list(std::uint32_t head, Pred pred, std::size_t* stale_dropped) {
+    std::size_t appended = 0;
     while (head != kNil) {
       const std::uint32_t next = key_arena_[head].next;
       const QueueEntry e = entry_at(head);
@@ -453,35 +511,34 @@ class TimerWheel {
         --size_;
         continue;
       }
-      ready_.push_back(e);
-      std::push_heap(ready_.begin(), ready_.end(), QueueEntryLater{});
+      append_ready(e);
+      ++appended;
     }
+    std::reverse(ready_.end() - std::ptrdiff_t(appended), ready_.end());
+    settle_ready(appended);
   }
 
   // Coarser slots re-file into finer rings relative to the new cursor.
   // Cells are re-linked in place; place() may touch other slots, never the
   // one being cascaded (every entry's granule diff shrank below this
-  // level's window).
-  template <typename Pred>
-  void cascade_list(std::uint32_t head, Pred pred,
-                    std::size_t* stale_dropped) {
+  // level's window).  No staleness test: that would read every moved
+  // entry's process, and a stale cell is dropped anyway where it is next
+  // drained, popped, or compacted.
+  void cascade_list(std::uint32_t head) {
+    std::size_t appended = 0;
     while (head != kNil) {
       const std::uint32_t next = key_arena_[head].next;
-      const QueueEntry e = entry_at(head);
       const Tick t = key_arena_[head].time;
-      if (pred(e)) {
+      if (t <= cursor_) {
+        append_ready(entry_at(head));
         free_cell(head);
-        ++*stale_dropped;
-        --size_;
-      } else if (t <= cursor_) {
-        free_cell(head);
-        ready_.push_back(e);
-        std::push_heap(ready_.begin(), ready_.end(), QueueEntryLater{});
+        ++appended;
       } else {
         place(head, t);
       }
       head = next;
     }
+    settle_ready(appended);
   }
 
   template <typename Pred>
@@ -654,7 +711,10 @@ class TimerWheel {
 
   Tick cursor_ = 0;  // granule of the last delivery / advance (us)
   std::size_t size_ = 0;  // total entries, stale included
-  std::vector<QueueEntry> ready_;  // current-instant min-heap
+  // The ready run: ready_[ready_head_..] sorted by (time, seq); entries
+  // before ready_head_ were popped and await reclaiming.
+  std::vector<QueueEntry> ready_;
+  std::size_t ready_head_ = 0;
   std::vector<std::uint32_t> heads_;  // slot -> first cell (L0, then 1..5)
   std::vector<KeyCell> key_arena_;
   std::vector<PayCell> pay_arena_;

@@ -187,6 +187,27 @@ struct FcxBootstrap {
   Process* self;
 };
 
+// The result of a body that let an exception other than Interrupted
+// escape, told apart by rethrowing it; an escaped std:: or unknown
+// exception is also stored in *error.  Out of line and cold: only error
+// paths reach it, and run_body's frame, which sits under every fiber's
+// frames, stays small (debug builds give each Status temporary a slot).
+[[gnu::noinline, gnu::cold]] Status escaped_result(std::exception_ptr* error) {
+  try {
+    throw;
+  } catch (const DeadlineExceeded& d) {
+    return Status::timeout("deadline at " +
+                           std::to_string(to_seconds(d.deadline)) +
+                           "s escaped process body");
+  } catch (const std::exception& e) {
+    *error = std::current_exception();
+    return Status::failure(std::string(e.what()));
+  } catch (...) {
+    *error = std::current_exception();
+    return Status::failure("non-std exception escaped process body");
+  }
+}
+
 }  // namespace
 
 // Records the draining thread for check_owner (debug/audit builds; empty
@@ -214,7 +235,11 @@ class Kernel::DrainScope {
 
 Process::Process(Kernel* kernel, std::uint64_t id, std::string name,
                  ProcessBody body)
-    : kernel_(kernel), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+    : kernel_(kernel),
+      context_(kernel, this),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)) {}
 
 Process::~Process() {
   // A finished process's TSan context was destroyed with its stack's
@@ -234,12 +259,12 @@ void Process::recycle() {
   // wake_token_ keeps counting across incarnations: entries stranded by a
   // past life must stay stale forever.
   deadlines_.clear();
+  earliest_deadline_ = kNoDeadline;
   result_ = Status();
   // The done_ Event is reused un-destroyed: set() unlinked every
   // waiter when the old body finished, so re-latching is a plain store.
   assert(done_ && !done_->head_);
   done_->set_ = false;
-  context_ = nullptr;
   asan_fake_stack_ = nullptr;
   fiber_ctx_ = nullptr;
   pending_retire_ = false;
@@ -258,25 +283,14 @@ void Process::run_body() {
   if (killed_) {
     result = Status::killed(kill_reason_);
   } else {
-    Context ctx(kernel_, this);
-    context_ = &ctx;
     try {
-      body_(ctx);
+      body_(context_);
       result = Status::success();
     } catch (const Interrupted& i) {
       result = Status::killed(i.reason);
-    } catch (const DeadlineExceeded& d) {
-      result = Status::timeout("deadline at " +
-                               std::to_string(to_seconds(d.deadline)) +
-                               "s escaped process body");
-    } catch (const std::exception& e) {
-      result = Status::failure(e.what());
-      error = std::current_exception();
     } catch (...) {
-      result = Status::failure("non-std exception escaped process body");
-      error = std::current_exception();
+      result = escaped_result(&error);
     }
-    context_ = nullptr;
   }
 
   result_ = std::move(result);
@@ -392,13 +406,11 @@ TimePoint earliest_deadline_of(const DeadlineStack& deadlines) {
 
 }  // namespace
 
-TimePoint Context::now() const { return kernel_->now_; }
-
 void Context::sleep(Duration d) {
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
-  const TimePoint deadline = earliest_deadline_of(p.deadlines_);
+  const TimePoint deadline = p.earliest_deadline_;
   if (deadline <= k.now_) {
     throw outermost_expired(p.deadlines_, k.now_);
   }
@@ -417,7 +429,7 @@ void Context::wait(Event& e) {
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
-  const TimePoint deadline = earliest_deadline_of(p.deadlines_);
+  const TimePoint deadline = p.earliest_deadline_;
   if (deadline <= k.now_) {
     throw outermost_expired(p.deadlines_, k.now_);
   }
@@ -446,7 +458,7 @@ bool Context::wait_for(Event& e, Duration timeout) {
   Kernel& k = *kernel_;
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
-  const TimePoint deadline = earliest_deadline_of(p.deadlines_);
+  const TimePoint deadline = p.earliest_deadline_;
   if (deadline <= k.now_) {
     throw outermost_expired(p.deadlines_, k.now_);
   }
@@ -480,22 +492,25 @@ bool Context::wait_for(Event& e, Duration timeout) {
 std::uint64_t Context::push_deadline(TimePoint deadline) {
   const std::uint64_t token = ++kernel_->next_seq_;
   process_->deadlines_.emplace_back(token, deadline);
+  process_->earliest_deadline_ =
+      std::min(process_->earliest_deadline_, deadline);
   return token;
 }
 
 void Context::pop_deadline() {
   assert(!process_->deadlines_.empty());
   process_->deadlines_.pop_back();
+  process_->earliest_deadline_ = earliest_deadline_of(process_->deadlines_);
 }
 
 TimePoint Context::earliest_deadline() const {
-  return earliest_deadline_of(process_->deadlines_);
+  return process_->earliest_deadline_;
 }
 
 void Context::check() {
   Process& p = *process_;
   if (p.killed_) throw Interrupted{p.kill_reason_};
-  if (earliest_deadline_of(p.deadlines_) <= kernel_->now_) {
+  if (p.earliest_deadline_ <= kernel_->now_) {
     throw outermost_expired(p.deadlines_, kernel_->now_);
   }
 }
@@ -795,7 +810,8 @@ void Kernel::audit_accounting_slow() const {
   }
   const Status status = verify_queue_accounting();
   if (!status.ok()) {
-    std::fprintf(stderr, "queue audit: %s\n", status.message().c_str());
+    std::fprintf(stderr, "queue audit: %s\n",
+                 std::string(status.message()).c_str());
     std::abort();
   }
 #endif
@@ -1075,11 +1091,11 @@ inline Process* Kernel::pop_runnable(TimePoint limit) {
 }
 
 bool Kernel::raw_pop_due(TimePoint limit, internal::QueueEntry* out) {
-  // The wheel drops stale entries it meets while draining slots; count
-  // them off (and their per-process entry totals -- the predicate runs
-  // exactly once per dropped entry).  The entry it hands back may still be
-  // stale (it went stale after reaching the ready heap), so callers
-  // recheck.
+  // The wheel drops stale entries it meets while draining level-0 slots;
+  // count them off (and their per-process entry totals -- the predicate
+  // runs exactly once per dropped entry).  The entry it hands back may
+  // still be stale (a cascade moves stale cells unread, and an entry can
+  // go stale after reaching the ready run), so callers recheck.
   std::size_t dropped = 0;
   const bool got = queue_.pop_due(
       limit, out,
@@ -1098,9 +1114,9 @@ bool Kernel::raw_pop_due(TimePoint limit, internal::QueueEntry* out) {
 void Kernel::repush_entry(const internal::QueueEntry& entry) {
   // Raw re-insert: same (time, seq, token), no live_wakeups_ or
   // queue_entries_ adjustment (the strategy pop never decremented either
-  // for a collected entry) and no compaction trigger.  The
-  // wheel routes t <= cursor straight to its ready heap, which restores the
-  // (time, seq) total order, so a pop-inspect-repush round trip is
+  // for a collected entry) and no compaction trigger.  The wheel routes
+  // t <= cursor straight to its ready run and inserts the entry at its
+  // (time, seq) place, so a pop-inspect-repush round trip is
   // order-neutral.
   queue_.push(entry);
 }

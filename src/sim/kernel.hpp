@@ -101,7 +101,7 @@ struct KernelOptions {
 
 namespace internal {
 
-// QueueEntry / QueueEntryLater and the timer wheel itself live in
+// QueueEntry / QueueEntryEarlier and the timer wheel itself live in
 // event_queue.hpp.  Entries are not removed from the queue on
 // cancellation; instead each process carries a wake token and stale entries
 // (token mismatch) are skipped on pop.  The kernel counts how many entries
@@ -117,6 +117,75 @@ struct FiberStack {
 };
 
 }  // namespace internal
+
+// The face of the kernel inside a process body.  One Context per process,
+// stored in the Process itself (so a body's now() and sleep() read it from
+// the object a dispatch has just touched, not from the far end of the
+// fiber's stack); valid for the lifetime of the body invocation.
+class Context {
+ public:
+  TimePoint now() const;
+
+  // Blocks for d of virtual time.  Throws Interrupted if killed, or
+  // DeadlineExceeded if an enclosing deadline would expire strictly before
+  // the sleep completes (the process wakes exactly at the deadline).
+  void sleep(Duration d);
+
+  // Yields to other events scheduled at the current instant.
+  void yield() { sleep(Duration(0)); }
+
+  // Blocks until e is set.  Deadline- and kill-aware like sleep.
+  void wait(Event& e);
+
+  // Like wait but bounded: returns true if the event fired, false if the
+  // local timeout elapsed first.  An enclosing *deadline* still throws.
+  bool wait_for(Event& e, Duration timeout);
+
+  // Deadline stack.  A wait primitive that would cross the earliest pushed
+  // deadline wakes exactly at it and throws DeadlineExceeded carrying the
+  // token of the outermost expired deadline.  Prefer DeadlineScope.
+  std::uint64_t push_deadline(TimePoint deadline);
+  void pop_deadline();
+
+  // Earliest deadline on the stack, or kNoDeadline.
+  TimePoint earliest_deadline() const;
+
+  // Throws immediately if killed or if a pushed deadline has already
+  // expired.  Wait primitives call this on entry; long CPU-only loops in
+  // user code may call it to stay responsive to cancellation.
+  void check();
+
+  // Spawns a sibling process starting at the current instant.
+  ProcessHandle spawn(std::string name, ProcessBody body);
+
+  // Blocks until p finishes (deadline/kill aware).  Immediate if finished.
+  void join(Process& p);
+  void join(const ProcessHandle& p) { join(*p); }
+
+  // Requests termination of p.  If p is blocked it wakes and unwinds now;
+  // if p is running it unwinds at its next wait.  Safe on self.
+  void kill(Process& p, std::string reason = "killed");
+  void kill(const ProcessHandle& p, std::string reason = "killed") {
+    kill(*p, std::move(reason));
+  }
+
+  Kernel& kernel() { return *kernel_; }
+  Process& process() { return *process_; }
+
+  // This process's private deterministic RNG stream.
+  Rng& rng();
+
+  void log(LogLevel level, std::string message);
+
+ private:
+  friend class Kernel;
+  friend class Process;
+  Context(Kernel* kernel, Process* process)
+      : kernel_(kernel), process_(process) {}
+
+  Kernel* kernel_;
+  Process* process_;
+};
 
 // A simulated process.  Created via Kernel::spawn / Context::spawn.  The
 // handle outlives completion so results remain readable.
@@ -144,7 +213,7 @@ class Process : public std::enable_shared_from_this<Process> {
   Process(Kernel* kernel, std::uint64_t id, std::string name,
           ProcessBody body);
 
-  enum class State { kNew, kBlocked, kRunning, kFinished };
+  enum class State : std::uint8_t { kNew, kBlocked, kRunning, kFinished };
 
   // Body driver: a fresh context's entry point.  Parks the jumper's
   // continuation, runs the body immediately (entry IS the first dispatch),
@@ -158,35 +227,41 @@ class Process : public std::enable_shared_from_this<Process> {
   // next spawn.  Requires: finished, no queue entries.
   void recycle();
 
+  // The fields a dispatch touches come first -- the switch, the wake
+  // bookkeeping, the Context a body reads, the cached deadline -- so an
+  // event reads one or two cache lines of Process, not fields scattered
+  // across it.  Everything here belongs to the thread draining the kernel.
   Kernel* kernel_;
-  std::uint64_t id_;   // non-const: reassigned when pooled (Kernel::spawn)
-  std::string name_;
-  ProcessBody body_;
-
-  // All fields below belong to the thread draining the kernel.
-  State state_ = State::kNew;
-  bool killed_ = false;
-  std::string kill_reason_;
+  // The suspended continuation (its register record lives at the parked
+  // stack's top); meaningful only between materialization (first
+  // dispatch) and finish.
+  internal::fcontext_t fiber_ctx_ = nullptr;
   std::uint64_t wake_token_ = 0;
   std::uint64_t live_wakeups_ = 0;  // queue entries carrying wake_token_
+  internal::FiberStack stack_;      // empty until first dispatch
   // ALL queue entries referencing this process, stale included.  A finished
   // process may only be retired (removed from Kernel::processes_ and pooled
   // or destroyed) once this reaches zero: entries hold a raw Process*, and
   // a stale entry can outlive the finish that stranded it.
   std::uint32_t queue_entries_ = 0;
-  std::uint32_t pindex_ = 0;        // index in Kernel::processes_
+  State state_ = State::kNew;
+  bool killed_ = false;
   bool pending_retire_ = false;     // finished with queue entries still out
+  Context context_;                 // the body's; see Kernel::current_context
+  // The earliest of deadlines_, cached on push and pop: every wait
+  // primitive compares against it.
+  TimePoint earliest_deadline_ = kNoDeadline;
+
+  std::uint64_t id_;   // non-const: reassigned when pooled (Kernel::spawn)
+  std::string name_;
+  ProcessBody body_;
+  std::string kill_reason_;
+  std::uint32_t pindex_ = 0;        // index in Kernel::processes_
   std::vector<std::pair<std::uint64_t, TimePoint>> deadlines_;  // token, when
   Status result_;
   std::unique_ptr<Event> done_;  // set when the body finishes
-  Context* context_ = nullptr;   // valid while the body runs
   Rng rng_;
 
-  // The suspended continuation (its register record lives at the parked
-  // stack's top); meaningful only between materialization (first
-  // dispatch) and finish.
-  internal::fcontext_t fiber_ctx_ = nullptr;
-  internal::FiberStack stack_;       // empty until first dispatch
 #ifdef ETHERGRID_QUEUE_AUDIT_ON
   // The OS thread that materialized the fiber; every later resume must
   // happen on it (Kernel::check_fiber_thread).  Debug/audit only.
@@ -259,73 +334,6 @@ class DeadlineScope {
  private:
   Context& ctx_;
   std::uint64_t token_;
-};
-
-// The face of the kernel inside a process body.  One Context per process,
-// valid for the lifetime of the body invocation.
-class Context {
- public:
-  TimePoint now() const;
-
-  // Blocks for d of virtual time.  Throws Interrupted if killed, or
-  // DeadlineExceeded if an enclosing deadline would expire strictly before
-  // the sleep completes (the process wakes exactly at the deadline).
-  void sleep(Duration d);
-
-  // Yields to other events scheduled at the current instant.
-  void yield() { sleep(Duration(0)); }
-
-  // Blocks until e is set.  Deadline- and kill-aware like sleep.
-  void wait(Event& e);
-
-  // Like wait but bounded: returns true if the event fired, false if the
-  // local timeout elapsed first.  An enclosing *deadline* still throws.
-  bool wait_for(Event& e, Duration timeout);
-
-  // Deadline stack.  A wait primitive that would cross the earliest pushed
-  // deadline wakes exactly at it and throws DeadlineExceeded carrying the
-  // token of the outermost expired deadline.  Prefer DeadlineScope.
-  std::uint64_t push_deadline(TimePoint deadline);
-  void pop_deadline();
-
-  // Earliest deadline on the stack, or kNoDeadline.
-  TimePoint earliest_deadline() const;
-
-  // Throws immediately if killed or if a pushed deadline has already
-  // expired.  Wait primitives call this on entry; long CPU-only loops in
-  // user code may call it to stay responsive to cancellation.
-  void check();
-
-  // Spawns a sibling process starting at the current instant.
-  ProcessHandle spawn(std::string name, ProcessBody body);
-
-  // Blocks until p finishes (deadline/kill aware).  Immediate if finished.
-  void join(Process& p);
-  void join(const ProcessHandle& p) { join(*p); }
-
-  // Requests termination of p.  If p is blocked it wakes and unwinds now;
-  // if p is running it unwinds at its next wait.  Safe on self.
-  void kill(Process& p, std::string reason = "killed");
-  void kill(const ProcessHandle& p, std::string reason = "killed") {
-    kill(*p, std::move(reason));
-  }
-
-  Kernel& kernel() { return *kernel_; }
-  Process& process() { return *process_; }
-
-  // This process's private deterministic RNG stream.
-  Rng& rng();
-
-  void log(LogLevel level, std::string message);
-
- private:
-  friend class Kernel;
-  friend class Process;
-  Context(Kernel* kernel, Process* process)
-      : kernel_(kernel), process_(process) {}
-
-  Kernel* kernel_;
-  Process* process_;
 };
 
 // The simulation kernel: virtual clock + event queue + process scheduler.
@@ -453,7 +461,9 @@ class Kernel {
   // simulated process": a thread_local cannot express it, because every
   // process shares the scheduler's OS thread.
   Context* current_context() const {
-    return current_ ? current_->context_ : nullptr;
+    return current_ != nullptr && current_->state_ == Process::State::kRunning
+               ? &current_->context_
+               : nullptr;
   }
 
  private:
@@ -702,7 +712,9 @@ class Kernel {
 
 // Hot methods defined here, below Kernel, so callers in any translation
 // unit inline them: Event::set() is the waiter walk and a queue push,
-// reset() a store.
+// reset() a store, Context::now() one load.
+
+inline TimePoint Context::now() const { return kernel_->now_; }
 
 inline bool Kernel::entry_stale(const internal::QueueEntry& e) {
   return e.token != e.process->wake_token_;

@@ -29,9 +29,10 @@ std::string_view status_code_name(StatusCode code) {
 std::string Status::to_string() const {
   if (ok()) return "OK";
   std::string out(status_code_name(code_));
-  if (!message_.empty()) {
+  const std::string_view message = message_.view();
+  if (!message.empty()) {
     out += ": ";
-    out += message_;
+    out += message;
   }
   return out;
 }

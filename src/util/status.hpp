@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 
 namespace ethergrid {
 
@@ -32,54 +33,79 @@ enum class StatusCode {
 // Human-readable name of a StatusCode ("OK", "TIMEOUT", ...).
 std::string_view status_code_name(StatusCode code);
 
+// A Status's message: a string literal, kept as a pointer to its static
+// storage, or a runtime string, kept as an owning copy.  A failure built
+// from a literal -- nearly every failure on the simulator's hot paths --
+// therefore allocates nothing.  The literal constructor is consteval, so
+// only a constant expression binds it: a runtime `const char*` (e.what(),
+// strerror) fails to compile and is spelled std::string(...) instead, and a
+// stack buffer can never be kept by pointer.
+class StatusMessage {
+ public:
+  StatusMessage() = default;
+  consteval StatusMessage(const char* literal)
+      : text_(std::in_place_index<0>, literal) {}
+  StatusMessage(std::string text)
+      : text_(std::in_place_index<1>, std::move(text)) {}
+
+  std::string_view view() const {
+    if (const auto* literal = std::get_if<0>(&text_)) return *literal;
+    return *std::get_if<1>(&text_);
+  }
+
+ private:
+  std::variant<std::string_view, std::string> text_;
+};
+
 class Status {
  public:
   // Default-constructed Status is success.
   Status() = default;
-  Status(StatusCode code, std::string message)
+  Status(StatusCode code, StatusMessage message)
       : code_(code), message_(std::move(message)) {}
 
   static Status success() { return Status(); }
-  static Status failure(std::string msg = "") {
+  static Status failure(StatusMessage msg = {}) {
     return Status(StatusCode::kFailure, std::move(msg));
   }
-  static Status timeout(std::string msg = "") {
+  static Status timeout(StatusMessage msg = {}) {
     return Status(StatusCode::kTimeout, std::move(msg));
   }
-  static Status killed(std::string msg = "") {
+  static Status killed(StatusMessage msg = {}) {
     return Status(StatusCode::kKilled, std::move(msg));
   }
-  static Status not_found(std::string msg = "") {
+  static Status not_found(StatusMessage msg = {}) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status resource_exhausted(std::string msg = "") {
+  static Status resource_exhausted(StatusMessage msg = {}) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status invalid_argument(std::string msg = "") {
+  static Status invalid_argument(StatusMessage msg = {}) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status io_error(std::string msg = "") {
+  static Status io_error(StatusMessage msg = {}) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
-  static Status unavailable(std::string msg = "") {
+  static Status unavailable(StatusMessage msg = {}) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool failed() const { return !ok(); }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  std::string_view message() const { return message_.view(); }
 
   // "OK" or "CATEGORY: message".
   std::string to_string() const;
 
+  // Equal codes and equal message text, however each message is held.
   friend bool operator==(const Status& a, const Status& b) {
-    return a.code_ == b.code_ && a.message_ == b.message_;
+    return a.code_ == b.code_ && a.message() == b.message();
   }
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  StatusMessage message_;
 };
 
 }  // namespace ethergrid

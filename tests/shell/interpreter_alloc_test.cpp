@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/discipline.hpp"
 #include "core/retry.hpp"
 #include "core/sim_clock.hpp"
 #include "obs/metrics.hpp"
@@ -175,6 +176,43 @@ TEST(RunTryAllocTest, SucceedingTriesAllocateNothing) {
   });
   kernel.run();
   EXPECT_EQ(allocs, 0) << "run_try allocates per try";
+}
+
+// 100 failing attempts of a Fixed client over a SimClock, each refused the
+// way a restarting schedd refuses a condor_submit:
+// Status::unavailable("schedd restarting").  The message is a literal,
+// held by pointer, so neither the attempt's failure nor the try's result
+// allocates; as an owning std::string past the 15-byte inline capacity it
+// cost one allocation per attempt (100), nearly every allocation fig1's
+// sweep made.  No min_cycle sleep between attempts: debug builds audit
+// the queue on every schedule, and the audit's recount allocates
+// (micro_sim's BM_TryAttempt gates the path with its sleeps).
+TEST(RunTryAllocTest, FailingTriesWithLiteralStatusAllocateNothing) {
+  sim::Kernel kernel;
+  std::int64_t allocs = -1;
+  core::TryOptions options = core::TryOptions::times(100);
+  options.backoff = core::BackoffPolicy::none();
+  options.min_cycle = Duration(0);
+  const core::Discipline fixed{"fixed", options, nullptr};
+  kernel.spawn("client", [&](sim::Context& ctx) {
+    core::SimClock clock(ctx);
+    Rng rng = ctx.rng();
+    core::DisciplineMetrics metrics;
+    auto refused = [](TimePoint) {
+      return Status::unavailable("schedd restarting");
+    };
+    auto hundred_attempts = [&] {
+      return core::run_with_discipline(clock, rng, fixed, refused, &metrics);
+    };
+    ASSERT_TRUE(hundred_attempts().failed());  // settle one-time state
+    allocs = count_allocs([&] {
+      const Status last = hundred_attempts();
+      ASSERT_EQ(last, Status::unavailable("schedd restarting"));
+    });
+    EXPECT_EQ(metrics.collisions, 200);
+  });
+  kernel.run();
+  EXPECT_EQ(allocs, 0) << "a failing attempt allocates";
 }
 
 // The ftsh_pipeline benchmark's script: a try around a forany of tries, a

@@ -14,6 +14,13 @@
 
 namespace ethergrid::sim::internal {
 
+// Heap order for std::push_heap's max-heap: the earliest entry on top.
+struct QueueEntryLater {
+  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+    return QueueEntryEarlier{}(b, a);
+  }
+};
+
 class HeapQueue {
  public:
   void push(const QueueEntry& e) {

@@ -132,6 +132,55 @@ TEST(QueueCompaction, FinishedProcessesWithStrandedEntriesDrainExactly) {
   EXPECT_EQ(kernel.live_process_count(), 0u);
 }
 
+// A cascade moves cells between the wheel's rings without reading their
+// processes, so a stale cell rides it down to where it surfaces: a level-0
+// drain, or -- for a cell on a coarse slot's first microsecond, which the
+// cascade hands straight to the ready run -- the pop's recheck.  Waiters
+// whose timeouts sit on a coarse slot are woken early by an event, which
+// strands those timeouts in place; most waiters then finish with theirs
+// still queued.  Enough live sleepers keep stale entries under half the
+// queue, so compaction never fires and every stale cell must be dropped at
+// delivery, with the counters exact before and after.
+TEST(QueueCompaction, StaleCellsCarriedThroughACascadeDropAtDelivery) {
+  Kernel kernel(1);
+  Event go(kernel);
+  constexpr int kWaiters = 64;
+  constexpr int kSleepers = 16;  // waiters that outlive their timeouts
+  constexpr int kAnchors = 100;  // live far-future entries
+  const Duration edge = usec(5 * 65536);  // a level-2 slot's first us
+  for (int i = 0; i < kWaiters; ++i) {
+    kernel.spawn("waiter", [&, i](Context& ctx) {
+      const Duration timeout = i % 2 == 0 ? edge : edge + usec(1000 + i);
+      EXPECT_TRUE(ctx.wait_for(go, timeout));
+      if (i % 4 == 0) ctx.sleep(sec(1));
+    });
+  }
+  for (int i = 0; i < kAnchors; ++i) {
+    kernel.spawn("anchor", [](Context& ctx) { ctx.sleep(sec(10)); });
+  }
+  kernel.spawn("monitor", [&](Context& ctx) {
+    ctx.sleep(msec(1));
+    go.set();  // every waiter's timeout entry goes stale where it is filed
+    ctx.sleep(msec(299));
+    Status accounting = kernel.verify_queue_accounting();
+    EXPECT_TRUE(accounting.ok()) << accounting.message();
+    EXPECT_EQ(kernel.queue_depth(),
+              std::size_t(kWaiters + kSleepers + kAnchors));
+    ctx.sleep(msec(100));  // past every stranded timeout
+    accounting = kernel.verify_queue_accounting();
+    EXPECT_TRUE(accounting.ok()) << accounting.message();
+    EXPECT_EQ(kernel.queue_depth(), std::size_t(kSleepers + kAnchors));
+    // Only the sleeping waiters, the anchors and this monitor are live.
+    EXPECT_EQ(kernel.live_process_count(),
+              std::size_t(kSleepers + kAnchors + 1));
+  });
+  kernel.run();
+  const Status accounting = kernel.verify_queue_accounting();
+  EXPECT_TRUE(accounting.ok()) << accounting.message();
+  EXPECT_EQ(kernel.queue_depth(), 0u);
+  EXPECT_EQ(kernel.live_process_count(), 0u);
+}
+
 // Kill-the-running-process regression: Kernel::kill must invalidate the
 // current process's wake token too.  A self-killed process that then
 // blocks must unwind promptly (Interrupted at the next yield point), not

@@ -9,6 +9,7 @@
 // reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -43,7 +44,7 @@ std::string key(const QueueEntry& e) {
 std::int64_t random_offset(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> bucket(0, 5);
   switch (bucket(rng)) {
-    case 0: return 0;  // current instant: ready-heap path
+    case 0: return 0;  // current instant: ready-run path
     case 1: return std::uniform_int_distribution<std::int64_t>(1, 1000)(rng);
     case 2:
       return std::uniform_int_distribution<std::int64_t>(1001, 1 << 16)(rng);
@@ -94,7 +95,7 @@ void run_differential(std::uint64_t seed, bool with_stale,
         std::size_t dropped = 0;
         bool wheel_got = false;
         // The wheel drops stale entries it meets; keep popping until it
-        // yields a survivor (it only hands back ready-heap residents,
+        // yields a survivor (it only hands back ready-run residents,
         // whose staleness is the caller's job -- mirror the kernel).
         while (wheel.pop_due(limit, &from_wheel, stale, &dropped)) {
           if (stale(from_wheel)) continue;
@@ -167,7 +168,7 @@ TEST(QueueOracle, PopOrderMatchesHeapUnderCompaction) {
 }
 
 // Same-timestamp bursts are where FIFO-by-seq actually bites: every entry
-// lands in one L0 slot (or the ready heap) and the wheel must still hand
+// lands in one L0 slot (or the ready run) and the wheel must still hand
 // them back in push order.
 TEST(QueueOracle, EqualTimestampsPopInSeqOrder) {
   for (std::uint64_t seed : kSeeds) {
@@ -200,6 +201,151 @@ TEST(QueueOracle, EqualTimestampsPopInSeqOrder) {
     }
     EXPECT_EQ(wheel.size(), 0u);
   }
+}
+
+// Same-instant bursts: hundreds of entries on one tick, the shape of Fixed
+// clients retrying in lockstep after a crash.  The wheel and the heap model
+// get the same entries, and every pop must agree.
+class Twin {
+ public:
+  QueueEntry push(std::int64_t t) {
+    const QueueEntry e = entry_at(t, seq_++, 0);
+    repush(e);
+    return e;
+  }
+  // Puts e back into both queues: a re-push keeps its original seq.
+  void repush(const QueueEntry& e) {
+    wheel_.push(e);
+    heap_.push(e);
+  }
+  // Pops one due entry from each; both must agree on whether there is one
+  // and on which it is.
+  bool pop(std::int64_t limit, QueueEntry* out) {
+    std::size_t dropped = 0;
+    const auto never_stale = [](const QueueEntry&) { return false; };
+    const bool wheel_got =
+        wheel_.pop_due(at(limit), out, never_stale, &dropped);
+    QueueEntry from_heap;
+    const bool heap_got = heap_.pop_due(at(limit), &from_heap);
+    EXPECT_EQ(wheel_got, heap_got) << "limit " << limit;
+    if (wheel_got && heap_got) {
+      EXPECT_EQ(key(*out), key(from_heap)) << "limit " << limit;
+    }
+    EXPECT_EQ(dropped, 0u);
+    return wheel_got && heap_got;
+  }
+  // Pops everything due by limit; returns how many came out.
+  std::size_t drain(std::int64_t limit) {
+    std::size_t n = 0;
+    QueueEntry e;
+    while (pop(limit, &e)) ++n;
+    return n;
+  }
+  std::size_t size() const { return wheel_.size(); }
+
+ private:
+  static TimePoint at(std::int64_t t) { return TimePoint(Duration(t)); }
+
+  TimerWheel wheel_;
+  HeapQueue heap_;
+  std::uint64_t seq_ = 0;
+};
+
+constexpr int kBurst = 400;
+
+TEST(QueueOracleBurst, ThroughLevelZero) {
+  Twin twin;
+  // Three ticks inside level 0's window, interleaved push by push.
+  for (int i = 0; i < kBurst; ++i) {
+    twin.push(300);
+    if (i % 2 == 0) twin.push(777);
+    if (i % 3 == 0) twin.push(301);
+  }
+  EXPECT_EQ(twin.drain(1000), std::size_t(kBurst + kBurst / 2 + 134));
+  // Again across the ring's wrap.
+  for (int i = 0; i < kBurst; ++i) {
+    twin.push(1000 + 1020);
+    twin.push(1000 + 5);
+  }
+  EXPECT_EQ(twin.drain(4000), std::size_t(2 * kBurst));
+  EXPECT_EQ(twin.size(), 0u);
+}
+
+TEST(QueueOracleBurst, CascadedFromCoarseSlots) {
+  Twin twin;
+  // One tick reached from three levels: filed at level 2 while the cursor
+  // is far, at level 1 once it is closer, at level 0 last.
+  const std::int64_t t = 3 * 65536 + 5 * 1024 + 17;
+  // And one tick on a level-2 slot's first microsecond, whose entries the
+  // cascade hands straight to the ready run.
+  const std::int64_t edge = 5 * 65536;
+  for (int i = 0; i < kBurst / 2; ++i) {
+    twin.push(t);
+    twin.push(edge);
+    if (i % 4 == 0) twin.push(t + 1);
+  }
+  EXPECT_EQ(twin.drain(t - 40000), 0u);
+  for (int i = 0; i < kBurst / 4; ++i) {
+    twin.push(t);
+    if (i % 4 == 0) twin.push(t - 1);
+  }
+  EXPECT_EQ(twin.drain(t - 500), 0u);
+  for (int i = 0; i < kBurst / 4; ++i) twin.push(t);
+  EXPECT_EQ(twin.drain(t - 2), 0u);
+  EXPECT_EQ(twin.drain(t), std::size_t(kBurst + 25));
+  EXPECT_EQ(twin.drain(edge), std::size_t(kBurst / 2 + kBurst / 8));
+  EXPECT_EQ(twin.size(), 0u);
+}
+
+TEST(QueueOracleBurst, PushedAtTheCursor) {
+  Twin twin;
+  const std::int64_t t = 2048 + 3;
+  for (int i = 0; i < kBurst; ++i) twin.push(t);
+  QueueEntry e;
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(twin.pop(t, &e));
+  // The cursor stands on t with 300 entries still queued: these append.
+  for (int i = 0; i < kBurst; ++i) twin.push(t);
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(twin.pop(t, &e));
+  // Pushes for an earlier instant (the cursor is past it) join the run
+  // too, in (time, seq) order.
+  for (int i = 0; i < kBurst / 4; ++i) twin.push(t - 7);
+  EXPECT_EQ(twin.drain(t), std::size_t(kBurst + 250 + kBurst / 4));
+  // Into an empty run, one by one, as a yield does.
+  for (int i = 0; i < kBurst; ++i) {
+    twin.push(t);
+    ASSERT_TRUE(twin.pop(t, &e));
+  }
+  EXPECT_EQ(twin.size(), 0u);
+}
+
+// The model checker's strategy pop takes entries out to inspect them and
+// puts them back with their original seqs, into a run holding later ones.
+TEST(QueueOracleBurst, StrategyRepushesOfOlderSeqs) {
+  std::mt19937_64 rng(7);
+  Twin twin;
+  const std::int64_t t = 90000;
+  for (int i = 0; i < kBurst; ++i) twin.push(t);
+  for (int round = 0; round < 8; ++round) {
+    // Pop a handful, then put them back in reverse or shuffled order.
+    std::vector<QueueEntry> held(std::size_t(5 + round * 7));
+    for (QueueEntry& e : held) ASSERT_TRUE(twin.pop(t, &e));
+    if (round % 2 == 0) {
+      std::reverse(held.begin(), held.end());
+    } else {
+      std::shuffle(held.begin(), held.end(), rng);
+    }
+    for (const QueueEntry& e : held) twin.repush(e);
+    // Phase two's shape: pop past the pick, hold the skipped aside, pop
+    // the pick, restore the skipped.
+    std::vector<QueueEntry> skipped(std::size_t(round + 1));
+    for (QueueEntry& e : skipped) ASSERT_TRUE(twin.pop(t, &e));
+    QueueEntry pick;
+    ASSERT_TRUE(twin.pop(t, &pick));
+    for (const QueueEntry& e : skipped) twin.repush(e);
+    twin.push(t);  // and a fresh same-instant schedule behind them
+  }
+  EXPECT_EQ(twin.drain(t), std::size_t(kBurst));
+  EXPECT_EQ(twin.size(), 0u);
 }
 
 // min_live cases the random script reaches only by chance.  Odd tokens

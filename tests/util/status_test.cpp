@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace ethergrid {
 namespace {
 
@@ -48,6 +51,32 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::failure("x") == Status::failure("y"));
   EXPECT_FALSE(Status::failure("x") == Status::timeout("x"));
   EXPECT_EQ(Status::success(), Status());
+}
+
+// A literal message is held by pointer and a runtime one by copy; the two
+// must be indistinguishable to every reader: equality, message(),
+// to_string(), and copies that outlive the runtime source.
+TEST(StatusTest, LiteralAndRuntimeMessagesCompareAndPrintTheSame) {
+  std::string text = "schedd";
+  text += " restarting";  // built at run time, past the inline capacity
+  const Status literal = Status::unavailable("schedd restarting");
+  const Status runtime = Status::unavailable(text);
+  text.assign("overwritten");  // the runtime Status owns its copy
+  EXPECT_EQ(literal, runtime);
+  EXPECT_EQ(runtime, literal);
+  EXPECT_EQ(literal.message(), runtime.message());
+  EXPECT_EQ(literal.to_string(), "UNAVAILABLE: schedd restarting");
+  EXPECT_EQ(runtime.to_string(), literal.to_string());
+  EXPECT_FALSE(literal == Status::unavailable(std::string("schedd down")));
+  EXPECT_FALSE(literal == Status::timeout(std::string("schedd restarting")));
+
+  Status copy = runtime;
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved, literal);
+  moved = literal;
+  EXPECT_EQ(moved.message(), "schedd restarting");
+  EXPECT_EQ(Status::failure(""), Status::failure(std::string()));
+  EXPECT_EQ(Status::failure(std::string()).to_string(), "FAILURE");
 }
 
 TEST(StatusTest, CodeNamesAreStable) {

@@ -112,7 +112,8 @@ int explore_scenario(mc::Scenario& scenario, const Args& args) {
     trace.decisions = result.violations.front().trace;
     const Status written = mc::write_trace_file(args.trace_out, trace);
     if (written.failed()) {
-      std::fprintf(stderr, "error: %s\n", written.message().c_str());
+      std::fprintf(stderr, "error: %s\n",
+                   std::string(written.message()).c_str());
     } else {
       std::printf("  trace written to %s\n", args.trace_out.c_str());
     }
@@ -124,7 +125,7 @@ int replay_trace(const Args& args) {
   mc::TraceFile trace;
   const Status read = mc::read_trace_file(args.replay_path, &trace);
   if (read.failed()) {
-    std::fprintf(stderr, "error: %s\n", read.message().c_str());
+    std::fprintf(stderr, "error: %s\n", std::string(read.message()).c_str());
     return 2;
   }
   std::unique_ptr<mc::Scenario> scenario = mc::make_scenario(trace.scenario);
